@@ -244,12 +244,17 @@ class ReplayBackend:
         return _synthetic_response(request.prompt, self.entries[key])
 
 
+def _cassette_line(key: str, text: str) -> str:
+    return json.dumps({"key": key, "response": text}, ensure_ascii=False) + "\n"
+
+
 class RecordingBackend:
     """Proxy to a live backend that appends (key, response) lines to a cassette.
 
     A request whose key was already recorded in this session is answered from
     the cassette without touching the live backend, so recording and replay
-    return identical text even for stochastic upstreams.
+    return identical text even for stochastic upstreams. Lines are appended
+    as answers arrive; sort_cassette rewrites them in key order.
     """
 
     def __init__(self, live: Backend, cassette_path: str):
@@ -265,15 +270,29 @@ class RecordingBackend:
                 return _synthetic_response(request.prompt, self._seen[key])
         response = self.live.complete(request)
         with self._lock:
-            if key not in self._seen:
-                self._seen[key] = response.text
-                line = json.dumps({"key": key, "response": response.text}, ensure_ascii=False)
-                try:
-                    with open(self.cassette_path, "a", encoding="utf-8") as fh:
-                        fh.write(line + "\n")
-                except OSError as exc:
-                    raise CassetteWriteError(f"cannot append to {self.cassette_path}: {exc}") from exc
+            if key in self._seen:
+                # Another thread recorded this key while the call was out.
+                return _synthetic_response(request.prompt, self._seen[key])
+            self._seen[key] = response.text
+            try:
+                with open(self.cassette_path, "a", encoding="utf-8") as fh:
+                    fh.write(_cassette_line(key, response.text))
+            except OSError as exc:
+                raise CassetteWriteError(f"cannot append to {self.cassette_path}: {exc}") from exc
         return response
+
+    def sort_cassette(self) -> None:
+        """Rewrite the cassette in request-key order, so its bytes do not
+        depend on which thread answered first."""
+        tmp_path = self.cassette_path + ".tmp"
+        with self._lock:
+            try:
+                with open(tmp_path, "w", encoding="utf-8") as fh:
+                    for key in sorted(self._seen):
+                        fh.write(_cassette_line(key, self._seen[key]))
+                os.replace(tmp_path, self.cassette_path)
+            except OSError as exc:
+                raise CassetteWriteError(f"cannot rewrite {self.cassette_path}: {exc}") from exc
 
 
 class HttpBackend:

@@ -156,7 +156,8 @@ def classify_entity(
 
     The description shown to the backend concatenates stored descriptions
     newest first, truncated to the token budget. An ambiguous answer is
-    retried once; a second ambiguity marks the category undetermined.
+    retried once with a reasoning preamble; a second ambiguity marks the
+    category undetermined.
     """
     if not entity.descriptions:
         raise ValueError(f"entity {entity.canonical_id!r} has no descriptions")
@@ -165,9 +166,11 @@ def classify_entity(
     )
     result = EntityClassification(entity_id=entity.canonical_id)
     for category in taxonomy:
-        prompt = build_classification_prompt(entity.canonical_id, description, category)
         answer: bool | None = None
-        for _ in range(2):
+        for reasoning in (False, True):
+            prompt = build_classification_prompt(
+                entity.canonical_id, description, category, reasoning=reasoning
+            )
             response = backend.complete(BackendRequest(
                 prompt=prompt,
                 temperature=0.0,

@@ -150,25 +150,6 @@ def _backend_input_path(spec: str) -> str | None:
     return None
 
 
-def _load_stopword_args(args: argparse.Namespace) -> StopwordLists:
-    if args.suffixes or args.stopwords:
-        defaults = StopwordLists.default()
-        suffixes = defaults.company_suffixes
-        general = defaults.general_stopwords
-        if args.suffixes and args.stopwords:
-            return load_stopwords(args.suffixes, args.stopwords)
-        if args.suffixes:
-            return StopwordLists(
-                company_suffixes=load_stopwords(args.suffixes, args.suffixes).company_suffixes,
-                general_stopwords=general,
-            )
-        return StopwordLists(
-            company_suffixes=suffixes,
-            general_stopwords=load_stopwords(args.stopwords, args.stopwords).general_stopwords,
-        )
-    return StopwordLists.default()
-
-
 def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
     # Precedence: command-line flags, then config file values, then defaults.
     file_values: dict = {}
@@ -197,9 +178,6 @@ def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
             year_start if year_start is not None else year_range[0],
             year_end if year_end is not None else year_range[1],
         )
-    deterministic = args.deterministic
-    if deterministic is None:
-        deterministic = bool(file_values.get("deterministic", True))
     return cr.CrawlConfig(
         seeds=[s.strip() for s in seeds],
         industry=pick(args.industry, "industry", "civil engineering"),
@@ -208,7 +186,6 @@ def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
         token_budget=int(pick(args.token_budget, "token_budget", 3000)),
         max_nodes=int(pick(args.max_nodes, "max_nodes", 100000)),
         max_articles=int(pick(args.max_articles, "max_articles", 1000000)),
-        deterministic=deterministic,
         parallelism=int(pick(args.parallelism, "parallelism", 1)),
     )
 
@@ -216,7 +193,7 @@ def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
 def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) -> int:
     config = _build_crawl_config(args)
     corpus = load_corpus(args.corpus, strict=not args.lenient)
-    stopwords = _load_stopword_args(args)
+    stopwords = load_stopwords(args.suffixes) if args.suffixes else StopwordLists.default()
     backend = _make_backend(args.backend, args)
     backend_spec = args.backend
     os.makedirs(args.out, exist_ok=True)
@@ -231,6 +208,8 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
     if args.aliases:
         graph.apply_aliases(gr.load_alias_file(args.aliases))
     graph, report = cr.run_crawl(config, corpus, backend, graph)
+    if cassette_path:
+        backend.sort_cassette()
 
     state_path = os.path.join(args.out, "graph.json")
     export_path = os.path.join(args.out, f"graph.{_EXPORT_EXT[args.export_format]}")
@@ -250,8 +229,6 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
         inputs.append(args.aliases)
     if args.suffixes:
         inputs.append(args.suffixes)
-    if args.stopwords:
-        inputs.append(args.stopwords)
     outputs = [
         _output_entry(state_path),
         _output_entry(export_path),
@@ -468,19 +445,16 @@ def _add_crawl_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--token-budget", type=int, dest="token_budget")
     parser.add_argument("--max-nodes", type=int, dest="max_nodes")
     parser.add_argument("--max-articles", type=int, dest="max_articles")
-    parser.add_argument("--parallelism", type=int)
-    parser.add_argument("--deterministic", action="store_true", default=None)
-    parser.add_argument("--non-deterministic", action="store_false", dest="deterministic")
+    parser.add_argument("--parallelism", type=int,
+                        help="keywords fetched and extracted at once (default 1)")
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     parser.add_argument("--aliases", help="TSV alias file: variant<TAB>canonical")
     parser.add_argument("--suffixes", help="company-suffix stopword file")
-    parser.add_argument("--stopwords", help="general stopword file")
     parser.add_argument("--export-format", choices=sorted(_EXPORT_EXT), default="graphml")
     parser.add_argument("--fail-on-budget", action="store_true",
                         help="exit 3 when the crawl stops on a budget instead of exhaustion")
     parser.add_argument("--lenient", action="store_true",
                         help="ignore unknown corpus fields instead of rejecting them")
-    parser.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

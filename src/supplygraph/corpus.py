@@ -12,7 +12,6 @@ import logging
 import string
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import TYPE_CHECKING, Iterator, Protocol
@@ -45,26 +44,14 @@ class Article:
 
 @dataclass(frozen=True)
 class StopwordLists:
-    """Corporate-suffix tokens and general stopwords, loaded from separate files.
-
-    Suffix tokens participate in name normalization. General stopwords are
-    used only for corpus statistics and never touch prompt payloads.
-    """
+    """Corporate-suffix tokens that name normalization strips from the right."""
 
     company_suffixes: frozenset[str]
-    general_stopwords: frozenset[str]
 
     @classmethod
     def default(cls) -> "StopwordLists":
-        data = resources.files("supplygraph").joinpath("data")
-        return cls(
-            company_suffixes=_parse_stopword_text(
-                data.joinpath("company_suffixes.txt").read_text(encoding="utf-8")
-            ),
-            general_stopwords=_parse_stopword_text(
-                data.joinpath("general_stopwords.txt").read_text(encoding="utf-8")
-            ),
-        )
+        text = resources.files("supplygraph").joinpath("data", "company_suffixes.txt")
+        return cls(company_suffixes=_parse_stopword_text(text.read_text(encoding="utf-8")))
 
 
 def _parse_stopword_text(text: str) -> frozenset[str]:
@@ -77,13 +64,10 @@ def _parse_stopword_text(text: str) -> frozenset[str]:
     return frozenset(tokens)
 
 
-def load_stopwords(suffix_path: str, general_path: str) -> StopwordLists:
-    """Load the two stopword lists from their files (one token per line, # comments)."""
+def load_stopwords(suffix_path: str) -> StopwordLists:
+    """Load the company-suffix list from a file (one token per line, # comments)."""
     with open(suffix_path, encoding="utf-8") as fh:
-        suffixes = _parse_stopword_text(fh.read())
-    with open(general_path, encoding="utf-8") as fh:
-        general = _parse_stopword_text(fh.read())
-    return StopwordLists(company_suffixes=suffixes, general_stopwords=general)
+        return StopwordLists(company_suffixes=_parse_stopword_text(fh.read()))
 
 
 def normalize_name(raw: str, stopwords: StopwordLists | None = None) -> str:
@@ -117,19 +101,6 @@ def preprocess_text(body: str) -> str:
         return ""
     text = _CONTROL_RE.sub(" ", body.lower())
     return _WS_RE.sub(" ", text).strip()
-
-
-def token_frequencies(text: str, stopwords: StopwordLists) -> Counter:
-    """Count content tokens in preprocessed text, excluding general stopwords.
-
-    A statistics helper only; prompt payloads keep every word.
-    """
-    counts: Counter = Counter()
-    for token in preprocess_text(text).split(" "):
-        token = token.strip(_EDGE_CHARS)
-        if token and token not in stopwords.general_stopwords:
-            counts[token] += 1
-    return counts
 
 
 class Corpus:

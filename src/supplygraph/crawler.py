@@ -28,7 +28,6 @@ from .errors import (
     EmptyName,
     EmptyParse,
     FetchError,
-    OversizeAtom,
     ReplayMiss,
     ScriptMiss,
 )
@@ -57,7 +56,6 @@ class CrawlConfig:
     token_budget: int = 3000
     max_nodes: int = 100000
     max_articles: int = 1000000
-    deterministic: bool = True
     parallelism: int = 1
 
     def __post_init__(self) -> None:
@@ -100,7 +98,6 @@ class CrawlStats:
 @dataclass
 class CrawlState:
     frontier: deque = field(default_factory=deque)
-    visited: set = field(default_factory=set)
     ever_enqueued: set = field(default_factory=set)
     stats: CrawlStats = field(default_factory=CrawlStats)
 
@@ -121,17 +118,25 @@ class CrawlReport:
         }
 
 
+def _budget_reason(
+    state: CrawlState, config: CrawlConfig, graph: SupplyChainGraph
+) -> str | None:
+    """The budget the crawl has used up, or None while both have room."""
+    if len(graph.nodes) >= config.max_nodes:
+        return TERMINATION_NODE_BUDGET
+    if state.stats.articles_processed >= config.max_articles:
+        return TERMINATION_ARTICLE_BUDGET
+    return None
+
+
 def should_terminate(
     state: CrawlState, config: CrawlConfig, graph: SupplyChainGraph
 ) -> tuple[bool, str | None]:
     """Decide whether the crawl is done and why."""
     if not state.frontier:
         return True, TERMINATION_EXHAUSTED
-    if len(graph.nodes) >= config.max_nodes:
-        return True, TERMINATION_NODE_BUDGET
-    if state.stats.articles_processed >= config.max_articles:
-        return True, TERMINATION_ARTICLE_BUDGET
-    return False, None
+    reason = _budget_reason(state, config, graph)
+    return reason is not None, reason
 
 
 def article_payload(title: str, body: str) -> str:
@@ -181,16 +186,19 @@ class Crawler:
             done, reason = should_terminate(state, self.config, self.graph)
             if done:
                 break
-            width = 1
-            if not self.config.deterministic and self.config.parallelism > 1:
-                width = min(self.config.parallelism, len(state.frontier))
+            width = min(self.config.parallelism, len(state.frontier))
             batch = [state.frontier.popleft() for _ in range(width)]
             if width == 1:
                 harvests = [self._harvest(batch[0])]
             else:
                 with ThreadPoolExecutor(max_workers=width) as pool:
                     harvests = list(pool.map(self._harvest, batch))
-            for harvest in harvests:
+            for i, harvest in enumerate(harvests):
+                if _budget_reason(state, self.config, self.graph):
+                    # A sequential crawl stops before these keywords: put them
+                    # back untallied, so stats and termination match width 1.
+                    state.frontier.extendleft(reversed(batch[i:]))
+                    break
                 self._apply(state, harvest)
         duration_ms = int((time.monotonic() - started) * 1000)
         report = CrawlReport(
@@ -218,11 +226,7 @@ class Crawler:
         entities: list[ExtractedEntity] = []
         parse_failures = 0
         backend_failures = 0
-        try:
-            plan = segment_text(payload, self.config.token_budget)
-        except OversizeAtom as exc:
-            log.warning("segmentation failed article=%s error=%s", article_id, exc)
-            return _ArticleResult(article_id, [], 1, 0)
+        plan = segment_text(payload, self.config.token_budget)
         for i, segment in enumerate(plan.segments):
             request = BackendRequest(
                 prompt=build_extraction_prompt(segment, self.config.industry),
@@ -241,19 +245,12 @@ class Crawler:
                 parse_failures += 1
         return _ArticleResult(article_id, entities, parse_failures, backend_failures)
 
-    def _budget_hit(self, state: CrawlState) -> bool:
-        return (
-            len(self.graph.nodes) >= self.config.max_nodes
-            or state.stats.articles_processed >= self.config.max_articles
-        )
-
     def _apply(self, state: CrawlState, harvest: _Harvest) -> None:
-        state.visited.add(harvest.keyword)
         if harvest.fetch_failed:
             state.stats.fetch_failures += 1
             return
         for result in harvest.articles:
-            if self._budget_hit(state):
+            if _budget_reason(state, self.config, self.graph):
                 break
             state.stats.articles_processed += 1
             state.stats.parse_failures += result.parse_failures

@@ -31,10 +31,6 @@ class FetchError(SupplyGraphError):
     """Article source failed after retries."""
 
 
-class OversizeAtom(SupplyGraphError):
-    """A single unbreakable token exceeds the segment budget."""
-
-
 class EmptyParse(SupplyGraphError):
     """A non-empty response yielded no entities."""
 

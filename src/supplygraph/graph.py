@@ -20,7 +20,9 @@ from xml.sax.saxutils import escape, quoteattr
 from .corpus import StopwordLists, normalize_name
 from .errors import ParseError, SameNode, SchemaVersionMismatch, UnknownNode
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# Schema 1 also stored a general-stopword list, which load_state ignores.
+_READABLE_SCHEMAS = (1, SCHEMA_VERSION)
 
 EXPORT_FORMATS = ("graphml", "dot", "jsonl")
 
@@ -262,7 +264,6 @@ def save_state(graph: SupplyChainGraph, path: str) -> None:
         "schema_version": SCHEMA_VERSION,
         "stopwords": {
             "company_suffixes": sorted(graph.stopwords.company_suffixes),
-            "general_stopwords": sorted(graph.stopwords.general_stopwords),
         },
         "nodes": [
             {
@@ -294,15 +295,12 @@ def load_state(path: str) -> SupplyChainGraph:
             raise ParseError(f"bad graph state JSON: {exc.msg}", path=str(path)) from exc
     if not isinstance(state, dict) or "schema_version" not in state:
         raise ParseError("graph state missing schema_version", path=str(path))
-    if state["schema_version"] != SCHEMA_VERSION:
+    if state["schema_version"] not in _READABLE_SCHEMAS:
         raise SchemaVersionMismatch(
-            f"expected schema {SCHEMA_VERSION}, found {state['schema_version']}"
+            f"expected schema 1 or {SCHEMA_VERSION}, found {state['schema_version']}"
         )
     try:
-        stopwords = StopwordLists(
-            company_suffixes=frozenset(state["stopwords"]["company_suffixes"]),
-            general_stopwords=frozenset(state["stopwords"]["general_stopwords"]),
-        )
+        stopwords = StopwordLists(frozenset(state["stopwords"]["company_suffixes"]))
         graph = SupplyChainGraph(stopwords)
         for rec in state["nodes"]:
             graph.nodes[rec["canonical_id"]] = EntityNode(

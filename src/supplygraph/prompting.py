@@ -9,9 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 
-from .errors import AmbiguousAnswer, EmptyParse, OversizeAtom
+from .errors import AmbiguousAnswer, EmptyParse
 
 TOKEN_SAFETY_FACTOR = 1.3
 REASONING_PREAMBLE = "Think step by step before answering."
@@ -22,8 +21,6 @@ _ENTITY_LINE_RE = re.compile(r"^\s*(?P<num>\d+\.\s*)?(?P<name>[^:]+):(?P<desc>.*
 _ALPHA_RE = re.compile(r"[A-Za-z]+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?:\s+|$)")
 _WORD_SPAN_RE = re.compile(r"\s*\S+\s*")
-
-TokenEstimator = Callable[[str], int]
 
 
 @dataclass(frozen=True)
@@ -86,13 +83,13 @@ EXTRACTION_USER_PREFIX = EXTRACTION_TEMPLATE.user.split("{news}")[0]
 CLASSIFICATION_USER_PREFIX = CLASSIFICATION_TEMPLATE.user.split("{company_name}")[0]
 
 
-def build_extraction_prompt(news: str, industry: str, reasoning: bool = False) -> PromptTriple:
+def build_extraction_prompt(news: str, industry: str) -> PromptTriple:
     """Render the entity-extraction prompt for one article (or segment)."""
     if not news or not news.strip():
         raise ValueError("news text must be non-empty")
     if not industry or not industry.strip():
         raise ValueError("industry must be non-empty")
-    return EXTRACTION_TEMPLATE.render({"news": news, "industry": industry}, reasoning=reasoning)
+    return EXTRACTION_TEMPLATE.render({"news": news, "industry": industry})
 
 
 def build_classification_prompt(
@@ -124,15 +121,15 @@ def estimate_tokens(text: str) -> int:
     return int(len(text.split()) * TOKEN_SAFETY_FACTOR)
 
 
-def truncate_to_budget(text: str, budget: int, estimator: TokenEstimator = estimate_tokens) -> str:
+def truncate_to_budget(text: str, budget: int) -> str:
     """Largest whitespace-token prefix of text whose estimate fits the budget."""
-    if estimator(text) <= budget:
+    if estimate_tokens(text) <= budget:
         return text
     words = text.split()
     lo, hi = 0, len(words)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if estimator(" ".join(words[:mid])) <= budget:
+        if estimate_tokens(" ".join(words[:mid])) <= budget:
             lo = mid
         else:
             hi = mid - 1
@@ -169,13 +166,13 @@ def _word_spans(span: str) -> list[str]:
     return parts
 
 
-def segment_text(text: str, budget: int, estimator: TokenEstimator = estimate_tokens) -> SegmentPlan:
+def segment_text(text: str, budget: int) -> SegmentPlan:
     """Split text into segments that each fit the token budget.
 
     Splits at sentence boundaries first and falls back to whitespace inside a
     sentence that alone exceeds the budget. Concatenating the segments
-    restores the input byte for byte. Raises OversizeAtom when one unbreakable
-    token is over budget.
+    restores the input byte for byte. One word estimates to one token, so
+    every unit fits any budget of at least 1.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -184,7 +181,7 @@ def segment_text(text: str, budget: int, estimator: TokenEstimator = estimate_to
 
     units: list[str] = []
     for sentence in _sentence_spans(text):
-        if estimator(sentence) <= budget:
+        if estimate_tokens(sentence) <= budget:
             units.append(sentence)
         else:
             units.extend(_word_spans(sentence))
@@ -192,11 +189,7 @@ def segment_text(text: str, budget: int, estimator: TokenEstimator = estimate_to
     segments: list[str] = []
     current = ""
     for unit in units:
-        if estimator(unit) > budget:
-            raise OversizeAtom(
-                f"token of estimated size {estimator(unit)} exceeds budget {budget}"
-            )
-        if current and estimator(current + unit) > budget:
+        if current and estimate_tokens(current + unit) > budget:
             segments.append(current)
             current = unit
         else:

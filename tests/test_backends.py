@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -272,6 +273,58 @@ def test_recorded_cassette_replays_identically(tmp_path):
     replayer = ReplayBackend(load_script(str(cassette)))
     replayed = [replayer.complete(r).text for r in requests_]
     assert replayed == recorded
+
+
+class GatedBackend:
+    """Live backend that answers differently on each call; the first call
+    returns only after release is set."""
+
+    def __init__(self):
+        self.calls = 0
+        self.first_entered = threading.Event()
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            n = self.calls
+        if n == 1:
+            self.first_entered.set()
+            self.release.wait(5)
+        return BackendResponse(text=f"1. Acme: answer {n}", input_tokens=1, output_tokens=1)
+
+
+def test_recording_backend_same_key_race_returns_recorded_text(tmp_path):
+    cassette = tmp_path / "cassette.jsonl"
+    live = GatedBackend()
+    backend = RecordingBackend(live, str(cassette))
+    request = _extract_request("raced.")
+    results = {}
+    first = threading.Thread(target=lambda: results.update(first=backend.complete(request).text))
+    first.start()
+    assert live.first_entered.wait(5)
+    results["second"] = backend.complete(request).text  # recorded while the first waits
+    live.release.set()
+    first.join(5)
+    assert live.calls == 2
+    recorded = load_script(str(cassette)).entries[request_key(request.prompt, request.temperature)]
+    assert recorded == "1. Acme: answer 2"
+    assert results == {"first": recorded, "second": recorded}
+
+
+def test_recording_backend_sort_cassette_orders_by_key(tmp_path):
+    cassette = tmp_path / "cassette.jsonl"
+    recorder = RecordingBackend(CountingBackend(), str(cassette))
+    for i in range(6):
+        recorder.complete(_extract_request(f"news item {i}."))
+    before = load_script(str(cassette)).entries
+    recorder.sort_cassette()
+    lines = cassette.read_text(encoding="utf-8").splitlines()
+    keys = [json.loads(line)["key"] for line in lines]
+    assert keys == sorted(before)
+    assert load_script(str(cassette)).entries == before
+    assert os.listdir(tmp_path) == ["cassette.jsonl"]
 
 
 def test_recording_backend_write_failure(tmp_path):

@@ -30,6 +30,7 @@ from supplygraph.errors import (
     ParseError,
 )
 from supplygraph.graph import EntityNode, SupplyChainGraph
+from supplygraph.prompting import REASONING_PREAMBLE
 
 
 # -- taxonomy -------------------------------------------------------------------
@@ -154,6 +155,10 @@ def test_classify_entity_ambiguous_retries_once_then_undetermined():
     result = classify_entity(_node(), taxonomy, backend)
     assert result.labels == {"legal counsel"}
     assert len(backend.requests) == 2
+    first, retry = (r.prompt for r in backend.requests)
+    assert not first.question.startswith(REASONING_PREAMBLE)
+    assert retry.question == REASONING_PREAMBLE + " " + first.question
+    assert (retry.system, retry.user) == (first.system, first.user)
 
     backend = TapeBackend(["hmm", "still unsure"])
     result = classify_entity(_node(), taxonomy, backend)

@@ -279,6 +279,21 @@ def test_record_manifest_includes_cassette(tmp_path):
     assert any(p.endswith("cassette.jsonl") for p in output_paths)
 
 
+def test_parallel_record_cassette_bytes_are_stable(tmp_path):
+    cassettes = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["record"] + _crawl_args(out, parallelism=4)[1:]) == EXIT_OK
+        cassettes.append((out / "cassette.jsonl").read_bytes())
+    assert cassettes[0] == cassettes[1]
+    keys = [json.loads(line)["key"] for line in cassettes[0].decode("utf-8").splitlines()]
+    assert len(keys) == 36
+    assert keys == sorted(keys)
+    assert sorted(os.listdir(tmp_path / "a")) == [
+        "cassette.jsonl", "crawl_report.json", "graph.graphml", "graph.json", "manifest.json",
+    ]
+
+
 # -- classify ------------------------------------------------------------------------
 
 

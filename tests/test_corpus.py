@@ -14,7 +14,6 @@ from supplygraph.corpus import (
     load_stopwords,
     normalize_name,
     preprocess_text,
-    token_frequencies,
 )
 from supplygraph.crawler import CrawlConfig
 from supplygraph.errors import DuplicateId, EmptyName, FetchError, ParseError
@@ -107,25 +106,16 @@ def test_preprocess_drops_control_characters():
 # -- stopword lists -------------------------------------------------------
 
 
-def test_default_stopword_lists_are_separate(stopwords):
-    assert "ltd" in stopwords.company_suffixes
-    assert "the" in stopwords.general_stopwords
-    assert not stopwords.company_suffixes & stopwords.general_stopwords
+def test_default_company_suffixes(stopwords):
+    assert {"ltd", "inc", "corp"} <= stopwords.company_suffixes
+    assert "the" not in stopwords.company_suffixes
 
 
 def test_load_stopwords_files(tmp_path):
     suffixes = tmp_path / "suffixes.txt"
-    general = tmp_path / "general.txt"
     suffixes.write_text("# comment\ngmbh\nS.A.\n\n", encoding="utf-8")
-    general.write_text("the\nof\n", encoding="utf-8")
-    lists = load_stopwords(str(suffixes), str(general))
+    lists = load_stopwords(str(suffixes))
     assert lists.company_suffixes == {"gmbh", "s.a."}
-    assert lists.general_stopwords == {"the", "of"}
-
-
-def test_token_frequencies_exclude_general_stopwords(stopwords):
-    counts = token_frequencies("The crane and the crew.", stopwords)
-    assert counts == {"crane": 1, "crew": 1}
 
 
 # -- corpus loading --------------------------------------------------------

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
 import oracles
 from conftest import GAZETTEER_PATH, NEWS_PATH, TRUTH_PATH
+from supplygraph import corpus as corpus_module
 from supplygraph.backends import ScriptedBackend, load_script
-from supplygraph.corpus import Article, Corpus
+from supplygraph.corpus import Article, Corpus, CorpusFetcher
 from supplygraph.crawler import (
     TERMINATION_ARTICLE_BUDGET,
     TERMINATION_EXHAUSTED,
@@ -21,7 +21,7 @@ from supplygraph.crawler import (
     should_terminate,
 )
 from supplygraph.errors import FetchError, ScriptMiss
-from supplygraph.graph import SupplyChainGraph, graph_equal
+from supplygraph.graph import EXPORT_FORMATS, SupplyChainGraph, export_graph, graph_equal, save_state
 from supplygraph.prompting import ExtractedEntity, render_entity_list
 
 
@@ -33,7 +33,7 @@ def test_crawl_config_defaults():
     assert config.industry == "civil engineering"
     assert config.year_range == (2018, 2023)
     assert config.per_year_min == 10
-    assert config.deterministic is True
+    assert config.parallelism == 1
 
 
 @pytest.mark.parametrize(
@@ -352,14 +352,53 @@ def test_crawl_unusable_entity_names_are_dropped():
     assert report.stats.entities_extracted == 2  # counted before the name check
 
 
-def test_parallel_crawl_matches_deterministic_run(news_corpus, gazetteer_backend, fixture_config):
-    parallel = dataclasses.replace(fixture_config, deterministic=False, parallelism=4)
-    g1, _ = run_crawl(fixture_config, news_corpus, gazetteer_backend)
-    g2, _ = run_crawl(parallel, news_corpus, gazetteer_backend)
-    assert set(g1.nodes) == set(g2.nodes)
-    assert set(g1.edges) == set(g2.edges)
-    for key in g1.edges:
-        assert g1.edges[key].provenance == g2.edges[key].provenance
+class OneKeywordDown(CorpusFetcher):
+    """Corpus fetcher whose source fails for a single keyword."""
+
+    def __init__(self, corpus, down):
+        super().__init__(corpus)
+        self.down = down
+
+    def search(self, keyword, year, limit):
+        if keyword == self.down:
+            raise FetchError("source down")
+        return super().search(keyword, year, limit)
+
+
+def _crawl_outputs(tmp_path, config, source, backend) -> dict[str, bytes]:
+    graph, report = run_crawl(config, source, backend)
+    outputs = {}
+    path = tmp_path / "graph.json"
+    save_state(graph, str(path))
+    outputs["graph.json"] = path.read_bytes()
+    for fmt in EXPORT_FORMATS:
+        path = tmp_path / f"graph.{fmt}"
+        export_graph(graph, fmt, str(path))
+        outputs[path.name] = path.read_bytes()
+    report_dict = report.to_dict()
+    del report_dict["duration_ms"]  # wall clock
+    del report_dict["config"]["parallelism"]  # the one input that differs
+    outputs["crawl_report.json"] = json.dumps(report_dict, sort_keys=True).encode()
+    return outputs
+
+
+def test_parallel_crawl_matches_sequential_bytes(tmp_path, monkeypatch, news_corpus, gazetteer_backend):
+    monkeypatch.setattr(corpus_module.time, "sleep", lambda s: None)  # fetch retry backoff
+    # An article budget of 20 runs out in a batch that empties the frontier,
+    # so the reason reads "article budget" only if unapplied keywords go back.
+    budgets = [{}] + [{"max_nodes": n} for n in (3, 5, 8)] + [{"max_articles": n} for n in (3, 5, 8, 20)]
+    for down in (None, "national lime stone", "kiewit"):
+        source = OneKeywordDown(news_corpus, down)
+        for budget in budgets:
+            outputs = []
+            for parallelism in range(1, 9):
+                config = CrawlConfig(
+                    seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                    parallelism=parallelism, **budget,
+                )
+                outputs.append(_crawl_outputs(tmp_path, config, source, gazetteer_backend))
+            for parallelism, out in enumerate(outputs[1:], 2):
+                assert out == outputs[0], (down, budget, parallelism)
 
 
 def test_crawl_prompts_keep_general_stopwords(news_corpus):

@@ -401,6 +401,25 @@ def test_load_state_schema_mismatch(tmp_path):
         load_state(str(path))
 
 
+def test_load_state_reads_schema_1_and_saves_schema_2(tmp_path):
+    g = _path_graph()
+    v2_path = tmp_path / "v2.json"
+    save_state(g, str(v2_path))
+    state = json.loads(v2_path.read_text(encoding="utf-8"))
+    assert state["schema_version"] == 2
+    assert set(state["stopwords"]) == {"company_suffixes"}
+    # schema 1 also stored a general-stopword list
+    state["schema_version"] = 1
+    state["stopwords"]["general_stopwords"] = ["the", "of"]
+    v1_path = tmp_path / "v1.json"
+    v1_path.write_text(json.dumps(state, indent=2), encoding="utf-8")
+    loaded = load_state(str(v1_path))
+    assert graph_equal(loaded, g)
+    resaved = tmp_path / "resaved.json"
+    save_state(loaded, str(resaved))
+    assert resaved.read_bytes() == v2_path.read_bytes()
+
+
 def test_load_state_bad_json(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text("{broken\n", encoding="utf-8")
