@@ -29,6 +29,7 @@ from .errors import (
     ReplayMiss,
     ScriptMiss,
 )
+from .files import open_output, read_jsonl
 from .prompting import (
     CLASSIFICATION_USER_PREFIX,
     EXTRACTION_USER_PREFIX,
@@ -149,29 +150,20 @@ def load_script(path: str) -> ScriptFile:
     ParseError on malformed records (gazetteer names must be pre-normalized).
     """
     script = ScriptFile()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", path=str(path), line=lineno)
-            if set(record) == {"gazetteer"}:
-                script.gazetteer.update(_parse_gazetteer(record, str(path), lineno))
-                continue
-            if set(record) != {"key", "response"}:
-                raise ParseError(
-                    f"record must be key/response or gazetteer, got {sorted(record)}",
-                    path=str(path), line=lineno,
-                )
-            if not isinstance(record["key"], str) or not isinstance(record["response"], str):
-                raise ParseError("key and response must be strings", path=str(path), line=lineno)
-            if record["key"] in script.entries:
-                raise DuplicateKey(record["key"])
-            script.entries[record["key"]] = record["response"]
+    for lineno, record in read_jsonl(path):
+        if set(record) == {"gazetteer"}:
+            script.gazetteer.update(_parse_gazetteer(record, str(path), lineno))
+            continue
+        if set(record) != {"key", "response"}:
+            raise ParseError(
+                f"record must be key/response or gazetteer, got {sorted(record)}",
+                path=str(path), line=lineno,
+            )
+        if not isinstance(record["key"], str) or not isinstance(record["response"], str):
+            raise ParseError("key and response must be strings", path=str(path), line=lineno)
+        if record["key"] in script.entries:
+            raise DuplicateKey(record["key"])
+        script.entries[record["key"]] = record["response"]
     return script
 
 
@@ -284,13 +276,11 @@ class RecordingBackend:
     def sort_cassette(self) -> None:
         """Rewrite the cassette in request-key order, so its bytes do not
         depend on which thread answered first."""
-        tmp_path = self.cassette_path + ".tmp"
         with self._lock:
             try:
-                with open(tmp_path, "w", encoding="utf-8") as fh:
+                with open_output(self.cassette_path) as fh:
                     for key in sorted(self._seen):
                         fh.write(_cassette_line(key, self._seen[key]))
-                os.replace(tmp_path, self.cassette_path)
             except OSError as exc:
                 raise CassetteWriteError(f"cannot rewrite {self.cassette_path}: {exc}") from exc
 
@@ -392,10 +382,20 @@ class HttpBackend:
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(f"malformed backend response: {exc}", attempts=1) from exc
-        usage = body.get("usage", {})
+        usage = body.get("usage") or {}
+        if not isinstance(text, str) or not isinstance(usage, dict):
+            raise BackendUnavailable(
+                "malformed backend response: content must be a string and usage an object",
+                attempts=1,
+            )
+        tokens = (
+            usage.get("prompt_tokens", 0),
+            usage.get("completion_tokens", estimate_tokens(text)),
+        )
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in tokens):
+            raise BackendUnavailable(
+                f"malformed backend response: token counts {tokens} are not integers", attempts=1
+            )
         return BackendResponse(
-            text=text,
-            input_tokens=int(usage.get("prompt_tokens", 0)),
-            output_tokens=int(usage.get("completion_tokens", estimate_tokens(text))),
-            latency_ms=latency_ms,
+            text=text, input_tokens=tokens[0], output_tokens=tokens[1], latency_ms=latency_ms
         )

@@ -7,10 +7,9 @@ example and reports per-category, macro, and micro metrics.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, BackendRequest
@@ -22,6 +21,7 @@ from .errors import (
     MissingPrediction,
     ParseError,
 )
+from .files import read_jsonl, write_jsonl
 from .graph import EntityNode, SupplyChainGraph
 from .prompting import build_classification_prompt, parse_yes_no, truncate_to_budget
 
@@ -353,41 +353,24 @@ def downsample_balanced(
 def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) -> list[LabeledExample]:
     """Load a JSONL labeled dataset of (entity_id, category, gold, description)."""
     examples: list[LabeledExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
-            missing = [f for f in DATASET_FIELDS if f not in record]
-            if missing:
-                raise ParseError(f"missing fields {missing}", path=str(path), line=lineno)
-            if not isinstance(record["gold"], bool):
-                raise ParseError("field 'gold' must be a boolean", path=str(path), line=lineno)
-            if taxonomy is not None and record["category"] not in taxonomy:
-                raise ParseError(
-                    f"category {record['category']!r} not in taxonomy", path=str(path), line=lineno
-                )
-            examples.append(LabeledExample(
-                entity_id=record["entity_id"],
-                category=record["category"],
-                gold=record["gold"],
-                description=record["description"],
-            ))
+    for lineno, record in read_jsonl(path):
+        missing = [f for f in DATASET_FIELDS if f not in record]
+        if missing:
+            raise ParseError(f"missing fields {missing}", path=str(path), line=lineno)
+        if not isinstance(record["gold"], bool):
+            raise ParseError("field 'gold' must be a boolean", path=str(path), line=lineno)
+        if taxonomy is not None and record["category"] not in taxonomy:
+            raise ParseError(
+                f"category {record['category']!r} not in taxonomy", path=str(path), line=lineno
+            )
+        examples.append(LabeledExample(
+            entity_id=record["entity_id"],
+            category=record["category"],
+            gold=record["gold"],
+            description=record["description"],
+        ))
     return examples
 
 
 def dump_labeled_dataset(examples: Sequence[LabeledExample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(
-                {
-                    "entity_id": ex.entity_id,
-                    "category": ex.category,
-                    "gold": ex.gold,
-                    "description": ex.description,
-                },
-                ensure_ascii=False,
-            ) + "\n")
+    write_jsonl(path, (asdict(ex) for ex in examples))

@@ -9,6 +9,7 @@ content digests; timestamps live outside the digested content.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -24,20 +25,14 @@ from .corpus import StopwordLists, load_corpus, load_stopwords
 from .errors import (
     BackendUnavailable,
     CassetteWriteError,
-    DegenerateClass,
-    DuplicateId,
-    DuplicateKey,
-    EmptyInput,
-    EmptyName,
-    LengthMismatch,
     MissingPrediction,
     ParseError,
     ReplayMiss,
-    SchemaVersionMismatch,
     ScriptMiss,
     SupplyGraphError,
     UnknownNode,
 )
+from .files import open_output, read_jsonl, write_json
 
 log = logging.getLogger(__name__)
 
@@ -47,24 +42,12 @@ EXIT_BUDGET = 3
 EXIT_BACKEND = 4
 EXIT_UNKNOWN_ENTITY = 5
 
-_CONFIG_ERRORS = (
-    ValueError,
-    ParseError,
-    DuplicateId,
-    DuplicateKey,
-    SchemaVersionMismatch,
-    LengthMismatch,
-    EmptyInput,
-    MissingPrediction,
-    DegenerateClass,
-    EmptyName,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
+# Besides every SupplyGraphError not caught earlier, these exit 2.
+_CONFIG_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 _BACKEND_ERRORS = (BackendUnavailable, CassetteWriteError, ScriptMiss, ReplayMiss)
 
-_EXPORT_EXT = {"graphml": "graphml", "dot": "dot", "jsonl": "jsonl"}
+# A --config file holds exactly the keys of the report's config block.
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(cr.CrawlConfig))
 
 
 def _sha256_file(path: str) -> str:
@@ -83,12 +66,6 @@ def _report_digest(report: dict) -> str:
     return hashlib.sha256(
         json.dumps(canonical, sort_keys=True, ensure_ascii=False).encode("utf-8")
     ).hexdigest()
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
 
 
 def _write_manifest(
@@ -110,7 +87,7 @@ def _write_manifest(
         "outputs": outputs,
     }
     path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, manifest)
+    write_json(path, manifest)
     return path
 
 
@@ -151,43 +128,36 @@ def _backend_input_path(spec: str) -> str | None:
 
 
 def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
-    # Precedence: command-line flags, then config file values, then defaults.
-    file_values: dict = {}
+    # Precedence: command-line flags, then config file values, then the
+    # CrawlConfig defaults. CrawlConfig checks every value's type and range.
+    values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
+            values = json.load(fh)
+        if not isinstance(values, dict):
             raise ValueError("config file must hold a JSON object")
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    seeds = args.seeds.split(",") if args.seeds else None
-    seeds = pick(seeds, "seeds", None)
-    if not seeds:
+        unknown = sorted(set(values) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; allowed: {sorted(_CONFIG_KEYS)}")
+    if args.seeds:
+        values["seeds"] = args.seeds.split(",")
+    for key in ("industry", "per_year_min", "token_budget", "max_nodes", "max_articles",
+                "parallelism"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    if not values.get("seeds"):
         raise ValueError("seeds are required (--seeds or config file)")
-    year_start = pick(args.year_start, "year_start", None)
-    year_end = pick(args.year_end, "year_end", None)
-    year_range = tuple(file_values.get("year_range", (2018, 2023)))
-    if year_start is not None or year_end is not None:
-        year_range = (
-            year_start if year_start is not None else year_range[0],
-            year_end if year_end is not None else year_range[1],
+    if isinstance(values["seeds"], list):
+        values["seeds"] = [s.strip() if isinstance(s, str) else s for s in values["seeds"]]
+    year_flags = (args.year_start, args.year_end)
+    if year_flags != (None, None):
+        year_range = values.get("year_range", cr.CrawlConfig.year_range)
+        if not isinstance(year_range, (list, tuple)) or len(year_range) != 2:
+            raise ValueError("year_range must be [start, end]")
+        values["year_range"] = tuple(
+            flag if flag is not None else year for flag, year in zip(year_flags, year_range)
         )
-    return cr.CrawlConfig(
-        seeds=[s.strip() for s in seeds],
-        industry=pick(args.industry, "industry", "civil engineering"),
-        year_range=(int(year_range[0]), int(year_range[1])),
-        per_year_min=int(pick(args.per_year_min, "per_year_min", 10)),
-        token_budget=int(pick(args.token_budget, "token_budget", 3000)),
-        max_nodes=int(pick(args.max_nodes, "max_nodes", 100000)),
-        max_articles=int(pick(args.max_articles, "max_articles", 1000000)),
-        parallelism=int(pick(args.parallelism, "parallelism", 1)),
-    )
+    return cr.CrawlConfig(**values)
 
 
 def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) -> int:
@@ -200,7 +170,8 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
     cassette_path = None
     if record_cassette is not None:
         cassette_path = os.path.join(args.out, record_cassette)
-        open(cassette_path, "w", encoding="utf-8").close()  # recording starts fresh
+        with open_output(cassette_path):  # recording starts fresh
+            pass
         backend = be.RecordingBackend(backend, cassette_path)
         backend_spec = f"record:{args.backend}"
 
@@ -212,12 +183,12 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
         backend.sort_cassette()
 
     state_path = os.path.join(args.out, "graph.json")
-    export_path = os.path.join(args.out, f"graph.{_EXPORT_EXT[args.export_format]}")
+    export_path = os.path.join(args.out, f"graph.{args.export_format}")
     report_path = os.path.join(args.out, "crawl_report.json")
     gr.save_state(graph, state_path)
     gr.export_graph(graph, args.export_format, export_path)
     report_dict = report.to_dict()
-    _write_json(report_path, report_dict)
+    write_json(report_path, report_dict)
 
     inputs = [args.corpus]
     script_path = _backend_input_path(args.backend)
@@ -280,8 +251,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.out, "classification_report.json")
     predictions_path = os.path.join(args.out, "predictions.jsonl")
     gr.save_state(graph, state_path)
-    _write_json(report_path, outcome.to_report(taxonomy))
-    with open(predictions_path, "w", encoding="utf-8") as fh:
+    write_json(report_path, outcome.to_report(taxonomy))
+    with open_output(predictions_path) as fh:
         for cid in sorted(outcome.results):
             result = outcome.results[cid]
             for category in taxonomy:
@@ -317,23 +288,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _load_predictions(path: str) -> tuple[dict[tuple[str, str], bool], set[tuple[str, str]]]:
     predictions: dict[tuple[str, str], bool] = {}
     undetermined: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=path, line=lineno) from exc
-            if "entity_id" not in record or "category" not in record:
-                raise ParseError("prediction needs entity_id and category", path=path, line=lineno)
-            pair = (record["entity_id"], record["category"])
-            if record.get("undetermined"):
-                undetermined.add(pair)
-            elif "prediction" in record and isinstance(record["prediction"], bool):
-                predictions[pair] = record["prediction"]
-            else:
-                raise ParseError("prediction must be boolean", path=path, line=lineno)
+    for lineno, record in read_jsonl(path):
+        if "entity_id" not in record or "category" not in record:
+            raise ParseError("prediction needs entity_id and category", path=path, line=lineno)
+        pair = (record["entity_id"], record["category"])
+        if record.get("undetermined"):
+            undetermined.add(pair)
+        elif "prediction" in record and isinstance(record["prediction"], bool):
+            predictions[pair] = record["prediction"]
+        else:
+            raise ParseError("prediction must be boolean", path=path, line=lineno)
     return predictions, undetermined
 
 
@@ -367,7 +331,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     payload["balanced"] = bool(args.balanced)
     if args.balanced:
         payload["rng_seed"] = args.rng_seed
-    _write_json(metrics_path, payload)
+    write_json(metrics_path, payload)
 
     inputs = [args.dataset]
     if args.predictions:
@@ -391,7 +355,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     graph = gr.load_state(args.state)
     os.makedirs(args.out, exist_ok=True)
-    export_path = os.path.join(args.out, f"graph.{_EXPORT_EXT[args.format]}")
+    export_path = os.path.join(args.out, f"graph.{args.format}")
     gr.export_graph(graph, args.format, export_path)
     _write_manifest(
         args.out, "export", None, {"format": args.format},
@@ -408,7 +372,7 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
         raise UnknownNode(args.entity)
     sampled = graph.sample_k_hop(seed, args.hops, args.max_nodes, args.rng_seed)
     os.makedirs(args.out, exist_ok=True)
-    export_path = os.path.join(args.out, f"subgraph.{_EXPORT_EXT[args.format]}")
+    export_path = os.path.join(args.out, f"subgraph.{args.format}")
     gr.export_graph(sampled, args.format, export_path)
     _write_manifest(
         args.out, "subgraph", None,
@@ -450,7 +414,7 @@ def _add_crawl_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     parser.add_argument("--aliases", help="TSV alias file: variant<TAB>canonical")
     parser.add_argument("--suffixes", help="company-suffix stopword file")
-    parser.add_argument("--export-format", choices=sorted(_EXPORT_EXT), default="graphml")
+    parser.add_argument("--export-format", choices=gr.EXPORT_FORMATS, default="graphml")
     parser.add_argument("--fail-on-budget", action="store_true",
                         help="exit 3 when the crawl stops on a budget instead of exhaustion")
     parser.add_argument("--lenient", action="store_true",
@@ -497,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="export a saved graph")
     p_export.add_argument("--state", required=True)
-    p_export.add_argument("--format", choices=sorted(_EXPORT_EXT), default="graphml")
+    p_export.add_argument("--format", choices=gr.EXPORT_FORMATS, default="graphml")
     p_export.add_argument("--out", required=True)
     p_export.set_defaults(func=cmd_export)
 
@@ -507,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--hops", type=int, default=1)
     p_sub.add_argument("--max-nodes", type=int, default=50, dest="max_nodes")
     p_sub.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
-    p_sub.add_argument("--format", choices=sorted(_EXPORT_EXT), default="graphml")
+    p_sub.add_argument("--format", choices=gr.EXPORT_FORMATS, default="graphml")
     p_sub.add_argument("--out", required=True)
     p_sub.set_defaults(func=cmd_subgraph)
 
@@ -529,10 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except _BACKEND_ERRORS as exc:
         print(f"error: backend: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SupplyGraphError as exc:
+    except (SupplyGraphError, *_CONFIG_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

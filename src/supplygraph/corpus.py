@@ -7,7 +7,6 @@ lowercase single-spaced text before they are handed to a prompt.
 
 from __future__ import annotations
 
-import json
 import logging
 import string
 import re
@@ -17,6 +16,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterator, Protocol
 
 from .errors import DuplicateId, EmptyName, FetchError, ParseError
+from .files import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     from .crawler import CrawlConfig
@@ -135,9 +135,7 @@ class Corpus:
         return iter(self.articles)
 
 
-def _article_from_record(record: object, strict: bool, path: str, lineno: int) -> Article:
-    if not isinstance(record, dict):
-        raise ParseError("article record is not an object", path=path, line=lineno)
+def _article_from_record(record: dict, strict: bool, path: str, lineno: int) -> Article:
     missing = [f for f in ARTICLE_FIELDS if f not in record]
     if missing:
         raise ParseError(f"missing fields {missing}", path=path, line=lineno)
@@ -172,15 +170,8 @@ def load_corpus(path: str, strict: bool = True) -> Corpus:
     offending line number, or DuplicateId on a repeated article id.
     """
     corpus = Corpus()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
-            corpus.add(_article_from_record(record, strict, str(path), lineno))
+    for lineno, record in read_jsonl(path):
+        corpus.add(_article_from_record(record, strict, str(path), lineno))
     return corpus
 
 
@@ -189,10 +180,7 @@ def dump_corpus(corpus: Corpus, path: str) -> None:
 
     Loading a file produced here and dumping it again is byte-identical.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for article in corpus:
-            record = {f: getattr(article, f) for f in ARTICLE_FIELDS}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({f: getattr(a, f) for f in ARTICLE_FIELDS} for a in corpus))
 
 
 class ArticleFetcher(Protocol):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
@@ -47,6 +47,9 @@ TERMINATION_NODE_BUDGET = "node budget"
 TERMINATION_ARTICLE_BUDGET = "article budget"
 
 
+_INT_FIELDS = ("per_year_min", "token_budget", "max_nodes", "max_articles", "parallelism")
+
+
 @dataclass
 class CrawlConfig:
     seeds: list[str]
@@ -59,10 +62,20 @@ class CrawlConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seeds, list) or not all(isinstance(s, str) for s in self.seeds):
+            raise ValueError("seeds must be a list of names")
         if not self.seeds or not all(s.strip() for s in self.seeds):
             raise ValueError("seeds must be a non-empty list of non-empty names")
-        if not self.industry.strip():
-            raise ValueError("industry must be non-empty")
+        if not isinstance(self.industry, str) or not self.industry.strip():
+            raise ValueError("industry must be a non-empty string")
+        if not isinstance(self.year_range, (list, tuple)) or len(self.year_range) != 2:
+            raise ValueError("year_range must be [start, end]")
+        self.year_range = tuple(self.year_range)
+        numbers = {name: getattr(self, name) for name in _INT_FIELDS}
+        numbers["year_range start"], numbers["year_range end"] = self.year_range
+        for name, value in numbers.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         start, end = self.year_range
         if start > end:
             raise ValueError("year_range start must not exceed end")
@@ -182,24 +195,18 @@ class Crawler:
             if cid not in state.ever_enqueued:
                 state.frontier.append(cid)
                 state.ever_enqueued.add(cid)
-        while True:
-            done, reason = should_terminate(state, self.config, self.graph)
-            if done:
-                break
-            width = min(self.config.parallelism, len(state.frontier))
-            batch = [state.frontier.popleft() for _ in range(width)]
-            if width == 1:
-                harvests = [self._harvest(batch[0])]
-            else:
-                with ThreadPoolExecutor(max_workers=width) as pool:
-                    harvests = list(pool.map(self._harvest, batch))
-            for i, harvest in enumerate(harvests):
-                if _budget_reason(state, self.config, self.graph):
-                    # A sequential crawl stops before these keywords: put them
-                    # back untallied, so stats and termination match width 1.
-                    state.frontier.extendleft(reversed(batch[i:]))
+        # pending[i] harvests state.frontier[i]; keywords are applied in
+        # frontier order, so any width gives the bytes of a sequential crawl.
+        pending: deque[Future[_Harvest]] = deque()
+        with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
+            while True:
+                done, reason = should_terminate(state, self.config, self.graph)
+                if done:
                     break
-                self._apply(state, harvest)
+                while len(pending) < min(self.config.parallelism, len(state.frontier)):
+                    pending.append(pool.submit(self._harvest, state.frontier[len(pending)]))
+                state.frontier.popleft()
+                self._apply(state, pending.popleft().result())
         duration_ms = int((time.monotonic() - started) * 1000)
         report = CrawlReport(
             termination_reason=reason or TERMINATION_EXHAUSTED,

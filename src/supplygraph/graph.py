@@ -19,12 +19,11 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import StopwordLists, normalize_name
 from .errors import ParseError, SameNode, SchemaVersionMismatch, UnknownNode
+from .files import open_output, write_json
 
 SCHEMA_VERSION = 2
 # Schema 1 also stored a general-stopword list, which load_state ignores.
 _READABLE_SCHEMAS = (1, SCHEMA_VERSION)
-
-EXPORT_FORMATS = ("graphml", "dot", "jsonl")
 
 
 @dataclass
@@ -281,9 +280,7 @@ def save_state(graph: SupplyChainGraph, path: str) -> None:
         ],
         "alias_table": {k: graph.alias_table[k] for k in sorted(graph.alias_table)},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_json(path, state)
 
 
 def load_state(path: str) -> SupplyChainGraph:
@@ -408,6 +405,7 @@ def _to_jsonl(graph: SupplyChainGraph) -> str:
 
 
 _RENDERERS = {"graphml": _to_graphml, "dot": _to_dot, "jsonl": _to_jsonl}
+EXPORT_FORMATS = tuple(_RENDERERS)
 
 
 def export_graph(graph: SupplyChainGraph, fmt: str, path: str) -> None:
@@ -419,5 +417,5 @@ def export_graph(graph: SupplyChainGraph, fmt: str, path: str) -> None:
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
     text = _RENDERERS[fmt](graph)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(text)

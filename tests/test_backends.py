@@ -331,14 +331,23 @@ def test_recording_backend_write_failure(tmp_path):
     backend = RecordingBackend(CountingBackend(), str(tmp_path / "no" / "dir" / "c.jsonl"))
     with pytest.raises(CassetteWriteError):
         backend.complete(_extract_request())
+    with pytest.raises(CassetteWriteError):
+        backend.sort_cassette()
 
 
 # -- http backend -----------------------------------------------------------------
 
 
+_STUB_REPLY = {
+    "choices": [{"message": {"content": "Yes"}}],
+    "usage": {"prompt_tokens": 11, "completion_tokens": 1},
+}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     plan = []  # list of status codes, consumed per request; last repeats
     requests_seen = []
+    reply = _STUB_REPLY  # body of every 200 reply
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -351,11 +360,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.end_headers()
             return
-        reply = {
-            "choices": [{"message": {"content": "Yes"}}],
-            "usage": {"prompt_tokens": 11, "completion_tokens": 1},
-        }
-        payload = json.dumps(reply).encode("utf-8")
+        payload = json.dumps(self.reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -371,6 +376,7 @@ def http_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     _StubHandler.plan = [200]
     _StubHandler.requests_seen = []
+    _StubHandler.reply = _STUB_REPLY
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
@@ -412,6 +418,31 @@ def test_http_backend_exhausts_retry_cap(http_stub):
 
 def test_http_backend_client_error_is_not_retried(http_stub):
     _StubHandler.plan = [404]
+    backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0)
+    with pytest.raises(BackendUnavailable) as err:
+        backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    assert err.value.attempts == 1
+    assert len(_StubHandler.requests_seen) == 1
+
+
+def test_http_backend_null_usage_counts_as_absent(http_stub):
+    _StubHandler.reply = {"choices": [{"message": {"content": "Yes"}}], "usage": None}
+    response = HttpBackend(http_stub, backoff_base_s=0).complete(
+        _classify_request("acme", "builds", "legal counsel"))
+    assert (response.text, response.input_tokens, response.output_tokens) == ("Yes", 0, 1)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": "Yes"}}], "usage": {"prompt_tokens": "many"}},
+        {"choices": [{"message": {"content": "Yes"}}], "usage": {"completion_tokens": 1.5}},
+        {"choices": [{"message": {"content": "Yes"}}], "usage": [11, 1]},
+    ],
+)
+def test_http_backend_malformed_reply_is_unavailable(http_stub, reply):
+    _StubHandler.reply = reply
     backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0)
     with pytest.raises(BackendUnavailable) as err:
         backend.complete(_classify_request("acme", "builds", "legal counsel"))

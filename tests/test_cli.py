@@ -132,6 +132,42 @@ def test_crawl_config_file_and_flag_precedence(tmp_path):
     assert report["config"]["max_articles"] == 2
     assert report["stats"]["articles_processed"] == 2
 
+    # A report's config block is a valid config file for the same crawl.
+    config_path.write_text(json.dumps(report["config"]), encoding="utf-8")
+    again = tmp_path / "again"
+    assert main([
+        "crawl",
+        "--corpus", NEWS_PATH,
+        "--backend", f"script:{GAZETTEER_PATH}",
+        "--out", str(again),
+        "--config", str(config_path),
+    ]) == EXIT_OK
+    assert (again / "graph.json").read_bytes() == (out / "graph.json").read_bytes()
+
+    # The file takes exactly the report's config keys, with the right types.
+    for bad in (
+        {"seeds": "aecom"},
+        {"seeds": ["aecom", 7]},
+        {"max_nodes": [3]},
+        {"max_nodes": True},
+        {"per_year_min": "1"},
+        {"year_range": [2019]},
+        {"year_range": 2019},
+        {"year_start": 2019},
+        {"max_node": 3},
+    ):
+        config_path.write_text(json.dumps(bad), encoding="utf-8")
+        seed_flags = [] if "seeds" in bad else ["--seeds", "bechtel"]
+        for year_flags in ([], ["--year-start", "2019"]):
+            code = main([
+                "crawl",
+                "--corpus", NEWS_PATH,
+                "--backend", f"script:{GAZETTEER_PATH}",
+                "--out", str(tmp_path / "bad"),
+                "--config", str(config_path),
+            ] + seed_flags + year_flags)
+            assert code == EXIT_CONFIG, (bad, year_flags)
+
 
 def test_crawl_requires_seeds(tmp_path, capsys):
     out = tmp_path / "run"
@@ -472,6 +508,24 @@ def test_evaluate_entity_missing_from_state(tmp_path, classified):
         "--out", str(tmp_path / "eval"),
     ])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad_input", ["dataset", "predictions"])
+def test_evaluate_non_object_row_is_config_error(tmp_path, classified, bad_input, capsys):
+    paths = {"dataset": LABELS_PATH, "predictions": str(classified / "predictions.jsonl")}
+    with open(paths[bad_input], encoding="utf-8") as fh:
+        first_row = fh.readline()
+    bad = tmp_path / f"{bad_input}.jsonl"
+    bad.write_text(first_row + "5\n", encoding="utf-8")
+    paths[bad_input] = str(bad)
+    code = main([
+        "evaluate",
+        "--dataset", paths["dataset"],
+        "--predictions", paths["predictions"],
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"record is not an object ({bad}:2)" in capsys.readouterr().err
 
 
 def test_evaluate_requires_exactly_one_source(tmp_path):

@@ -48,6 +48,14 @@ def test_crawl_config_defaults():
         {"seeds": ["x"], "max_nodes": 0},
         {"seeds": ["x"], "max_articles": 0},
         {"seeds": ["x"], "parallelism": 0},
+        {"seeds": "aecom"},
+        {"seeds": ["x", 7]},
+        {"seeds": ["x"], "industry": 5},
+        {"seeds": ["x"], "year_range": (2019,)},
+        {"seeds": ["x"], "year_range": ("2019", 2021)},
+        {"seeds": ["x"], "max_nodes": [3]},
+        {"seeds": ["x"], "max_articles": True},
+        {"seeds": ["x"], "per_year_min": 1.5},
     ],
 )
 def test_crawl_config_rejects(kwargs):

@@ -1,0 +1,66 @@
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from supplygraph import graph as gr
+from supplygraph.backends import load_script
+from supplygraph.classify import load_labeled_dataset
+from supplygraph.cli import _load_predictions
+from supplygraph.corpus import StopwordLists, load_corpus
+from supplygraph.errors import ParseError
+from supplygraph.files import open_output
+
+_GOOD_ROWS = {
+    load_corpus: {"id": "a-1", "url": "u", "title": "t", "body": "acme hired delta.",
+                  "published_year": 2019, "retrieved_for_keyword": "acme"},
+    load_script: {"key": "k", "response": "r"},
+    load_labeled_dataset: {"entity_id": "acme", "category": "legal counsel", "gold": False,
+                           "description": "d"},
+    _load_predictions: {"entity_id": "acme", "category": "legal counsel", "prediction": True},
+}
+
+
+@pytest.mark.parametrize("reader", list(_GOOD_ROWS), ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("bad_line", ["not json", "5", '["a list"]'])
+def test_jsonl_readers_report_bad_line(tmp_path, reader, bad_line):
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(_GOOD_ROWS[reader]) + "\n\n" + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        reader(str(path))
+    assert err.value.line == 3
+    assert err.value.path == str(path)
+
+
+def test_save_state_crash_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "graph.json"
+    graph = gr.SupplyChainGraph(StopwordLists.default())
+    graph.upsert_entity("Acme", "builds bridges", "a-1")
+    gr.save_state(graph, str(path))
+    before = path.read_bytes()
+
+    def dump_then_crash(obj, fh, **kwargs):
+        fh.write('{"schema_version": 2, "stopwords": ')
+        raise RuntimeError("disk full")
+
+    graph.upsert_entity("Delta", "supplies steel", "a-2")
+    monkeypatch.setattr(gr.json, "dump", dump_then_crash)
+    with pytest.raises(RuntimeError, match="disk full"):
+        gr.save_state(graph, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.json"]
+
+
+def test_open_output_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    with open_output(str(path)) as fh:
+        fh.write("first\n")
+        assert not path.exists()
+    assert path.read_text(encoding="utf-8") == "first\n"
+    with pytest.raises(KeyboardInterrupt):
+        with open_output(str(path)) as fh:
+            fh.write("second\n")
+            raise KeyboardInterrupt
+    assert path.read_text(encoding="utf-8") == "first\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
