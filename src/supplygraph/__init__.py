@@ -5,7 +5,6 @@ from .backends import (
     BackendResponse,
     HttpBackend,
     RecordingBackend,
-    ReplayBackend,
     ScriptedBackend,
     load_script,
     request_key,
@@ -57,7 +56,6 @@ __all__ = [
     "LabeledExample",
     "PromptTriple",
     "RecordingBackend",
-    "ReplayBackend",
     "ScriptedBackend",
     "StopwordLists",
     "SupplyChainGraph",

@@ -1,9 +1,12 @@
-"""Completion backends: live HTTP, scripted/gazetteer, record, and replay.
+"""Completion backends: live HTTP, scripted/gazetteer, and record.
 
-Every backend answers a BackendRequest with a BackendResponse. Requests are
-identified by a stable content hash over (system, user, question,
-temperature); the request tag never enters the hash, so replay does not
-depend on call-site labels.
+Every backend answers a BackendRequest with a BackendResponse. A call that
+gets no answer raises BackendUnavailable; ScriptMiss is one, so callers
+catch one type. Replaying a recorded cassette is a ScriptedBackend over the
+cassette's keyed rows alone, which misses on any other request. Requests
+are identified by a stable content hash over (system, user, question); the
+request tag never enters the hash, so replay does not depend on call-site
+labels.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (
     CassetteWriteError,
     DuplicateKey,
     ParseError,
-    ReplayMiss,
     ScriptMiss,
 )
 from .files import open_output, read_jsonl
@@ -42,7 +44,9 @@ from .prompting import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_OUTPUT_TOKENS = 512
+# Sent with every HTTP request; no caller asks for other values.
+TEMPERATURE = 0.0
+MAX_OUTPUT_TOKENS = 512
 
 ENDPOINT_ENV = "SUPPLYGRAPH_ENDPOINT"
 API_KEY_ENV = "SUPPLYGRAPH_API_KEY"
@@ -58,15 +62,7 @@ _QUESTION_RE = re.compile(
 @dataclass(frozen=True)
 class BackendRequest:
     prompt: PromptTriple
-    temperature: float = 0.0
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
     request_tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,10 +73,12 @@ class BackendResponse:
     latency_ms: int = 0
 
 
-def request_key(prompt: PromptTriple, temperature: float = 0.0) -> str:
+def request_key(prompt: PromptTriple) -> str:
     """Stable hex key for a request's content (request tags excluded)."""
+    # The last slot once held the request's temperature, always 0; it stays
+    # so that every recorded cassette keeps its keys.
     payload = json.dumps(
-        [prompt.system, prompt.user, prompt.question, f"{temperature:.6g}"],
+        [prompt.system, prompt.user, prompt.question, "0"],
         ensure_ascii=False,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -173,14 +171,15 @@ class ScriptedBackend:
     Extraction prompts are answered by scanning the embedded article text for
     gazetteer names (whole-phrase, word-boundary matches, ordered by first
     occurrence). Classification prompts answer Yes exactly when the asked
-    category is in the gazetteer's set for the asked entity.
+    category is in the gazetteer's set for the asked entity. Without a
+    gazetteer it answers keyed requests only, which is how a cassette replays.
     """
 
     def __init__(self, script: ScriptFile):
         self.script = script
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        key = request_key(request.prompt, request.temperature)
+        key = request_key(request.prompt)
         if key in self.script.entries:
             return _synthetic_response(request.prompt, self.script.entries[key])
         text = self._synthesize(request.prompt)
@@ -223,19 +222,6 @@ class ScriptedBackend:
         return "No"
 
 
-class ReplayBackend:
-    """Strict cassette playback; unknown requests raise ReplayMiss."""
-
-    def __init__(self, script: ScriptFile):
-        self.entries = script.entries
-
-    def complete(self, request: BackendRequest) -> BackendResponse:
-        key = request_key(request.prompt, request.temperature)
-        if key not in self.entries:
-            raise ReplayMiss(f"cassette has no entry for key {key[:12]}")
-        return _synthetic_response(request.prompt, self.entries[key])
-
-
 def _cassette_line(key: str, text: str) -> str:
     return json.dumps({"key": key, "response": text}, ensure_ascii=False) + "\n"
 
@@ -256,7 +242,7 @@ class RecordingBackend:
         self._lock = threading.Lock()
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        key = request_key(request.prompt, request.temperature)
+        key = request_key(request.prompt)
         with self._lock:
             if key in self._seen:
                 return _synthetic_response(request.prompt, self._seen[key])
@@ -316,8 +302,10 @@ class HttpBackend:
         self._rng = random.Random()
 
     @classmethod
-    def from_env(cls, **overrides) -> "HttpBackend":
-        endpoint = os.environ.get(ENDPOINT_ENV, "")
+    def from_env(cls, endpoint: str | None = None, **overrides) -> "HttpBackend":
+        """Build from the SUPPLYGRAPH_* variables; a given endpoint wins over
+        SUPPLYGRAPH_ENDPOINT."""
+        endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
         if not endpoint:
             raise ValueError(f"{ENDPOINT_ENV} is not set")
         return cls(
@@ -334,8 +322,8 @@ class HttpBackend:
                 {"role": "system", "content": request.prompt.system},
                 {"role": "user", "content": user},
             ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         if self.model:
             payload["model"] = self.model
@@ -370,23 +358,25 @@ class HttpBackend:
                 raise BackendUnavailable(
                     f"backend rejected request: HTTP {resp.status_code}", attempts=attempt + 1
                 )
-            return self._parse(resp, started)
+            return self._parse(resp, started, attempts=attempt + 1)
         raise BackendUnavailable(
             f"backend unreachable after {attempts} attempts: {last_error}", attempts=attempts
         )
 
-    def _parse(self, resp: requests.Response, started: float) -> BackendResponse:
+    def _parse(self, resp: requests.Response, started: float, attempts: int) -> BackendResponse:
         latency_ms = int((time.monotonic() - started) * 1000)
         try:
             body = resp.json()
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendUnavailable(f"malformed backend response: {exc}", attempts=1) from exc
+            raise BackendUnavailable(
+                f"malformed backend response: {exc}", attempts=attempts
+            ) from exc
         usage = body.get("usage") or {}
         if not isinstance(text, str) or not isinstance(usage, dict):
             raise BackendUnavailable(
                 "malformed backend response: content must be a string and usage an object",
-                attempts=1,
+                attempts=attempts,
             )
         tokens = (
             usage.get("prompt_tokens", 0),
@@ -394,7 +384,8 @@ class HttpBackend:
         )
         if any(isinstance(n, bool) or not isinstance(n, int) for n in tokens):
             raise BackendUnavailable(
-                f"malformed backend response: token counts {tokens} are not integers", attempts=1
+                f"malformed backend response: token counts {tokens} are not integers",
+                attempts=attempts,
             )
         return BackendResponse(
             text=text, input_tokens=tokens[0], output_tokens=tokens[1], latency_ms=latency_ms

@@ -173,7 +173,6 @@ def classify_entity(
             )
             response = backend.complete(BackendRequest(
                 prompt=prompt,
-                temperature=0.0,
                 request_tag=f"classify:{entity.canonical_id}:{category}",
             ))
             try:

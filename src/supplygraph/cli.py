@@ -27,8 +27,6 @@ from .errors import (
     CassetteWriteError,
     MissingPrediction,
     ParseError,
-    ReplayMiss,
-    ScriptMiss,
     SupplyGraphError,
     UnknownNode,
 )
@@ -44,7 +42,7 @@ EXIT_UNKNOWN_ENTITY = 5
 
 # Besides every SupplyGraphError not caught earlier, these exit 2.
 _CONFIG_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
-_BACKEND_ERRORS = (BackendUnavailable, CassetteWriteError, ScriptMiss, ReplayMiss)
+_BACKEND_ERRORS = (BackendUnavailable, CassetteWriteError)
 
 # A --config file holds exactly the keys of the report's config block.
 _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(cr.CrawlConfig))
@@ -98,33 +96,22 @@ def _output_entry(path: str, digest: str | None = None, excludes: list[str] | No
     return entry
 
 
-def _make_backend(spec: str, args: argparse.Namespace) -> be.Backend:
-    if spec.startswith("script:"):
-        return be.ScriptedBackend(be.load_script(spec[len("script:"):]))
-    if spec.startswith("replay:"):
-        return be.ReplayBackend(be.load_script(spec[len("replay:"):]))
-    if spec == "http" or spec.startswith("http:") or spec.startswith("https:"):
-        kwargs = {
-            "timeout_s": args.http_timeout,
-            "retry_cap": args.http_retries,
-            "backoff_base_s": args.http_backoff,
-        }
-        if spec == "http":
-            return be.HttpBackend.from_env(**kwargs)
-        return be.HttpBackend(
-            endpoint=spec,
-            api_key=os.environ.get(be.API_KEY_ENV) or None,
-            model=os.environ.get(be.MODEL_ENV) or None,
-            **kwargs,
-        )
+def _make_backend(spec: str, args: argparse.Namespace) -> tuple[be.Backend, str | None]:
+    """The backend a --backend spec names, and the input file it reads, if any."""
+    if spec.startswith(("script:", "replay:")):
+        kind, _, path = spec.partition(":")
+        script = be.load_script(path)
+        if kind == "replay":  # keyed rows only, so any other request misses
+            script = be.ScriptFile(entries=script.entries)
+        return be.ScriptedBackend(script), path
+    if spec == "http" or spec.startswith(("http:", "https:")):
+        return be.HttpBackend.from_env(
+            endpoint=None if spec == "http" else spec,
+            timeout_s=args.http_timeout,
+            retry_cap=args.http_retries,
+            backoff_base_s=args.http_backoff,
+        ), None
     raise ValueError(f"unknown backend spec {spec!r}; use script:PATH, replay:PATH, or http[s]:URL")
-
-
-def _backend_input_path(spec: str) -> str | None:
-    for prefix in ("script:", "replay:"):
-        if spec.startswith(prefix):
-            return spec[len(prefix):]
-    return None
 
 
 def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
@@ -133,12 +120,19 @@ def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
     values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(
+                    f"bad config JSON: {exc.msg}", path=args.config, line=exc.lineno
+                ) from exc
         if not isinstance(values, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ParseError("config file must hold a JSON object", path=args.config)
         unknown = sorted(set(values) - _CONFIG_KEYS)
         if unknown:
-            raise ValueError(f"unknown config keys {unknown}; allowed: {sorted(_CONFIG_KEYS)}")
+            raise ParseError(
+                f"unknown config keys {unknown}; allowed: {sorted(_CONFIG_KEYS)}", path=args.config
+            )
     if args.seeds:
         values["seeds"] = args.seeds.split(",")
     for key in ("industry", "per_year_min", "token_budget", "max_nodes", "max_articles",
@@ -164,7 +158,7 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
     config = _build_crawl_config(args)
     corpus = load_corpus(args.corpus, strict=not args.lenient)
     stopwords = load_stopwords(args.suffixes) if args.suffixes else StopwordLists.default()
-    backend = _make_backend(args.backend, args)
+    backend, backend_path = _make_backend(args.backend, args)
     backend_spec = args.backend
     os.makedirs(args.out, exist_ok=True)
     cassette_path = None
@@ -190,16 +184,7 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
     report_dict = report.to_dict()
     write_json(report_path, report_dict)
 
-    inputs = [args.corpus]
-    script_path = _backend_input_path(args.backend)
-    if script_path:
-        inputs.append(script_path)
-    if args.config:
-        inputs.append(args.config)
-    if args.aliases:
-        inputs.append(args.aliases)
-    if args.suffixes:
-        inputs.append(args.suffixes)
+    inputs = [p for p in (args.corpus, backend_path, args.config, args.aliases, args.suffixes) if p]
     outputs = [
         _output_entry(state_path),
         _output_entry(export_path),
@@ -243,7 +228,7 @@ def _taxonomy_from_args(args: argparse.Namespace) -> cl.CategoryTaxonomy:
 def cmd_classify(args: argparse.Namespace) -> int:
     graph = gr.load_state(args.state)
     taxonomy = _taxonomy_from_args(args)
-    backend = _make_backend(args.backend, args)
+    backend, backend_path = _make_backend(args.backend, args)
     os.makedirs(args.out, exist_ok=True)
     outcome = cl.classify_graph(graph, taxonomy, backend, token_budget=args.token_budget)
 
@@ -266,12 +251,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                     }
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
-    inputs = [args.state]
-    script_path = _backend_input_path(args.backend)
-    if script_path:
-        inputs.append(script_path)
-    if args.taxonomy:
-        inputs.append(args.taxonomy)
+    inputs = [p for p in (args.state, backend_path, args.taxonomy) if p]
     _write_manifest(
         args.out, "classify", args.backend,
         {"token_budget": args.token_budget, "taxonomy": list(taxonomy)},

@@ -28,8 +28,6 @@ from .errors import (
     EmptyName,
     EmptyParse,
     FetchError,
-    ReplayMiss,
-    ScriptMiss,
 )
 from .graph import SupplyChainGraph
 from .prompting import (
@@ -237,12 +235,11 @@ class Crawler:
         for i, segment in enumerate(plan.segments):
             request = BackendRequest(
                 prompt=build_extraction_prompt(segment, self.config.industry),
-                temperature=0.0,
                 request_tag=f"extract:{article_id}:{i}",
             )
             try:
                 response = self.backend.complete(request)
-            except (BackendUnavailable, ScriptMiss, ReplayMiss) as exc:
+            except BackendUnavailable as exc:
                 log.warning("backend failed article=%s segment=%d error=%s", article_id, i, exc)
                 backend_failures += 1
                 continue

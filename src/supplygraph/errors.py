@@ -47,12 +47,8 @@ class BackendUnavailable(SupplyGraphError):
         super().__init__(message)
 
 
-class ScriptMiss(SupplyGraphError):
+class ScriptMiss(BackendUnavailable):
     """Scripted backend had no keyed entry and no way to synthesize one."""
-
-
-class ReplayMiss(SupplyGraphError):
-    """Replay cassette has no entry for a request."""
 
 
 class DuplicateKey(SupplyGraphError):
@@ -60,7 +56,10 @@ class DuplicateKey(SupplyGraphError):
 
 
 class CassetteWriteError(SupplyGraphError):
-    """Recording backend could not append to its cassette."""
+    """Recording backend could not append to its cassette.
+
+    Not a BackendUnavailable: a cassette that cannot be written aborts a
+    record run instead of being counted as a failed call."""
 
 
 class UnknownNode(SupplyGraphError):

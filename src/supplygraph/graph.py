@@ -284,7 +284,11 @@ def save_state(graph: SupplyChainGraph, path: str) -> None:
 
 
 def load_state(path: str) -> SupplyChainGraph:
-    """Load a graph saved by save_state; round-trips to an equal graph."""
+    """Load a graph saved by save_state; round-trips to an equal graph.
+
+    Raises ParseError, naming the file, on a state save_state cannot write:
+    an edge or alias that points at no node, or an edge without provenance.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             state = json.load(fh)
@@ -309,9 +313,21 @@ def load_state(path: str) -> SupplyChainGraph:
             )
         for rec in state["edges"]:
             key = _pair(rec["source"], rec["target"])
+            for end in key:
+                if end not in graph.nodes:
+                    raise ParseError(f"edge {key} ends at unknown node {end!r}", path=str(path))
+            if not rec["provenance"]:
+                raise ParseError(f"edge {key} has no provenance", path=str(path))
             graph.edges[key] = ComentionEdge(
                 a=key[0], b=key[1], provenance=set(rec["provenance"])
             )
+        if not isinstance(state["alias_table"], dict):
+            raise ParseError("graph state alias_table must be an object", path=str(path))
+        for variant, target in state["alias_table"].items():
+            if target not in graph.nodes:
+                raise ParseError(
+                    f"alias {variant!r} points to unknown node {target!r}", path=str(path)
+                )
         graph.alias_table = dict(state["alias_table"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"graph state malformed: {exc}", path=str(path)) from exc

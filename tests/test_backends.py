@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import threading
@@ -12,7 +13,6 @@ from supplygraph.backends import (
     BackendResponse,
     HttpBackend,
     RecordingBackend,
-    ReplayBackend,
     ScriptFile,
     ScriptedBackend,
     load_script,
@@ -23,9 +23,9 @@ from supplygraph.errors import (
     CassetteWriteError,
     DuplicateKey,
     ParseError,
-    ReplayMiss,
     ScriptMiss,
 )
+from supplygraph.cli import _make_backend
 from supplygraph.prompting import (
     build_classification_prompt,
     build_extraction_prompt,
@@ -50,32 +50,21 @@ def test_request_key_is_stable():
     a = request_key(build_extraction_prompt("same news.", "mining"))
     b = request_key(build_extraction_prompt("same news.", "mining"))
     assert a == b
-    assert len(a) == 64
-    assert a == a.lower()
+    # Pinned: a changed key would orphan every recorded cassette.
+    assert a == "a226a041321c231736bf1c42c7a4f56472cd53c34b70c386b8e7634677d99fc0"
 
 
-def test_request_key_varies_with_content_and_temperature():
+def test_request_key_varies_with_content():
     base = build_extraction_prompt("news one.", "mining")
     other = build_extraction_prompt("news two.", "mining")
     assert request_key(base) != request_key(other)
-    assert request_key(base, 0.0) != request_key(base, 0.7)
 
 
 def test_request_key_ignores_tag():
     prompt = build_extraction_prompt("n.", "mining")
     first = BackendRequest(prompt=prompt, request_tag="a")
     second = BackendRequest(prompt=prompt, request_tag="b")
-    assert request_key(first.prompt, first.temperature) == request_key(
-        second.prompt, second.temperature
-    )
-
-
-def test_backend_request_validation():
-    prompt = build_extraction_prompt("n.", "mining")
-    with pytest.raises(ValueError):
-        BackendRequest(prompt=prompt, temperature=-0.1)
-    with pytest.raises(ValueError):
-        BackendRequest(prompt=prompt, max_output_tokens=0)
+    assert request_key(first.prompt) == request_key(second.prompt)
 
 
 # -- script loading -----------------------------------------------------------
@@ -137,7 +126,7 @@ def test_load_fixture_gazetteer(gazetteer_backend, gazetteer):
 
 def test_scripted_backend_prefers_keyed_entry():
     request = _extract_request("bechtel did things.")
-    key = request_key(request.prompt, request.temperature)
+    key = request_key(request.prompt)
     script = ScriptFile(entries={key: "1. Canned: from the script"})
     backend = ScriptedBackend(script)
     assert backend.complete(request).text == "1. Canned: from the script"
@@ -221,13 +210,34 @@ def test_scripted_backend_token_accounting(gazetteer_backend):
 # -- replay and record ----------------------------------------------------------
 
 
-def test_replay_backend_hits_and_misses():
+def _replay(path):
+    """The backend that --backend replay:PATH builds."""
+    backend, input_path = _make_backend(f"replay:{path}", argparse.Namespace())
+    assert input_path == str(path)
+    assert isinstance(backend, ScriptedBackend) and backend.script.gazetteer == {}
+    return backend
+
+
+def test_replay_backend_hits_and_misses(tmp_path):
     request = _extract_request("replayable news.")
-    key = request_key(request.prompt, request.temperature)
-    backend = ReplayBackend(ScriptFile(entries={key: "1. Acme: stored"}))
+    cassette = tmp_path / "cassette.jsonl"
+    row = {"key": request_key(request.prompt), "response": "1. Acme: stored"}
+    cassette.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    backend = _replay(cassette)
     assert backend.complete(request).text == "1. Acme: stored"
-    with pytest.raises(ReplayMiss):
+    with pytest.raises(ScriptMiss):
         backend.complete(_extract_request("never recorded."))
+
+
+def test_replay_ignores_gazetteer_rows(tmp_path, gazetteer_backend):
+    request = _extract_request("bechtel hired aecom.")
+    assert gazetteer_backend.complete(request).text  # a script would synthesize this
+    cassette = tmp_path / "cassette.jsonl"
+    cassette.write_text(json.dumps({"gazetteer": {
+        "bechtel": {"description": "builds things", "categories": []},
+    }}) + "\n", encoding="utf-8")
+    with pytest.raises(ScriptMiss):
+        _replay(cassette).complete(request)
 
 
 class CountingBackend:
@@ -260,7 +270,7 @@ def test_recording_backend_appends_and_dedups(tmp_path):
 
     script = load_script(str(cassette))
     assert len(script.entries) == 2
-    key = request_key(request.prompt, request.temperature)
+    key = request_key(request.prompt)
     assert script.entries[key] == "1. Acme: answer 1"
 
 
@@ -270,7 +280,7 @@ def test_recorded_cassette_replays_identically(tmp_path):
     requests_ = [_extract_request(f"news item {i}.") for i in range(5)]
     recorded = [recorder.complete(r).text for r in requests_]
 
-    replayer = ReplayBackend(load_script(str(cassette)))
+    replayer = _replay(cassette)
     replayed = [replayer.complete(r).text for r in requests_]
     assert replayed == recorded
 
@@ -308,7 +318,7 @@ def test_recording_backend_same_key_race_returns_recorded_text(tmp_path):
     live.release.set()
     first.join(5)
     assert live.calls == 2
-    recorded = load_script(str(cassette)).entries[request_key(request.prompt, request.temperature)]
+    recorded = load_script(str(cassette)).entries[request_key(request.prompt)]
     assert recorded == "1. Acme: answer 2"
     assert results == {"first": recorded, "second": recorded}
 
@@ -395,6 +405,7 @@ def test_http_backend_success(http_stub):
     assert seen["auth"] == "Bearer sk-test"
     assert seen["body"]["model"] == "m1"
     assert seen["body"]["temperature"] == 0.0
+    assert seen["body"]["max_tokens"] == 512
     assert [m["role"] for m in seen["body"]["messages"]] == ["system", "user"]
     assert "acme" in seen["body"]["messages"][1]["content"]
 
@@ -450,6 +461,16 @@ def test_http_backend_malformed_reply_is_unavailable(http_stub, reply):
     assert len(_StubHandler.requests_seen) == 1
 
 
+def test_http_backend_malformed_reply_counts_every_attempt(http_stub):
+    _StubHandler.plan = [503, 503, 200]
+    _StubHandler.reply = {"choices": [{"message": {"content": None}}]}
+    backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0)
+    with pytest.raises(BackendUnavailable) as err:
+        backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    assert err.value.attempts == 3
+    assert len(_StubHandler.requests_seen) == 3
+
+
 def test_http_backend_connection_refused_counts_attempts():
     backend = HttpBackend("http://127.0.0.1:1/unreachable", retry_cap=2, backoff_base_s=0)
     with pytest.raises(BackendUnavailable) as err:
@@ -467,6 +488,9 @@ def test_http_backend_from_env(monkeypatch):
     backend = HttpBackend.from_env(retry_cap=0)
     assert backend.endpoint == "http://example.invalid/v1"
     assert backend.model == "m2"
+    monkeypatch.delenv("SUPPLYGRAPH_ENDPOINT")
+    backend = HttpBackend.from_env(endpoint="http://other.invalid/v1", retry_cap=0)
+    assert (backend.endpoint, backend.model) == ("http://other.invalid/v1", "m2")
 
 
 def test_http_backend_rejects_empty_endpoint():

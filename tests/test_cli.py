@@ -108,7 +108,7 @@ def test_crawl_budget_without_flag_is_success(tmp_path):
     assert _crawl(out, max_nodes=1) == EXIT_OK
 
 
-def test_crawl_config_file_and_flag_precedence(tmp_path):
+def test_crawl_config_file_and_flag_precedence(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "seeds": ["aconex"],
@@ -167,6 +167,23 @@ def test_crawl_config_file_and_flag_precedence(tmp_path):
                 "--config", str(config_path),
             ] + seed_flags + year_flags)
             assert code == EXIT_CONFIG, (bad, year_flags)
+
+    # A file that is not a JSON object is an input error naming the file.
+    for text, message in (
+        ('{"seeds": ["bechtel"],\n bad}\n',
+         f"bad config JSON: Expecting property name enclosed in double quotes ({config_path}:2)"),
+        ("[1]\n", f"config file must hold a JSON object ({config_path})"),
+    ):
+        config_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "crawl",
+            "--corpus", NEWS_PATH,
+            "--backend", f"script:{GAZETTEER_PATH}",
+            "--out", str(tmp_path / "bad"),
+            "--config", str(config_path),
+        ]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_crawl_requires_seeds(tmp_path, capsys):

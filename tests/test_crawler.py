@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import oracles
 from conftest import GAZETTEER_PATH, NEWS_PATH, TRUTH_PATH
 from supplygraph import corpus as corpus_module
-from supplygraph.backends import ScriptedBackend, load_script
+from supplygraph.backends import RecordingBackend, ScriptedBackend, load_script
 from supplygraph.corpus import Article, Corpus, CorpusFetcher
 from supplygraph.crawler import (
     TERMINATION_ARTICLE_BUDGET,
@@ -20,7 +21,7 @@ from supplygraph.crawler import (
     run_crawl,
     should_terminate,
 )
-from supplygraph.errors import FetchError, ScriptMiss
+from supplygraph.errors import CassetteWriteError, FetchError, ScriptMiss
 from supplygraph.graph import EXPORT_FORMATS, SupplyChainGraph, export_graph, graph_equal, save_state
 from supplygraph.prompting import ExtractedEntity, render_entity_list
 
@@ -288,6 +289,14 @@ def test_crawl_backend_failure_counts_and_continues():
     assert report.stats.backend_failures == 1
     assert report.stats.articles_processed == 1
     assert graph.edges == {}
+
+
+def test_crawl_cassette_write_failure_aborts(tmp_path, news_corpus, gazetteer_backend, fixture_config):
+    # Not a failed call to tally: a record run without its cassette must stop.
+    recorder = RecordingBackend(gazetteer_backend, str(tmp_path / "missing" / "cassette.jsonl"))
+    config = dataclasses.replace(fixture_config, parallelism=2)
+    with pytest.raises(CassetteWriteError):
+        run_crawl(config, news_corpus, recorder)
 
 
 class EmptyListBackend:

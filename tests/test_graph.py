@@ -443,6 +443,28 @@ def test_load_state_malformed_nodes(tmp_path):
         load_state(str(path))
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda s: s["edges"][0].update(target="ghost"), "unknown node 'ghost'"),
+        (lambda s: s["edges"][0].update(provenance=[]), "no provenance"),
+        (lambda s: s["alias_table"].update(stray="ghost"), "unknown node 'ghost'"),
+        (lambda s: s.update(alias_table=[["a", "b", "c"]]), "alias_table must be an object"),
+    ],
+    ids=["edge-end", "empty-provenance", "alias-target", "alias-table-list"],
+)
+def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
+    path = tmp_path / "graph.json"
+    save_state(_path_graph(), str(path))
+    state = json.loads(path.read_text(encoding="utf-8"))
+    change(state)
+    path.write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_state(str(path))
+    assert message in str(err.value)
+    assert err.value.path == str(path)
+
+
 # -- exports -------------------------------------------------------------------------
 
 
