@@ -1,16 +1,20 @@
 """Binary-relevance entity classification and evaluation.
 
 Each entity is asked one yes/no membership question per taxonomy category.
-Evaluation treats every (entity, category) pair as an independent binary
-example and reports per-category, macro, and micro metrics.
+The stage's one result is an answer table, ``{(entity_id, category): answer}``
+with True or False, or None where two ambiguous replies left the pair
+undetermined. The classification report, ``predictions.jsonl`` (written and
+read only here) and evaluation all derive from that table. Evaluation treats
+every determined pair as an independent binary example and reports
+per-category, macro, and micro metrics.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Mapping, Sequence
 
 from .backends import Backend, BackendRequest
 from .errors import (
@@ -41,6 +45,9 @@ DEFAULT_CATEGORIES = (
 
 DATASET_FIELDS = ("entity_id", "category", "gold", "description")
 
+# (entity_id, category) -> yes/no answer, or None when undetermined.
+Answers = dict[tuple[str, str], bool | None]
+
 
 @dataclass(frozen=True)
 class CategoryTaxonomy:
@@ -49,13 +56,8 @@ class CategoryTaxonomy:
     def __post_init__(self) -> None:
         if not self.categories:
             raise ValueError("taxonomy must have at least one category")
-        seen = set()
-        for cat in self.categories:
-            if not cat or cat != cat.strip() or cat != cat.lower():
-                raise ValueError(f"category {cat!r} must be lowercase and trimmed")
-            if cat in seen:
-                raise ValueError(f"duplicate category {cat!r}")
-            seen.add(cat)
+        for i, cat in enumerate(self.categories):
+            _check_category(cat, self.categories[:i])
 
     def __iter__(self):
         return iter(self.categories)
@@ -65,6 +67,35 @@ class CategoryTaxonomy:
 
     def __contains__(self, item: object) -> bool:
         return item in self.categories
+
+
+def _check_category(category: str, earlier: Sequence[str]) -> None:
+    if not category or category != category.strip() or category != category.lower():
+        raise ValueError(f"category {category!r} must be lowercase and trimmed")
+    if category in earlier:
+        raise ValueError(f"duplicate category {category!r}")
+
+
+def load_taxonomy(path: str) -> CategoryTaxonomy:
+    """Read one category per line, skipping blank lines and ``#`` comments.
+
+    Raises ParseError with the path and line of a bad or duplicate category,
+    and with the path of a file that lists no category.
+    """
+    categories: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            category = line.strip()
+            if not category or category.startswith("#"):
+                continue
+            try:
+                _check_category(category, categories)
+            except ValueError as exc:
+                raise ParseError(str(exc), path=str(path), line=lineno) from exc
+            categories.append(category)
+    if not categories:
+        raise ParseError("taxonomy lists no categories", path=str(path))
+    return CategoryTaxonomy(tuple(categories))
 
 
 @dataclass(frozen=True)
@@ -86,9 +117,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -107,14 +135,6 @@ class Metrics:
         denom = 2 * counts.tp + counts.fp + counts.fn
         f1 = 2 * counts.tp / denom if denom else 0.0
         return cls(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
 
 
 def evaluate_binary(
@@ -139,32 +159,26 @@ def evaluate_binary(
     return counts, Metrics.from_counts(counts)
 
 
-@dataclass
-class EntityClassification:
-    entity_id: str
-    labels: set[str] = field(default_factory=set)
-    undetermined: set[str] = field(default_factory=set)
-
-
 def classify_entity(
     entity: EntityNode,
     taxonomy: CategoryTaxonomy,
     backend: Backend,
     token_budget: int = 512,
-) -> EntityClassification:
+) -> dict[str, bool | None]:
     """Ask one membership question per category for one entity.
 
-    The description shown to the backend concatenates stored descriptions
-    newest first, truncated to the token budget. An ambiguous answer is
-    retried once with a reasoning preamble; a second ambiguity marks the
-    category undetermined.
+    Returns each category's answer in taxonomy order. The description shown
+    to the backend concatenates stored descriptions newest first, truncated
+    to the token budget. An ambiguous answer is retried once with a
+    reasoning preamble; a second ambiguity leaves the answer None
+    (undetermined).
     """
     if not entity.descriptions:
         raise ValueError(f"entity {entity.canonical_id!r} has no descriptions")
     description = truncate_to_budget(
         " ".join(text for _, text in reversed(entity.descriptions)), token_budget
     )
-    result = EntityClassification(entity_id=entity.canonical_id)
+    answers: dict[str, bool | None] = {}
     for category in taxonomy:
         answer: bool | None = None
         for reasoning in (False, True):
@@ -180,47 +194,34 @@ def classify_entity(
                 break
             except AmbiguousAnswer:
                 continue
-        if answer is None:
-            result.undetermined.add(category)
-        elif answer:
-            result.labels.add(category)
-    return result
+        answers[category] = answer
+    return answers
 
 
 @dataclass
 class ClassificationOutcome:
-    results: dict[str, EntityClassification]
+    answers: Answers
     skipped_no_description: list[str]
 
-    def predictions(self, taxonomy: CategoryTaxonomy) -> dict[tuple[str, str], bool]:
-        """One boolean per determined (entity, category) pair."""
-        preds: dict[tuple[str, str], bool] = {}
-        for cid, res in self.results.items():
-            for category in taxonomy:
-                if category in res.undetermined:
-                    continue
-                preds[(cid, category)] = category in res.labels
-        return preds
-
     def undetermined_pairs(self) -> set[tuple[str, str]]:
-        return {
-            (cid, category)
-            for cid, res in self.results.items()
-            for category in res.undetermined
-        }
+        return {pair for pair, answer in self.answers.items() if answer is None}
 
     def to_report(self, taxonomy: CategoryTaxonomy) -> dict:
-        labeled = {cid: sorted(r.labels) for cid, r in self.results.items()}
-        undetermined = {
-            cid: sorted(r.undetermined) for cid, r in self.results.items() if r.undetermined
-        }
+        labels: dict[str, list[str]] = {}
+        undetermined: dict[str, list[str]] = {}
+        for (cid, category), answer in self.answers.items():
+            labels.setdefault(cid, [])
+            if answer:
+                labels[cid].append(category)
+            elif answer is None:
+                undetermined.setdefault(cid, []).append(category)
         return {
-            "entities_classified": len(self.results),
-            "unlabeled_count": sum(1 for r in self.results.values() if not r.labels),
+            "entities_classified": len(labels),
+            "unlabeled_count": sum(1 for cats in labels.values() if not cats),
             "skipped_no_description": sorted(self.skipped_no_description),
             "taxonomy": list(taxonomy),
-            "labels": labeled,
-            "undetermined": undetermined,
+            "labels": {cid: sorted(cats) for cid, cats in labels.items()},
+            "undetermined": {cid: sorted(cats) for cid, cats in undetermined.items()},
         }
 
 
@@ -235,17 +236,17 @@ def classify_graph(
     Nodes without descriptions are skipped and reported. Entities answering
     No everywhere stay unlabeled.
     """
-    results: dict[str, EntityClassification] = {}
+    answers: Answers = {}
     skipped: list[str] = []
     for cid in sorted(graph.nodes):
         node = graph.nodes[cid]
         if not node.descriptions:
             skipped.append(cid)
             continue
-        result = classify_entity(node, taxonomy, backend, token_budget=token_budget)
-        node.categories = set(result.labels)
-        results[cid] = result
-    return ClassificationOutcome(results=results, skipped_no_description=skipped)
+        by_category = classify_entity(node, taxonomy, backend, token_budget=token_budget)
+        node.categories = {category for category, answer in by_category.items() if answer}
+        answers.update(((cid, category), answer) for category, answer in by_category.items())
+    return ClassificationOutcome(answers=answers, skipped_no_description=skipped)
 
 
 @dataclass
@@ -254,17 +255,20 @@ class EvaluationReport:
     macro: Metrics
     micro_counts: ConfusionCounts
     micro: Metrics
-    evaluated: int
     undetermined: int
+
+    @property
+    def evaluated(self) -> int:
+        return self.micro_counts.total
 
     def to_dict(self) -> dict:
         return {
             "per_category": {
-                cat: {"counts": counts.to_dict(), "metrics": metrics.to_dict()}
+                cat: {"counts": asdict(counts), "metrics": asdict(metrics)}
                 for cat, (counts, metrics) in sorted(self.per_category.items())
             },
-            "macro": self.macro.to_dict(),
-            "micro": {"counts": self.micro_counts.to_dict(), "metrics": self.micro.to_dict()},
+            "macro": asdict(self.macro),
+            "micro": {"counts": asdict(self.micro_counts), "metrics": asdict(self.micro)},
             "evaluated": self.evaluated,
             "undetermined": self.undetermined,
         }
@@ -272,44 +276,38 @@ class EvaluationReport:
 
 def evaluate_all(
     dataset: Sequence[LabeledExample],
-    predictions: Mapping[tuple[str, str], bool],
+    answers: Mapping[tuple[str, str], bool | None],
     taxonomy: CategoryTaxonomy,
-    undetermined: Iterable[tuple[str, str]] = (),
 ) -> EvaluationReport:
-    """Score a labeled dataset against (entity, category) predictions.
+    """Score a labeled dataset against an answer table.
 
-    Undetermined pairs are excluded from the confusion counts and reported.
-    Macro metrics average per-category values without weighting; micro
-    metrics come from the pooled counts.
+    Undetermined (None) answers are excluded from the confusion counts and
+    reported. Macro metrics average per-category values without weighting;
+    micro metrics come from the pooled examples.
     """
     if not dataset:
         raise EmptyInput("dataset is empty")
-    excluded = set(undetermined)
     by_category: dict[str, tuple[list[bool], list[bool]]] = {}
-    skipped = 0
+    undetermined = 0
     for example in dataset:
         if example.category not in taxonomy:
             raise ValueError(f"category {example.category!r} not in taxonomy")
         pair = (example.entity_id, example.category)
-        if pair in excluded:
-            skipped += 1
-            continue
-        if pair not in predictions:
+        if pair not in answers:
             raise MissingPrediction(f"no prediction for {pair}")
+        answer = answers[pair]
+        if answer is None:
+            undetermined += 1
+            continue
         preds, golds = by_category.setdefault(example.category, ([], []))
-        preds.append(bool(predictions[pair]))
+        preds.append(answer)
         golds.append(example.gold)
     if not by_category:
         raise EmptyInput("every example was undetermined")
-    per_category: dict[str, tuple[ConfusionCounts, Metrics]] = {}
-    pooled_tp = pooled_fp = pooled_tn = pooled_fn = 0
-    for category, (preds, golds) in by_category.items():
-        counts, metrics = evaluate_binary(preds, golds)
-        per_category[category] = (counts, metrics)
-        pooled_tp += counts.tp
-        pooled_fp += counts.fp
-        pooled_tn += counts.tn
-        pooled_fn += counts.fn
+    per_category = {
+        category: evaluate_binary(preds, golds)
+        for category, (preds, golds) in by_category.items()
+    }
     metric_values = [metrics for _, metrics in per_category.values()]
     macro = Metrics(
         accuracy=sum(m.accuracy for m in metric_values) / len(metric_values),
@@ -317,15 +315,11 @@ def evaluate_all(
         recall=sum(m.recall for m in metric_values) / len(metric_values),
         f1=sum(m.f1 for m in metric_values) / len(metric_values),
     )
-    micro_counts = ConfusionCounts(tp=pooled_tp, fp=pooled_fp, tn=pooled_tn, fn=pooled_fn)
-    return EvaluationReport(
-        per_category=per_category,
-        macro=macro,
-        micro_counts=micro_counts,
-        micro=Metrics.from_counts(micro_counts),
-        evaluated=sum(c.total for c, _ in per_category.values()),
-        undetermined=skipped,
+    micro_counts, micro = evaluate_binary(
+        [pred for preds, _ in by_category.values() for pred in preds],
+        [gold for _, golds in by_category.values() for gold in golds],
     )
+    return EvaluationReport(per_category, macro, micro_counts, micro, undetermined)
 
 
 def downsample_balanced(
@@ -358,6 +352,9 @@ def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) ->
             raise ParseError(f"missing fields {missing}", path=str(path), line=lineno)
         if not isinstance(record["gold"], bool):
             raise ParseError("field 'gold' must be a boolean", path=str(path), line=lineno)
+        if not all(isinstance(record[f], str) for f in ("entity_id", "category", "description")):
+            raise ParseError("entity_id, category and description must be strings",
+                             path=str(path), line=lineno)
         if taxonomy is not None and record["category"] not in taxonomy:
             raise ParseError(
                 f"category {record['category']!r} not in taxonomy", path=str(path), line=lineno
@@ -373,3 +370,38 @@ def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) ->
 
 def dump_labeled_dataset(examples: Sequence[LabeledExample], path: str) -> None:
     write_jsonl(path, (asdict(ex) for ex in examples))
+
+
+def dump_predictions(answers: Answers, path: str) -> None:
+    """Write one predictions.jsonl row per pair, in table order."""
+    write_jsonl(path, (
+        {"entity_id": cid, "category": category, "undetermined": True}
+        if answer is None
+        else {"entity_id": cid, "category": category, "prediction": answer}
+        for (cid, category), answer in answers.items()
+    ))
+
+
+def load_predictions(path: str) -> Answers:
+    """Read predictions.jsonl back into an answer table.
+
+    Raises ParseError at a row without string entity_id and category, with
+    neither a boolean prediction nor ``"undetermined": true``, or repeating
+    a pair.
+    """
+    answers: Answers = {}
+    for lineno, record in read_jsonl(path):
+        if not all(isinstance(record.get(f), str) for f in ("entity_id", "category")):
+            raise ParseError("prediction needs string entity_id and category",
+                             path=str(path), line=lineno)
+        pair = (record["entity_id"], record["category"])
+        if record.get("undetermined"):
+            answer = None
+        elif isinstance(record.get("prediction"), bool):
+            answer = record["prediction"]
+        else:
+            raise ParseError("prediction must be boolean", path=str(path), line=lineno)
+        if pair in answers:
+            raise ParseError(f"repeated prediction for {pair}", path=str(path), line=lineno)
+        answers[pair] = answer
+    return answers

@@ -30,7 +30,7 @@ from .errors import (
     SupplyGraphError,
     UnknownNode,
 )
-from .files import open_output, read_jsonl, write_json
+from .files import open_output, write_json
 
 log = logging.getLogger(__name__)
 
@@ -215,14 +215,7 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def _taxonomy_from_args(args: argparse.Namespace) -> cl.CategoryTaxonomy:
-    if getattr(args, "taxonomy", None):
-        with open(args.taxonomy, encoding="utf-8") as fh:
-            categories = tuple(
-                line.strip() for line in fh
-                if line.strip() and not line.lstrip().startswith("#")
-            )
-        return cl.CategoryTaxonomy(categories)
-    return cl.CategoryTaxonomy()
+    return cl.load_taxonomy(args.taxonomy) if args.taxonomy else cl.CategoryTaxonomy()
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -235,21 +228,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     state_path = os.path.join(args.out, "graph.json")
     report_path = os.path.join(args.out, "classification_report.json")
     predictions_path = os.path.join(args.out, "predictions.jsonl")
+    report = outcome.to_report(taxonomy)
     gr.save_state(graph, state_path)
-    write_json(report_path, outcome.to_report(taxonomy))
-    with open_output(predictions_path) as fh:
-        for cid in sorted(outcome.results):
-            result = outcome.results[cid]
-            for category in taxonomy:
-                if category in result.undetermined:
-                    record = {"entity_id": cid, "category": category, "undetermined": True}
-                else:
-                    record = {
-                        "entity_id": cid,
-                        "category": category,
-                        "prediction": category in result.labels,
-                    }
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_json(report_path, report)
+    cl.dump_predictions(outcome.answers, predictions_path)
 
     inputs = [p for p in (args.state, backend_path, args.taxonomy) if p]
     _write_manifest(
@@ -259,26 +241,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         [_output_entry(state_path), _output_entry(report_path), _output_entry(predictions_path)],
     )
     print(
-        f"classified {len(outcome.results)} entities "
-        f"({len(outcome.skipped_no_description)} skipped without descriptions)"
+        f"classified {report['entities_classified']} entities "
+        f"({len(report['skipped_no_description'])} skipped without descriptions)"
     )
     return EXIT_OK
-
-
-def _load_predictions(path: str) -> tuple[dict[tuple[str, str], bool], set[tuple[str, str]]]:
-    predictions: dict[tuple[str, str], bool] = {}
-    undetermined: set[tuple[str, str]] = set()
-    for lineno, record in read_jsonl(path):
-        if "entity_id" not in record or "category" not in record:
-            raise ParseError("prediction needs entity_id and category", path=path, line=lineno)
-        pair = (record["entity_id"], record["category"])
-        if record.get("undetermined"):
-            undetermined.add(pair)
-        elif "prediction" in record and isinstance(record["prediction"], bool):
-            predictions[pair] = record["prediction"]
-        else:
-            raise ParseError("prediction must be boolean", path=path, line=lineno)
-    return predictions, undetermined
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -291,20 +257,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 continue
             balanced.extend(cl.downsample_balanced(dataset, category, args.rng_seed))
         dataset = balanced
-    undetermined: set[tuple[str, str]] = set()
     if args.predictions:
-        predictions, undetermined = _load_predictions(args.predictions)
+        answers = cl.load_predictions(args.predictions)
     else:
         graph = gr.load_state(args.state)
-        predictions = {}
+        answers = {}
         for example in dataset:
             node = graph.nodes.get(example.entity_id)
             if node is None:
                 raise MissingPrediction(f"entity {example.entity_id!r} not in graph state")
-            predictions[(example.entity_id, example.category)] = (
-                example.category in node.categories
-            )
-    report = cl.evaluate_all(dataset, predictions, taxonomy, undetermined)
+            answers[(example.entity_id, example.category)] = example.category in node.categories
+    report = cl.evaluate_all(dataset, answers, taxonomy)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.json")
     payload = report.to_dict()

@@ -9,6 +9,7 @@ new keywords. Per-article failures are tallied and skipped, never fatal.
 from __future__ import annotations
 
 import logging
+import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -196,15 +197,21 @@ class Crawler:
         # pending[i] harvests state.frontier[i]; keywords are applied in
         # frontier order, so any width gives the bytes of a sequential crawl.
         pending: deque[Future[_Harvest]] = deque()
+        # Set once the loop ends, by a stop or an error: harvests still in
+        # flight will be discarded, so they stop calling the backend.
+        self._stop = threading.Event()
         with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
-            while True:
-                done, reason = should_terminate(state, self.config, self.graph)
-                if done:
-                    break
-                while len(pending) < min(self.config.parallelism, len(state.frontier)):
-                    pending.append(pool.submit(self._harvest, state.frontier[len(pending)]))
-                state.frontier.popleft()
-                self._apply(state, pending.popleft().result())
+            try:
+                while True:
+                    done, reason = should_terminate(state, self.config, self.graph)
+                    if done:
+                        break
+                    while len(pending) < min(self.config.parallelism, len(state.frontier)):
+                        pending.append(pool.submit(self._harvest, state.frontier[len(pending)]))
+                    state.frontier.popleft()
+                    self._apply(state, pending.popleft().result())
+            finally:
+                self._stop.set()
         duration_ms = int((time.monotonic() - started) * 1000)
         report = CrawlReport(
             termination_reason=reason or TERMINATION_EXHAUSTED,
@@ -223,6 +230,8 @@ class Crawler:
             harvest.fetch_failed = True
             return harvest
         for article in articles:
+            if self._stop.is_set():
+                break
             harvest.articles.append(self._extract(article.id, article.title, article.body))
         return harvest
 

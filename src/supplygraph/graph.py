@@ -238,20 +238,7 @@ class SupplyChainGraph:
 
 def graph_equal(g1: SupplyChainGraph, g2: SupplyChainGraph) -> bool:
     """Structural equality: node contents, alias table, edges with provenance."""
-    if set(g1.nodes) != set(g2.nodes) or g1.alias_table != g2.alias_table:
-        return False
-    for cid, node in g1.nodes.items():
-        other = g2.nodes[cid]
-        if (
-            node.display_name != other.display_name
-            or node.aliases != other.aliases
-            or node.descriptions != other.descriptions
-            or node.categories != other.categories
-        ):
-            return False
-    if set(g1.edges) != set(g2.edges):
-        return False
-    return all(g1.edges[k].provenance == g2.edges[k].provenance for k in g1.edges)
+    return (g1.nodes, g1.edges, g1.alias_table) == (g2.nodes, g2.edges, g2.alias_table)
 
 
 # -- persistence -------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_acceptance_classification_roundtrip():
         assert not outcome.undetermined_pairs()
 
         dataset = load_labeled_dataset(LABELS_PATH, taxonomy)
-        report = evaluate_all(dataset, outcome.predictions(taxonomy), taxonomy)
+        report = evaluate_all(dataset, outcome.answers, taxonomy)
         assert len(report.per_category) == len(taxonomy)
         for category, (counts, metrics) in report.per_category.items():
             assert metrics.accuracy == 1.0, category

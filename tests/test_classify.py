@@ -18,9 +18,11 @@ from supplygraph.classify import (
     classify_graph,
     downsample_balanced,
     dump_labeled_dataset,
+    dump_predictions,
     evaluate_all,
     evaluate_binary,
     load_labeled_dataset,
+    load_predictions,
 )
 from supplygraph.errors import (
     DegenerateClass,
@@ -136,8 +138,8 @@ def test_classify_entity_asks_one_question_per_category():
     backend = TapeBackend(["Yes"] + ["No"] * 8)
     result = classify_entity(_node(), taxonomy, backend)
     assert len(backend.requests) == 9
-    assert result.labels == {"engineering consulting"}
-    assert result.undetermined == set()
+    assert list(result) == list(DEFAULT_CATEGORIES)  # taxonomy order
+    assert result == {category: category == "engineering consulting" for category in taxonomy}
     asked = {r.prompt.question for r in backend.requests}
     assert len(asked) == 9  # one distinct question per category
 
@@ -146,14 +148,14 @@ def test_classify_entity_multi_label():
     taxonomy = CategoryTaxonomy(categories=("engineering consulting", "software service"))
     backend = TapeBackend(["Yes", "Yes"])
     result = classify_entity(_node(), taxonomy, backend)
-    assert result.labels == {"engineering consulting", "software service"}
+    assert result == {"engineering consulting": True, "software service": True}
 
 
 def test_classify_entity_ambiguous_retries_once_then_undetermined():
     taxonomy = CategoryTaxonomy(categories=("legal counsel",))
     backend = TapeBackend(["hmm", "Yes, clearly."])
     result = classify_entity(_node(), taxonomy, backend)
-    assert result.labels == {"legal counsel"}
+    assert result == {"legal counsel": True}
     assert len(backend.requests) == 2
     first, retry = (r.prompt for r in backend.requests)
     assert not first.question.startswith(REASONING_PREAMBLE)
@@ -162,8 +164,7 @@ def test_classify_entity_ambiguous_retries_once_then_undetermined():
 
     backend = TapeBackend(["hmm", "still unsure"])
     result = classify_entity(_node(), taxonomy, backend)
-    assert result.labels == set()
-    assert result.undetermined == {"legal counsel"}
+    assert result == {"legal counsel": None}
     assert len(backend.requests) == 2
 
 
@@ -202,22 +203,27 @@ def test_classify_graph_annotates_and_skips(gazetteer_backend, gazetteer):
 
 
 def test_classification_outcome_predictions_and_undetermined():
-    from supplygraph.classify import ClassificationOutcome, EntityClassification
+    from supplygraph.classify import ClassificationOutcome
 
     taxonomy = CategoryTaxonomy(categories=("a cat", "b cat"))
     outcome = ClassificationOutcome(
-        results={
-            "x": EntityClassification(entity_id="x", labels={"a cat"}, undetermined={"b cat"}),
-            "y": EntityClassification(entity_id="y", labels=set()),
+        answers={
+            ("x", "a cat"): True,
+            ("x", "b cat"): None,
+            ("y", "a cat"): False,
+            ("y", "b cat"): False,
         },
-        skipped_no_description=[],
+        skipped_no_description=["z"],
     )
-    assert outcome.predictions(taxonomy) == {
-        ("x", "a cat"): True,
-        ("y", "a cat"): False,
-        ("y", "b cat"): False,
-    }
     assert outcome.undetermined_pairs() == {("x", "b cat")}
+    assert outcome.to_report(taxonomy) == {
+        "entities_classified": 2,
+        "unlabeled_count": 1,
+        "skipped_no_description": ["z"],
+        "taxonomy": ["a cat", "b cat"],
+        "labels": {"x": ["a cat"], "y": []},
+        "undetermined": {"x": ["b cat"]},
+    }
 
 
 # -- dataset evaluation ---------------------------------------------------------------
@@ -274,8 +280,8 @@ def test_evaluate_all_excludes_undetermined_pairs():
         _example("e1", "a cat", True),
         _example("e2", "a cat", False),
     ]
-    predictions = {("e1", "a cat"): True}
-    report = evaluate_all(dataset, predictions, taxonomy, undetermined=[("e2", "a cat")])
+    answers = {("e1", "a cat"): True, ("e2", "a cat"): None}
+    report = evaluate_all(dataset, answers, taxonomy)
     assert report.evaluated == 1
     assert report.undetermined == 1
     assert report.micro.accuracy == 1.0
@@ -301,7 +307,7 @@ def test_evaluate_all_empty_inputs():
         evaluate_all([], {}, taxonomy)
     dataset = [_example("e1", "a cat", True)]
     with pytest.raises(EmptyInput):
-        evaluate_all(dataset, {}, taxonomy, undetermined=[("e1", "a cat")])
+        evaluate_all(dataset, {("e1", "a cat"): None}, taxonomy)
 
 
 def test_evaluate_all_report_shape():
@@ -422,3 +428,17 @@ def test_load_labeled_dataset_taxonomy_check(tmp_path):
     with pytest.raises(ParseError):
         load_labeled_dataset(str(path), taxonomy)
     assert len(load_labeled_dataset(str(path))) == 1  # no taxonomy: accepted
+
+
+def test_predictions_roundtrip(tmp_path):
+    answers = {("x", "a cat"): True, ("x", "b cat"): None, ("y", "a cat"): False}
+    path = tmp_path / "predictions.jsonl"
+    dump_predictions(answers, str(path))
+    assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == [
+        {"entity_id": "x", "category": "a cat", "prediction": True},
+        {"entity_id": "x", "category": "b cat", "undetermined": True},
+        {"entity_id": "y", "category": "a cat", "prediction": False},
+    ]
+    loaded = load_predictions(str(path))
+    assert loaded == answers
+    assert list(loaded) == list(answers)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from conftest import GAZETTEER_PATH, LABELS_PATH, NEWS_PATH
-from supplygraph.backends import load_script
+from supplygraph import cli
+from supplygraph.backends import BackendResponse, load_script
 from supplygraph.cli import (
     EXIT_BACKEND,
     EXIT_BUDGET,
@@ -405,6 +407,29 @@ def test_classify_taxonomy_file(tmp_path, crawled_state):
     assert len(rows) == 12 * 2
 
 
+@pytest.mark.parametrize(
+    ("lines", "where"),
+    [
+        (["legal counsel", "Upper Case"], ":2)"),
+        (["legal counsel", "# comment", "legal counsel"], ":3)"),
+        (["# only a comment", ""], ")"),
+    ],
+    ids=["bad category", "duplicate", "no categories"],
+)
+def test_classify_bad_taxonomy_names_file_and_line(tmp_path, crawled_state, capsys, lines, where):
+    taxonomy_path = tmp_path / "taxonomy.txt"
+    taxonomy_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main([
+        "classify",
+        "--state", crawled_state,
+        "--backend", f"script:{GAZETTEER_PATH}",
+        "--out", str(tmp_path / "cls"),
+        "--taxonomy", str(taxonomy_path),
+    ])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().endswith(f"({taxonomy_path}{where}")
+
+
 def test_classify_replay_miss_exits_backend(tmp_path, crawled_state):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -545,6 +570,26 @@ def test_evaluate_non_object_row_is_config_error(tmp_path, classified, bad_input
     assert f"record is not an object ({bad}:2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_input", ["dataset", "predictions"])
+def test_evaluate_non_string_entity_id_is_config_error(tmp_path, classified, bad_input, capsys):
+    paths = {"dataset": LABELS_PATH, "predictions": str(classified / "predictions.jsonl")}
+    with open(paths[bad_input], encoding="utf-8") as fh:
+        row = json.loads(fh.readline())
+    row["entity_id"] = [row["entity_id"]]
+    bad = tmp_path / f"{bad_input}.jsonl"
+    bad.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    paths[bad_input] = str(bad)
+    code = main([
+        "evaluate",
+        "--dataset", paths["dataset"],
+        "--predictions", paths["predictions"],
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "string" in err and f"({bad}:1)" in err
+
+
 def test_evaluate_requires_exactly_one_source(tmp_path):
     with pytest.raises(SystemExit):
         main([
@@ -575,6 +620,80 @@ def test_evaluate_undetermined_rows_are_excluded(tmp_path, classified):
     metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
     assert metrics["evaluated"] == 107
     assert metrics["undetermined"] == 1
+
+
+@pytest.mark.parametrize(
+    "repeat",
+    [{"prediction": False}, {"undetermined": True}],
+    ids=["prediction", "undetermined"],
+)
+def test_evaluate_repeated_pair_is_config_error(tmp_path, classified, capsys, repeat):
+    rows = (classified / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+    # a Yes row, then the same pair again on the next line
+    index, first = next((i, json.loads(row)) for i, row in enumerate(rows)
+                        if json.loads(row)["prediction"])
+    repeated = {"entity_id": first["entity_id"], "category": first["category"], **repeat}
+    rows.insert(index + 1, json.dumps(repeated))
+    predictions_path = tmp_path / "predictions.jsonl"
+    predictions_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = main([
+        "evaluate",
+        "--dataset", LABELS_PATH,
+        "--predictions", str(predictions_path),
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert code == EXIT_CONFIG
+    assert f"repeated prediction for ('{first['entity_id']}', '{first['category']}') " \
+           f"({predictions_path}:{index + 2})" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+class _MaybeForAecomLegalCounsel:
+    """Answers 'maybe', twice, to one classify question; passes the rest on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, request):
+        if request.request_tag == "classify:aecom:legal counsel":
+            return BackendResponse(text="maybe", input_tokens=1, output_tokens=1)
+        return self.inner.complete(request)
+
+
+def test_undetermined_answer_output_digests(tmp_path, crawled_state, monkeypatch):
+    # The fixture pipeline answers every question, so this pins the bytes
+    # that an undetermined pair gives in each output that carries it.
+    make_backend = cli._make_backend
+
+    def wrapped(spec, args):
+        backend, path = make_backend(spec, args)
+        return _MaybeForAecomLegalCounsel(backend), path
+
+    monkeypatch.setattr(cli, "_make_backend", wrapped)
+    cls = tmp_path / "cls"
+    assert main(["classify", "--state", crawled_state, "--backend", f"script:{GAZETTEER_PATH}",
+                 "--out", str(cls)]) == EXIT_OK
+    for source, path in (("predictions", cls / "predictions.jsonl"),
+                         ("state", cls / "graph.json")):
+        assert main(["evaluate", "--dataset", LABELS_PATH, f"--{source}", str(path),
+                     "--out", str(tmp_path / source)]) == EXIT_OK
+    outputs = {
+        "predictions.jsonl": cls / "predictions.jsonl",
+        "classification_report.json": cls / "classification_report.json",
+        "evaluate --predictions": tmp_path / "predictions" / "metrics.json",
+        "evaluate --state": tmp_path / "state" / "metrics.json",
+    }
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in outputs.items()}
+    assert digests == {
+        "predictions.jsonl": "f12bfc1cb87a989937dfe9d66d09f51667061921c3bec4f2fb067798f17fb8f7",
+        "classification_report.json":
+            "fabea01e9868561da828a6bf31034fc1c05a439a1321d8055a9d5b8eac4dcae7",
+        "evaluate --predictions":
+            "23f6a8d1e26327977638417964a8649afd70533b8adad21336683a35a199c81b",
+        # graph state keeps labels only, so the undetermined pair reads as No
+        "evaluate --state": "8fc48815d1e0c7d0f291ab99d79b204e606bbb172ad2af301fd67382a67e9a09",
+    }
 
 
 # -- export and subgraph --------------------------------------------------------------

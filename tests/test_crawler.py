@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -416,6 +417,37 @@ def test_parallel_crawl_matches_sequential_bytes(tmp_path, monkeypatch, news_cor
                 outputs.append(_crawl_outputs(tmp_path, config, source, gazetteer_backend))
             for parallelism, out in enumerate(outputs[1:], 2):
                 assert out == outputs[0], (down, budget, parallelism)
+
+
+def test_harvest_in_flight_stops_calling_backend_once_crawl_stops(news_corpus, gazetteer_backend):
+    # A budget of 4 articles runs out on txdot, the second keyword, while
+    # "national lime stone" is harvested beside it. That harvest's first
+    # extraction call is held until the crawl has decided to stop; the
+    # harvest then skips its other two articles, whose results nothing reads.
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         max_articles=4, parallelism=2)
+    held_call_arrived = threading.Event()
+
+    class HoldingBackend(RecordingScripted):
+        def complete(self, request):
+            if request.request_tag == "extract:national-lime-stone-0:0":
+                held_call_arrived.set()
+                crawler._stop.wait(5)
+            elif request.request_tag == "extract:txdot-2:0":
+                # the stop decision waits for txdot, so the held call comes first
+                assert held_call_arrived.wait(5)
+            return super().complete(request)
+
+    backend = HoldingBackend(load_script(GAZETTEER_PATH))
+    crawler = Crawler(config, news_corpus, backend)
+    graph, report = crawler.run()
+    assert report.termination_reason == TERMINATION_ARTICLE_BUDGET
+    tags = [r.request_tag for r in backend.requests]
+    assert [t for t in tags if "national-lime-stone" in t] == ["extract:national-lime-stone-0:0"]
+    assert len(tags) == 3 + 3 + 1
+    sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
+                              gazetteer_backend)
+    assert graph_equal(graph, sequential)
 
 
 def test_crawl_prompts_keep_general_stopwords(news_corpus):

@@ -6,8 +6,7 @@ import pytest
 
 from supplygraph import graph as gr
 from supplygraph.backends import load_script
-from supplygraph.classify import load_labeled_dataset
-from supplygraph.cli import _load_predictions
+from supplygraph.classify import load_labeled_dataset, load_predictions
 from supplygraph.corpus import StopwordLists, load_corpus
 from supplygraph.errors import ParseError
 from supplygraph.files import open_output
@@ -18,7 +17,7 @@ _GOOD_ROWS = {
     load_script: {"key": "k", "response": "r"},
     load_labeled_dataset: {"entity_id": "acme", "category": "legal counsel", "gold": False,
                            "description": "d"},
-    _load_predictions: {"entity_id": "acme", "category": "legal counsel", "prediction": True},
+    load_predictions: {"entity_id": "acme", "category": "legal counsel", "prediction": True},
 }
 
 

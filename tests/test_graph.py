@@ -376,6 +376,29 @@ def test_save_load_roundtrip(tmp_path):
     assert graph_equal(g, loaded)
 
 
+def _retarget_alpha_alias(g: SupplyChainGraph) -> None:
+    variant = next(v for v, target in g.alias_table.items() if target == "alpha co")
+    g.alias_table[variant] = "bravo ltd"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda g: setattr(g.nodes["alpha co"], "display_name", "ALPHA CO"),
+        lambda g: g.nodes["alpha co"].descriptions.append(("art-9", "builds bridges")),
+        _retarget_alpha_alias,
+        lambda g: g.edges[("alpha co", "bravo ltd")].provenance.add("art-9"),
+    ],
+    ids=["display name", "description", "alias target", "edge provenance"],
+)
+def test_graph_equal_sees_each_difference(change):
+    g, other = _path_graph(), _path_graph()
+    assert graph_equal(g, other)
+    change(other)
+    assert not graph_equal(g, other)
+    assert not graph_equal(other, g)
+
+
 def test_save_state_is_byte_deterministic(tmp_path):
     g = _path_graph()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
