@@ -57,6 +57,7 @@ _QUESTION_RE = re.compile(
     r"(?P<category>.+)\?$",
     re.DOTALL,
 )
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,15 @@ class ScriptedBackend:
 
     def __init__(self, script: ScriptFile):
         self.script = script
+        # Gazetteer names by their first \w+ run; names with none are always tried.
+        self._by_first_word: dict[str, list[str]] = {}
+        self._wordless: list[str] = []
+        for name in script.gazetteer:
+            m = _WORD_RE.search(name)
+            if m:
+                self._by_first_word.setdefault(m.group(), []).append(name)
+            else:
+                self._wordless.append(name)
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         key = request_key(request.prompt)
@@ -198,8 +208,15 @@ class ScriptedBackend:
         return None
 
     def _extract_from(self, news: str) -> str:
+        # Inside a name, its first \w+ run ends at a non-word character or at
+        # the closing \b, and starts after a non-word character or at the
+        # opening \b. So any match of the name holds that run as a whole \w+
+        # run of the news, and only names whose first run is one can match.
+        candidates = list(self._wordless)
+        for word in set(_WORD_RE.findall(news)):
+            candidates.extend(self._by_first_word.get(word, ()))
         found: list[tuple[int, str]] = []
-        for name in self.script.gazetteer:
+        for name in candidates:
             m = re.search(r"\b" + re.escape(name) + r"\b", news)
             if m:
                 found.append((m.start(), name))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import string
 import re
+import threading
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -225,18 +226,22 @@ def fetch_articles(
     fetcher: ArticleFetcher,
     retries: int = 2,
     backoff_s: float = 0.1,
+    stop: threading.Event | None = None,
 ) -> list[Article]:
     """Fetch up to config.per_year_min articles per year across config.year_range.
 
     Shortfalls are logged, not raised; a source failure surfaces as FetchError
     after retries. Every returned article is tagged with the keyword and has a
-    published_year inside the configured range.
+    published_year inside the configured range. Once stop is set, no further
+    year is searched and the articles so far are returned.
     """
     if not keyword or not keyword.strip():
         raise ValueError("keyword must be non-empty")
     start, end = config.year_range
     out: list[Article] = []
     for year in range(start, end + 1):
+        if stop is not None and stop.is_set():
+            break
         hits = _search_with_retries(fetcher, keyword, year, config.per_year_min, retries, backoff_s)
         hits = [a for a in hits if start <= a.published_year <= end][: config.per_year_min]
         if len(hits) < config.per_year_min:

@@ -198,7 +198,8 @@ class Crawler:
         # frontier order, so any width gives the bytes of a sequential crawl.
         pending: deque[Future[_Harvest]] = deque()
         # Set once the loop ends, by a stop or an error: harvests still in
-        # flight will be discarded, so they stop calling the backend.
+        # flight will be discarded, so they stop fetching and calling the
+        # backend.
         self._stop = threading.Event()
         with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
             try:
@@ -224,7 +225,7 @@ class Crawler:
     def _harvest(self, keyword: str) -> _Harvest:
         harvest = _Harvest(keyword=keyword)
         try:
-            articles = fetch_articles(keyword, self.config, self.fetcher)
+            articles = fetch_articles(keyword, self.config, self.fetcher, stop=self._stop)
         except FetchError as exc:
             log.warning("fetch failed keyword=%s error=%s", keyword, exc)
             harvest.fetch_failed = True

@@ -126,14 +126,12 @@ def truncate_to_budget(text: str, budget: int) -> str:
     if estimate_tokens(text) <= budget:
         return text
     words = text.split()
-    lo, hi = 0, len(words)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if estimate_tokens(" ".join(words[:mid])) <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    return " ".join(words[:lo])
+    # The prefix " ".join(words[:m]) estimates to int(m * TOKEN_SAFETY_FACTOR),
+    # which grows with m: start just past the float bound and step down.
+    m = max(0, min(len(words), int((budget + 1) / TOKEN_SAFETY_FACTOR) + 1))
+    while m > 0 and int(m * TOKEN_SAFETY_FACTOR) > budget:
+        m -= 1
+    return " ".join(words[:m])
 
 
 @dataclass(frozen=True)
@@ -186,16 +184,23 @@ def segment_text(text: str, budget: int) -> SegmentPlan:
         else:
             units.extend(_word_spans(sentence))
 
+    # Every unit but the text's last ends in whitespace: a sentence span ends
+    # in \s+ or at the end of the text, and a word span matches \s*\S+\s*.
+    # So no word is joined across a unit boundary, and the words of
+    # current + unit are the words of current plus the words of unit.
     segments: list[str] = []
-    current = ""
+    current: list[str] = []
+    words = 0
     for unit in units:
-        if current and estimate_tokens(current + unit) > budget:
-            segments.append(current)
-            current = unit
+        unit_words = len(unit.split())
+        if current and int((words + unit_words) * TOKEN_SAFETY_FACTOR) > budget:
+            segments.append("".join(current))
+            current, words = [unit], unit_words
         else:
-            current += unit
+            current.append(unit)
+            words += unit_words
     if current:
-        segments.append(current)
+        segments.append("".join(current))
     return SegmentPlan(segments=tuple(segments), budget=budget)
 
 

@@ -8,6 +8,7 @@ by plain set enumeration.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 
 
@@ -84,3 +85,73 @@ def bfs_k_hop(adjacency, seed, k):
                     nxt.append(neighbor)
         frontier = nxt
     return reached
+
+
+def _tokens(text):
+    return int(len(text.split()) * 1.3)
+
+
+def segment_by_reestimate(text, budget):
+    """Segments of text, re-estimating each candidate join from its string.
+
+    Sentence spans first, word spans inside a sentence over the budget; a
+    unit joins the current segment while the estimate of the joined string
+    fits the budget.
+    """
+    spans = []
+    start = 0
+    for m in re.finditer(r"[.!?]+(?:\s+|$)", text):
+        spans.append(text[start:m.end()])
+        start = m.end()
+    if start < len(text):
+        spans.append(text[start:])
+    units = []
+    for sentence in spans:
+        if _tokens(sentence) <= budget:
+            units.append(sentence)
+        else:
+            units.extend(re.findall(r"\s*\S+\s*", sentence) or [sentence])
+    segments = []
+    current = ""
+    for unit in units:
+        if current and _tokens(current + unit) > budget:
+            segments.append(current)
+            current = unit
+        else:
+            current += unit
+    if current:
+        segments.append(current)
+    return tuple(segments)
+
+
+def truncate_by_bisection(text, budget):
+    """Largest whitespace-word prefix of text that fits, by binary search."""
+    if _tokens(text) <= budget:
+        return text
+    words = text.split()
+    lo, hi = 0, len(words)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _tokens(" ".join(words[:mid])) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    return " ".join(words[:lo])
+
+
+def extract_by_name(gazetteer, news):
+    """Numbered "name: description" list of the gazetteer names in news.
+
+    Tries every name with a word-bounded search and orders the hits by
+    first occurrence, then by name. gazetteer maps name to description.
+    """
+    found = []
+    for name in gazetteer:
+        m = re.search(r"\b" + re.escape(name) + r"\b", news)
+        if m:
+            found.append((m.start(), name))
+    found.sort()
+    lines = []
+    for i, (_, name) in enumerate(found, 1):
+        lines.append(f"{i}. {name}: {gazetteer[name]}" if gazetteer[name] else f"{i}. {name}:")
+    return "\n".join(lines)

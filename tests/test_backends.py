@@ -3,14 +3,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import oracles
+from conftest import DEDUP_NEWS_PATH, NEWS_PATH
 from supplygraph.backends import (
     BackendRequest,
     BackendResponse,
+    GazetteerEntry,
     HttpBackend,
     RecordingBackend,
     ScriptFile,
@@ -26,6 +30,7 @@ from supplygraph.errors import (
     ScriptMiss,
 )
 from supplygraph.cli import _make_backend
+from supplygraph.crawler import article_payload
 from supplygraph.prompting import (
     build_classification_prompt,
     build_extraction_prompt,
@@ -197,6 +202,53 @@ def test_scripted_backend_soundness_against_truth(gazetteer_backend, news_corpus
         response = gazetteer_backend.complete(_extract_request(payload.lower()))
         names = sorted(e.name for e in parse_entity_list(response.text)) if response.text else []
         assert names == news_truth[article.id], article.id
+
+
+_TRICKY_NAMES = [
+    "bechtel", "bechtel group", "group", "at&t", "st. john's", "john's", "(x) corp",
+    "& sons", "a.", "a", "&", "3m", "société générale", "straße",
+]
+_NEWS_PIECES = _TRICKY_NAMES + [
+    "bechtelgroup", "at", "t", "st", "john", "s", "x", "corp", "sons", "m3", "société",
+    "générale", "strasse", "straßen", "(", ")", "&", ".", "'", "the", "_a",
+]
+
+
+def _scripted(descriptions):
+    return ScriptedBackend(ScriptFile(gazetteer={
+        name: GazetteerEntry(description=d, categories=frozenset())
+        for name, d in descriptions.items()
+    }))
+
+
+def test_scripted_backend_extraction_matches_per_name_search():
+    rng = random.Random(11)
+    descriptions = {name: (f"about {name}" if i % 3 else "") for i, name in enumerate(_TRICKY_NAMES)}
+    backend = _scripted(descriptions)
+    for _ in range(400):
+        pieces = [rng.choice(_NEWS_PIECES) for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.5:
+            pieces.insert(0, rng.choice(_TRICKY_NAMES))
+        if rng.random() < 0.5:
+            pieces.append(rng.choice(_TRICKY_NAMES))
+        news = pieces[0] + "".join(rng.choice([" ", "", ", ", ". ", "-", "\n"]) + p for p in pieces[1:])
+        if not news.strip():
+            continue
+        assert backend.complete(_extract_request(news)).text == oracles.extract_by_name(
+            descriptions, news), news
+
+
+def test_scripted_backend_extraction_matches_per_name_search_on_fixtures(gazetteer):
+    fixture_descriptions = {name: entry["description"] for name, entry in gazetteer.items()}
+    tricky_descriptions = {name: f"about {name}" for name in _TRICKY_NAMES}
+    backends = [(d, _scripted(d)) for d in (fixture_descriptions, tricky_descriptions)]
+    for path in (NEWS_PATH, DEDUP_NEWS_PATH):
+        for record in oracles.read_jsonl(path):
+            for news in (article_payload(record["title"], record["body"]),
+                         record["title"] + "\n\n" + record["body"]):
+                for descriptions, backend in backends:
+                    assert backend.complete(_extract_request(news)).text == oracles.extract_by_name(
+                        descriptions, news), record["id"]
 
 
 def test_scripted_backend_token_accounting(gazetteer_backend):

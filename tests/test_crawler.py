@@ -450,6 +450,36 @@ def test_harvest_in_flight_stops_calling_backend_once_crawl_stops(news_corpus, g
     assert graph_equal(graph, sequential)
 
 
+def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazetteer_backend):
+    # As above, the budget runs out on txdot while "national lime stone" is
+    # harvested beside it. That harvest's first search (2019) is held until
+    # the crawl has decided to stop; it then searches no further year.
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         max_articles=4, parallelism=2)
+    held_search_arrived = threading.Event()
+    searches = []
+
+    class HoldingFetcher(CorpusFetcher):
+        def search(self, keyword, year, limit):
+            searches.append((keyword, year))
+            if keyword == "national lime stone":
+                held_search_arrived.set()
+                crawler._stop.wait(5)
+            elif keyword == "txdot" and year == 2019:
+                # the stop decision waits for txdot, so the held search comes first
+                assert held_search_arrived.wait(5)
+            return super().search(keyword, year, limit)
+
+    crawler = Crawler(config, HoldingFetcher(news_corpus), gazetteer_backend)
+    graph, report = crawler.run()
+    assert report.termination_reason == TERMINATION_ARTICLE_BUDGET
+    assert [s for s in searches if s[0] == "national lime stone"] == [("national lime stone", 2019)]
+    assert len(searches) == 3 + 3 + 1
+    sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
+                              gazetteer_backend)
+    assert graph_equal(graph, sequential)
+
+
 def test_crawl_prompts_keep_general_stopwords(news_corpus):
     backend = RecordingScripted(load_script(GAZETTEER_PATH))
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1)

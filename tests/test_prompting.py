@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from supplygraph.errors import AmbiguousAnswer, EmptyParse
 from supplygraph.prompting import (
     CLASSIFICATION_TEMPLATE,
@@ -56,6 +57,19 @@ def test_truncate_to_budget_zero_budget():
     assert truncate_to_budget("anything at all", 0) == ""
 
 
+def test_truncate_to_budget_matches_bisection():
+    rng = random.Random(5)
+    separators = [" ", "  ", "\t", "\n", " \u00a0", "\u3000"]
+    # Every length up to 100 words, then every 25th up to 400.
+    for n in [*range(100), *range(100, 401, 25)]:
+        text = "".join(rng.choice(["w", "co.", "x:y"]) + rng.choice(separators) for _ in range(n))
+        if rng.random() < 0.5:
+            text = text.rstrip()
+        for budget in range(-6, estimate_tokens(text) + 2):
+            assert truncate_to_budget(text, budget) == oracles.truncate_by_bisection(text, budget), (
+                n, budget)
+
+
 # -- segmentation -----------------------------------------------------------
 
 
@@ -97,7 +111,7 @@ def test_segment_text_empty_input():
     assert segment_text("", 10).segments == ()
 
 
-def test_segment_text_lossless_fuzz():
+def _fuzz_cases():
     rng = random.Random(77)
     vocab = ["alpha", "beta", "gamma", "12.5", "co.", "x:y", "end"]
     for _ in range(300):
@@ -105,12 +119,40 @@ def test_segment_text_lossless_fuzz():
         for _ in range(rng.randint(0, 60)):
             parts.append(rng.choice(vocab))
             parts.append(rng.choice([" ", "  ", ". ", "! ", "? ", "\n"]))
-        text = "".join(parts)
-        budget = rng.randint(1, 25)
+        yield "".join(parts), rng.randint(1, 25)
+
+
+def test_segment_text_lossless_fuzz():
+    for text, budget in _fuzz_cases():
         plan = segment_text(text, budget)
         assert "".join(plan.segments) == text
         for segment in plan.segments:
             assert estimate_tokens(segment) <= budget
+
+
+def _edge_cases():
+    # Texts that end in a word, start with whitespace, use other whitespace
+    # characters, or are run-on bodies that fall back to word spans.
+    rng = random.Random(78)
+    vocab = ["alpha", "beta", "12.5", "co.", "x:y", "end!", "why?"]
+    separators = [" ", "\t", "\u00a0", "\u3000", "\x1c", ". ", ".\t", "!\u3000", "?\x1c", "\n"]
+    for _ in range(300):
+        words = [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
+        text = "".join(w + rng.choice(separators) for w in words[:-1]) + words[-1]
+        if rng.random() < 0.5:
+            text = rng.choice([" ", "\t ", "\u00a0", "\u3000\x1c"]) + text
+        yield text, rng.randint(1, 25)
+    for _ in range(5):
+        body = " ".join(rng.choice(["alpha", "beta", "gamma", "12.5", "x:y"]) for _ in range(600))
+        yield body, 400
+        yield body + ".", 400
+        yield "  " + body.replace(" ", "\u00a0", 50) + " ", 400
+
+
+def test_segment_text_matches_reestimating_reference():
+    for text, budget in [*_fuzz_cases(), *_edge_cases()]:
+        assert segment_text(text, budget).segments == oracles.segment_by_reestimate(text, budget), (
+            text, budget)
 
 
 # -- entity list parsing ------------------------------------------------------
