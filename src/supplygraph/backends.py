@@ -12,6 +12,7 @@ labels.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -19,10 +20,10 @@ import random
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol
-
-import requests
 
 from .errors import (
     BackendUnavailable,
@@ -294,7 +295,9 @@ class HttpBackend:
     Sends {"messages": [...], "temperature", "max_tokens"} where the question
     part is appended to the user message; expects the usual
     choices[0].message.content reply shape. The API key is sent as a bearer
-    token and never logged.
+    token and never logged. Each attempt opens its own connection through
+    urllib, which honours HTTP(S)_PROXY and NO_PROXY and checks HTTPS
+    certificates against the system CA store.
     """
 
     def __init__(
@@ -309,6 +312,16 @@ class HttpBackend:
     ):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
+        if not endpoint.startswith(("http://", "https://")):
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
+        if timeout_s <= 0:
+            raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
+        if retry_cap < 0:
+            raise ValueError(f"retry_cap must be >= 0, got {retry_cap}")
+        if backoff_base_s < 0:
+            raise ValueError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
+        if in_flight < 1:
+            raise ValueError(f"in_flight must be >= 1, got {in_flight}")
         self.endpoint = endpoint
         self._api_key = api_key
         self.model = model
@@ -350,7 +363,9 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
-        payload = self._payload(request)
+        # Default separators and allow_nan=False: the bytes the requests
+        # library sent for json=, which a server may hash to pick a request.
+        body = json.dumps(self._payload(request), allow_nan=False).encode("utf-8")
         attempts = 1 + self.retry_cap
         last_error = "unknown"
         for attempt in range(attempts):
@@ -360,30 +375,42 @@ class HttpBackend:
             started = time.monotonic()
             try:
                 with self._slots:
-                    resp = requests.post(
-                        self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
-                    )
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_error = f"{type(exc).__name__}"
-                log.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
-                continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
-                log.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
-                continue
-            if resp.status_code != 200:
-                raise BackendUnavailable(
-                    f"backend rejected request: HTTP {resp.status_code}", attempts=attempt + 1
+                    status, raw = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                # URLError, an OSError, wraps the socket error behind it.
+                reason = getattr(exc, "reason", exc)
+                last_error = (
+                    type(reason).__name__ if isinstance(reason, BaseException) else str(reason)
                 )
-            return self._parse(resp, started, attempts=attempt + 1)
+                log.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
+                continue
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+                log.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
+                continue
+            if status != 200:
+                raise BackendUnavailable(
+                    f"backend rejected request: HTTP {status}", attempts=attempt + 1
+                )
+            return self._parse(raw, started, attempts=attempt + 1)
         raise BackendUnavailable(
             f"backend unreachable after {attempts} attempts: {last_error}", attempts=attempts
         )
 
-    def _parse(self, resp: requests.Response, started: float, attempts: int) -> BackendResponse:
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """POST once on a new connection; the status, and the body of a 2xx reply."""
+        req = urllib.request.Request(self.endpoint, data=body, headers=headers, method="POST")
+        try:
+            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            return exc.code, b""
+
+    def _parse(self, raw: bytes, started: float, attempts: int) -> BackendResponse:
         latency_ms = int((time.monotonic() - started) * 1000)
         try:
-            body = resp.json()
+            body = json.loads(raw.decode("utf-8"))
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(

@@ -8,7 +8,6 @@ resolve to one node while the stored aliases keep the three variants apart.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 from collections import deque
@@ -26,7 +25,7 @@ SCHEMA_VERSION = 2
 _READABLE_SCHEMAS = (1, SCHEMA_VERSION)
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityNode:
     canonical_id: str
     display_name: str
@@ -35,7 +34,7 @@ class EntityNode:
     categories: set[str] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class ComentionEdge:
     """Undirected edge; weight is defined as the number of provenance articles."""
 
@@ -52,12 +51,21 @@ def _pair(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
 
+def _link(adj: dict[str, set[str]], a: str, b: str) -> None:
+    adj.setdefault(a, set()).add(b)
+    adj.setdefault(b, set()).add(a)
+
+
 class SupplyChainGraph:
     def __init__(self, stopwords: StopwordLists | None = None):
         self.stopwords = stopwords if stopwords is not None else StopwordLists.default()
         self.nodes: dict[str, EntityNode] = {}
         self.edges: dict[tuple[str, str], ComentionEdge] = {}
         self.alias_table: dict[str, str] = {}
+        # Neighbours of every node with an edge: None until the first read
+        # builds it from edges, then kept in step with them. Derived state,
+        # so graph_equal and save_state never read it.
+        self._adj: dict[str, set[str]] | None = None
 
     # -- canonicalization -------------------------------------------------
 
@@ -119,22 +127,35 @@ class SupplyChainGraph:
             key = _pair(x, y)
             edge = self.edges.get(key)
             if edge is None:
-                edge = ComentionEdge(a=key[0], b=key[1])
-                self.edges[key] = edge
+                edge = self._add_edge(key[0], key[1], set())
             edge.provenance.add(article_id)
             touched += 1
         return touched
 
+    def _add_edge(self, a: str, b: str, provenance: set[str]) -> ComentionEdge:
+        """Store a new edge under its ordered key (a <= b), indexing it if the
+        index is built."""
+        edge = self.edges[(a, b)] = ComentionEdge(a=a, b=b, provenance=provenance)
+        if self._adj is not None:
+            _link(self._adj, a, b)
+        return edge
+
+    def _adjacency(self) -> dict[str, set[str]]:
+        """The neighbour index, built from edges on first use.
+
+        Built aside and then published, so a concurrent reader never sees
+        it half-built."""
+        if self._adj is None:
+            adj: dict[str, set[str]] = {}
+            for a, b in self.edges:
+                _link(adj, a, b)
+            self._adj = adj
+        return self._adj
+
     def neighbors(self, canonical_id: str) -> list[str]:
         if canonical_id not in self.nodes:
             raise UnknownNode(canonical_id)
-        out = []
-        for a, b in self.edges:
-            if a == canonical_id:
-                out.append(b)
-            elif b == canonical_id:
-                out.append(a)
-        return sorted(out)
+        return sorted(self._adjacency().get(canonical_id, ()))
 
     # -- merging -----------------------------------------------------------
 
@@ -158,17 +179,16 @@ class SupplyChainGraph:
             if pair not in surv.descriptions:
                 surv.descriptions.append(pair)
         surv.categories |= dup.categories
-        for key in [k for k in self.edges if duplicate in k]:
-            edge = self.edges.pop(key)
-            other = edge.a if edge.b == duplicate else edge.b
+        adj = self._adjacency()
+        for other in sorted(adj.pop(duplicate, ())):
+            edge = self.edges.pop(_pair(duplicate, other))
+            adj[other].discard(duplicate)
             if other == survivor:
                 continue  # self-loop after merge is dropped
             new_key = _pair(survivor, other)
             kept = self.edges.get(new_key)
             if kept is None:
-                self.edges[new_key] = ComentionEdge(
-                    a=new_key[0], b=new_key[1], provenance=set(edge.provenance)
-                )
+                self._add_edge(*new_key, set(edge.provenance))
             else:
                 kept.provenance |= edge.provenance
         for variant, target in list(self.alias_table.items()):
@@ -224,12 +244,22 @@ class SupplyChainGraph:
             keep = set(candidates)
         keep.add(seed)
 
+        adj = self._adjacency()
         sub = SupplyChainGraph(self.stopwords)
         for cid in sorted(keep):
-            sub.nodes[cid] = copy.deepcopy(self.nodes[cid])
-        for (a, b), edge in self.edges.items():
-            if a in keep and b in keep:
-                sub.edges[(a, b)] = ComentionEdge(a=a, b=b, provenance=set(edge.provenance))
+            node = self.nodes[cid]
+            sub.nodes[cid] = EntityNode(
+                canonical_id=node.canonical_id,
+                display_name=node.display_name,
+                aliases=set(node.aliases),
+                descriptions=list(node.descriptions),
+                categories=set(node.categories),
+            )
+            # Each kept edge is copied once, from its smaller end, so the
+            # subgraph's edge table is in key order.
+            for other in sorted(keep.intersection(adj.get(cid, ()))):
+                if cid < other:
+                    sub._add_edge(cid, other, set(self.edges[(cid, other)].provenance))
         for variant, target in self.alias_table.items():
             if target in keep:
                 sub.alias_table[variant] = target
@@ -274,7 +304,8 @@ def load_state(path: str) -> SupplyChainGraph:
     """Load a graph saved by save_state; round-trips to an equal graph.
 
     Raises ParseError, naming the file, on a state save_state cannot write:
-    an edge or alias that points at no node, or an edge without provenance.
+    an edge or alias that points at no node, a self-loop, or an edge without
+    provenance.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -303,11 +334,11 @@ def load_state(path: str) -> SupplyChainGraph:
             for end in key:
                 if end not in graph.nodes:
                     raise ParseError(f"edge {key} ends at unknown node {end!r}", path=str(path))
+            if key[0] == key[1]:
+                raise ParseError(f"edge {key} is a self-loop", path=str(path))
             if not rec["provenance"]:
                 raise ParseError(f"edge {key} has no provenance", path=str(path))
-            graph.edges[key] = ComentionEdge(
-                a=key[0], b=key[1], provenance=set(rec["provenance"])
-            )
+            graph._add_edge(*key, set(rec["provenance"]))
         if not isinstance(state["alias_table"], dict):
             raise ParseError("graph state alias_table must be an object", path=str(path))
         for variant, target in state["alias_table"].items():

@@ -7,9 +7,15 @@ by plain set enumeration.
 
 from __future__ import annotations
 
+import copy
 import json
+import random
 import re
 from collections import deque
+from itertools import combinations
+
+from supplygraph.errors import SameNode, UnknownNode
+from supplygraph.graph import ComentionEdge, SupplyChainGraph
 
 
 def read_jsonl(path):
@@ -155,3 +161,116 @@ def extract_by_name(gazetteer, news):
     for i, (_, name) in enumerate(found, 1):
         lines.append(f"{i}. {name}: {gazetteer[name]}" if gazetteer[name] else f"{i}. {name}:")
     return "\n".join(lines)
+
+
+def _pair(x, y):
+    return (x, y) if x <= y else (y, x)
+
+
+class ScanGraph(SupplyChainGraph):
+    """SupplyChainGraph whose edge operations scan the whole edge table.
+
+    The edge-touching methods are the versions from before the adjacency
+    index: neighbors and merge_nodes walk every edge, and sample_k_hop
+    deep-copies the kept nodes and filters every edge. Nothing here reads or
+    writes the index, so the graph's own methods can be checked against it.
+    """
+
+    @classmethod
+    def of(cls, graph):
+        """A reference graph holding the given graph's nodes, edges and aliases."""
+        ref = cls(graph.stopwords)
+        ref.nodes, ref.edges, ref.alias_table = graph.nodes, graph.edges, graph.alias_table
+        return ref
+
+    def add_comention(self, article_id, mentioned):
+        ids = sorted(set(mentioned))
+        for cid in ids:
+            if cid not in self.nodes:
+                raise UnknownNode(cid)
+        touched = 0
+        for x, y in combinations(ids, 2):
+            key = _pair(x, y)
+            edge = self.edges.get(key)
+            if edge is None:
+                edge = ComentionEdge(a=key[0], b=key[1])
+                self.edges[key] = edge
+            edge.provenance.add(article_id)
+            touched += 1
+        return touched
+
+    def neighbors(self, canonical_id):
+        if canonical_id not in self.nodes:
+            raise UnknownNode(canonical_id)
+        out = []
+        for a, b in self.edges:
+            if a == canonical_id:
+                out.append(b)
+            elif b == canonical_id:
+                out.append(a)
+        return sorted(out)
+
+    def merge_nodes(self, survivor, duplicate):
+        if survivor not in self.nodes:
+            raise UnknownNode(survivor)
+        if duplicate not in self.nodes:
+            raise UnknownNode(duplicate)
+        if survivor == duplicate:
+            raise SameNode(survivor)
+        surv = self.nodes[survivor]
+        dup = self.nodes.pop(duplicate)
+        surv.aliases |= dup.aliases
+        for pair in dup.descriptions:
+            if pair not in surv.descriptions:
+                surv.descriptions.append(pair)
+        surv.categories |= dup.categories
+        for key in [k for k in self.edges if duplicate in k]:
+            edge = self.edges.pop(key)
+            other = edge.a if edge.b == duplicate else edge.b
+            if other == survivor:
+                continue
+            new_key = _pair(survivor, other)
+            kept = self.edges.get(new_key)
+            if kept is None:
+                self.edges[new_key] = ComentionEdge(
+                    a=new_key[0], b=new_key[1], provenance=set(edge.provenance)
+                )
+            else:
+                kept.provenance |= edge.provenance
+        for variant, target in list(self.alias_table.items()):
+            if target == duplicate:
+                self.alias_table[variant] = survivor
+
+    def sample_k_hop(self, seed, k, max_nodes, rng_seed):
+        if seed not in self.nodes:
+            raise UnknownNode(seed)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
+        reached = {seed}
+        frontier = deque([(seed, 0)])
+        while frontier:
+            cid, depth = frontier.popleft()
+            if depth == k:
+                continue
+            for nb in self.neighbors(cid):
+                if nb not in reached:
+                    reached.add(nb)
+                    frontier.append((nb, depth + 1))
+        candidates = sorted(reached - {seed})
+        if 1 + len(candidates) > max_nodes:
+            keep = set(random.Random(rng_seed).sample(candidates, max_nodes - 1))
+        else:
+            keep = set(candidates)
+        keep.add(seed)
+        sub = ScanGraph(self.stopwords)
+        for cid in sorted(keep):
+            sub.nodes[cid] = copy.deepcopy(self.nodes[cid])
+        for (a, b), edge in self.edges.items():
+            if a in keep and b in keep:
+                sub.edges[(a, b)] = ComentionEdge(a=a, b=b, provenance=set(edge.provenance))
+        for variant, target in self.alias_table.items():
+            if target in keep:
+                sub.alias_table[variant] = target
+        return sub

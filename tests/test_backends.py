@@ -4,12 +4,16 @@ import argparse
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 import oracles
+import supplygraph
 from conftest import DEDUP_NEWS_PATH, NEWS_PATH
 from supplygraph.backends import (
     BackendRequest,
@@ -407,27 +411,47 @@ _STUB_REPLY = {
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    plan = []  # list of status codes, consumed per request; last repeats
+    # Status codes, consumed per request; the last repeats. "slow" answers
+    # 200 after sleeping slow_s; "drop" closes the connection unanswered.
+    plan = []
     requests_seen = []
-    reply = _STUB_REPLY  # body of every 200 reply
+    reply = _STUB_REPLY  # body of every 200 reply; bytes are sent as they are
+    error_body = b""  # body of every non-200 reply
+    slow_s = 0.5
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length)
         type(self).requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
+            {"body": json.loads(raw) if raw else {}, "raw": raw,
+             "auth": self.headers.get("Authorization")}
         )
         status = self.plan[min(len(self.requests_seen) - 1, len(self.plan) - 1)]
+        if status == "drop":
+            self.close_connection = True
+            return
+        if status == "slow":
+            time.sleep(self.slow_s)
+            status = 200
         if status != 200:
             self.send_response(status)
+            if self.error_body:
+                self.send_header("Content-Length", str(len(self.error_body)))
             self.end_headers()
+            self.wfile.write(self.error_body)
             return
-        payload = json.dumps(self.reply).encode("utf-8")
+        payload = self.reply if isinstance(self.reply, bytes) else json.dumps(self.reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+    def handle(self):
+        try:
+            super().handle()
+        except OSError:
+            pass  # the client timed out and hung up on a "slow" reply
 
     def log_message(self, *args):
         pass
@@ -439,11 +463,13 @@ def http_stub():
     _StubHandler.plan = [200]
     _StubHandler.requests_seen = []
     _StubHandler.reply = _STUB_REPLY
+    _StubHandler.error_body = b""
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def test_http_backend_success(http_stub):
@@ -460,6 +486,74 @@ def test_http_backend_success(http_stub):
     assert seen["body"]["max_tokens"] == 512
     assert [m["role"] for m in seen["body"]["messages"]] == ["system", "user"]
     assert "acme" in seen["body"]["messages"][1]["content"]
+
+
+def test_http_backend_posts_json_dumps_bytes(http_stub):
+    """The body's bytes are what the requests library sent for json=; the
+    benchmark stub picks the requests it fails by hashing them."""
+    request = _classify_request("acmé", "builds", "construction contractor")
+    HttpBackend(http_stub, api_key="sk-test", model="m1", backoff_base_s=0).complete(request)
+    expected = {
+        "messages": [
+            {"role": "system", "content": request.prompt.system},
+            {"role": "user", "content": request.prompt.user + "\n\n" + request.prompt.question},
+        ],
+        "temperature": 0.0,
+        "max_tokens": 512,
+        "model": "m1",
+    }
+    (seen,) = _StubHandler.requests_seen
+    assert seen["raw"] == json.dumps(expected, allow_nan=False).encode()
+    assert seen["auth"] == "Bearer sk-test"
+
+
+def test_http_backend_sends_no_authorization_without_key(http_stub):
+    HttpBackend(http_stub, backoff_base_s=0).complete(_classify_request("a", "b", "c"))
+    assert _StubHandler.requests_seen[0]["auth"] is None
+
+
+def test_http_backend_retries_a_reply_past_the_timeout(http_stub):
+    _StubHandler.plan = ["slow", 200]
+    backend = HttpBackend(http_stub, timeout_s=0.1, retry_cap=1, backoff_base_s=0)
+    response = backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    assert response.text == "Yes"
+    assert len(_StubHandler.requests_seen) == 2
+
+
+def test_http_backend_counts_timed_out_attempts(http_stub):
+    _StubHandler.plan = ["slow"]
+    backend = HttpBackend(http_stub, timeout_s=0.1, retry_cap=1, backoff_base_s=0)
+    with pytest.raises(BackendUnavailable) as err:
+        backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    assert err.value.attempts == 2
+    assert "after 2 attempts: TimeoutError" in str(err.value)
+    assert len(_StubHandler.requests_seen) == 2
+
+
+def test_http_backend_retries_a_dropped_connection(http_stub):
+    _StubHandler.plan = ["drop", 200]
+    backend = HttpBackend(http_stub, retry_cap=1, backoff_base_s=0)
+    response = backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    assert response.text == "Yes"
+    assert len(_StubHandler.requests_seen) == 2
+
+
+def test_http_backend_retries_503_with_body(http_stub):
+    _StubHandler.plan = [503, 200]
+    _StubHandler.error_body = b'{"error": "overloaded"}'
+    backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0)
+    response = backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    assert response.text == "Yes"
+    assert len(_StubHandler.requests_seen) == 2
+
+
+def test_http_backend_non_utf8_reply_is_unavailable(http_stub):
+    _StubHandler.reply = b'{"choices": [{"message": {"content": "caf\xe9"}}]}'
+    backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0)
+    with pytest.raises(BackendUnavailable) as err:
+        backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    assert err.value.attempts == 1
+    assert "malformed backend response" in str(err.value)
 
 
 def test_http_backend_retries_then_succeeds(http_stub):
@@ -548,3 +642,63 @@ def test_http_backend_from_env(monkeypatch):
 def test_http_backend_rejects_empty_endpoint():
     with pytest.raises(ValueError):
         HttpBackend("")
+
+
+@pytest.mark.parametrize(
+    "endpoint, kwargs",
+    [
+        ("ftp://example.invalid/v1", {}),
+        ("example.invalid/v1", {}),
+        ("http://example.invalid/v1", {"retry_cap": -1}),
+        ("http://example.invalid/v1", {"timeout_s": 0}),
+        ("http://example.invalid/v1", {"timeout_s": -1.0}),
+        ("http://example.invalid/v1", {"backoff_base_s": -0.1}),
+        ("http://example.invalid/v1", {"in_flight": 0}),
+    ],
+    ids=["ftp", "no-scheme", "retry-cap", "timeout-zero", "timeout-negative", "backoff",
+         "in-flight"],
+)
+def test_http_backend_rejects_bad_arguments(endpoint, kwargs):
+    with pytest.raises(ValueError):
+        HttpBackend(endpoint, **kwargs)
+
+
+# -- the package without requests ----------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(supplygraph.__file__)))
+
+
+def _run_python(code):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_http_backend_runs_without_requests(http_stub):
+    code = f"""
+import sys
+sys.modules["requests"] = None  # any import of requests now fails
+import supplygraph
+from supplygraph.backends import BackendRequest
+from supplygraph.prompting import build_classification_prompt
+prompt = build_classification_prompt("acme", "builds", "legal counsel")
+print(supplygraph.HttpBackend({http_stub!r}, backoff_base_s=0).complete(BackendRequest(prompt)).text)
+"""
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Yes\n"
+    assert len(_StubHandler.requests_seen) == 1
+
+
+def test_import_leaves_requests_unloaded():
+    done = _run_python("import sys, supplygraph; print('requests' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "pyproject.toml")
+    with open(path, "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

@@ -455,6 +455,14 @@ def test_classify_unreachable_http_exits_backend(tmp_path, crawled_state, capsys
     assert "backend" in capsys.readouterr().err
 
 
+def test_crawl_negative_http_retries_exits_config_before_work(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = _crawl(out, backend="http://127.0.0.1:1/unreachable", http_retries=-1)
+    assert code == EXIT_CONFIG
+    assert "retry_cap must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_bad_state_schema(tmp_path):
     state = tmp_path / "graph.json"
     state.write_text('{"schema_version": 99}\n', encoding="utf-8")

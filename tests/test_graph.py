@@ -348,8 +348,12 @@ def test_sample_k_hop_copies_are_independent():
     g = _path_graph()
     sub = g.sample_k_hop("alpha co", 1, 100, rng_seed=1)
     sub.nodes["alpha co"].categories.add("legal counsel")
+    sub.nodes["alpha co"].aliases.add("alpha x")
+    sub.nodes["alpha co"].descriptions.append(("art-x", "builds bridges"))
     sub.edges[("alpha co", "bravo ltd")].provenance.add("art-x")
     assert g.nodes["alpha co"].categories == set()
+    assert g.nodes["alpha co"].aliases == {"alpha co"}
+    assert g.nodes["alpha co"].descriptions == []
     assert g.edges[("alpha co", "bravo ltd")].provenance == {"art-1"}
 
 
@@ -361,6 +365,73 @@ def test_sample_k_hop_errors():
         g.sample_k_hop("alpha co", 0, 10, rng_seed=1)
     with pytest.raises(ValueError):
         g.sample_k_hop("alpha co", 1, 0, rng_seed=1)
+
+
+# -- adjacency index against the full-scan reference -----------------------------------
+
+# Base names with suffix variants, so upserts collide and aliases merge nodes.
+_VARIANT_NAMES = [
+    base + suffix
+    for base in ("Acme", "Bolt Works", "Crane", "Delta Group", "Echo", "Forge", "Gamma", "Helix",
+                 "Iris", "Jade Partners", "Kilo", "Lumen", "Mako", "Nova", "Onyx", "Pike",
+                 "Quill", "Rivet", "Sable", "Talon", "Umber", "Vanta", "Wren", "Xeno")
+    for suffix in ("", " Ltd.", " Inc")
+]
+
+
+def _assert_matches_reference(real, ref):
+    assert graph_equal(real, ref)
+    for cid in sorted(ref.nodes):
+        assert real.neighbors(cid) == ref.neighbors(cid), cid
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adjacency_index_matches_full_scan_reference(tmp_path, seed):
+    """The index is built on the first read, so reads come after a random
+    number of writes: some writes find it built, some find it absent."""
+    rng, read_rng = random.Random(seed), random.Random(f"reads {seed}")
+    real, ref = SupplyChainGraph(), oracles.ScanGraph()
+    for step in range(150):
+        ids = sorted(real.nodes)
+        op = rng.random()
+        if op < 0.35:
+            name = rng.choice(_VARIANT_NAMES)
+            for g in (real, ref):
+                g.upsert_entity(name, f"desc {step % 3}", f"art-{step % 5}")
+        elif op < 0.75 and len(ids) >= 2:
+            mentioned = rng.sample(ids, min(len(ids), rng.randint(2, 4)))
+            for g in (real, ref):
+                g.add_comention(f"art-{step % 7}", mentioned)
+        elif op < 0.79 and len(ids) >= 2:
+            survivor, duplicate = rng.sample(ids, 2)
+            for g in (real, ref):
+                g.merge_nodes(survivor, duplicate)
+        elif op < 0.83:
+            mapping = {rng.choice(_VARIANT_NAMES): rng.choice(_VARIANT_NAMES)}
+            for g in (real, ref):
+                g.apply_aliases(mapping)
+        else:
+            real_path, ref_path = tmp_path / "real.json", tmp_path / "ref.json"
+            save_state(real, str(real_path))
+            save_state(ref, str(ref_path))
+            assert real_path.read_bytes() == ref_path.read_bytes()
+            real = load_state(str(real_path))
+            ref = oracles.ScanGraph.of(load_state(str(ref_path)))
+        if read_rng.random() < 0.3:
+            _assert_matches_reference(real, ref)
+        else:
+            assert graph_equal(real, ref)
+    _assert_matches_reference(real, ref)
+
+    assert len(real.edges) >= 10
+    for cid in sorted(ref.nodes):
+        for hops in (1, 2):
+            max_nodes, rng_seed = rng.randint(1, 8), rng.randrange(1 << 30)
+            sub = real.sample_k_hop(cid, hops, max_nodes, rng_seed)
+            expected = ref.sample_k_hop(cid, hops, max_nodes, rng_seed)
+            _assert_matches_reference(sub, expected)
+            for edge in sub.edges.values():
+                assert edge.provenance is not real.edges[(edge.a, edge.b)].provenance
 
 
 # -- persistence ---------------------------------------------------------------------
@@ -471,10 +542,11 @@ def test_load_state_malformed_nodes(tmp_path):
     [
         (lambda s: s["edges"][0].update(target="ghost"), "unknown node 'ghost'"),
         (lambda s: s["edges"][0].update(provenance=[]), "no provenance"),
+        (lambda s: s["edges"][0].update(target=s["edges"][0]["source"]), "self-loop"),
         (lambda s: s["alias_table"].update(stray="ghost"), "unknown node 'ghost'"),
         (lambda s: s.update(alias_table=[["a", "b", "c"]]), "alias_table must be an object"),
     ],
-    ids=["edge-end", "empty-provenance", "alias-target", "alias-table-list"],
+    ids=["edge-end", "empty-provenance", "self-loop", "alias-target", "alias-table-list"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
