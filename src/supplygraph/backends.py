@@ -1,12 +1,13 @@
-"""Completion backends: live HTTP, scripted/gazetteer, and record.
+"""Completion backends: live HTTP, scripted/gazetteer, and recording.
 
 Every backend answers a BackendRequest with a BackendResponse. A call that
 gets no answer raises BackendUnavailable; ScriptMiss is one, so callers
-catch one type. Replaying a recorded cassette is a ScriptedBackend over the
-cassette's keyed rows alone, which misses on any other request. Requests
-are identified by a stable content hash over (system, user, question); the
-request tag never enters the hash, so replay does not depend on call-site
-labels.
+catch one type. RecordingBackend wraps any backend, keeps its answers in a
+cassette and answers first from what the cassette already holds. Replaying
+a recorded cassette is a ScriptedBackend over the cassette's keyed rows
+alone, which misses on any other request. Requests are identified by a
+stable content hash over (system, user, question); the request tag never
+enters the hash, so replay does not depend on call-site labels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from .errors import (
     BackendUnavailable,
@@ -32,7 +33,7 @@ from .errors import (
     ParseError,
     ScriptMiss,
 )
-from .files import open_output, read_jsonl
+from .files import open_output, parse_jsonl, read_jsonl
 from .prompting import (
     CLASSIFICATION_USER_PREFIX,
     EXTRACTION_USER_PREFIX,
@@ -149,8 +150,12 @@ def load_script(path: str) -> ScriptFile:
     {"gazetteer": {...}} record. Raises DuplicateKey on repeated keys and
     ParseError on malformed records (gazetteer names must be pre-normalized).
     """
+    return _script_from_rows(read_jsonl(path), path)
+
+
+def _script_from_rows(rows: Iterable[tuple[int, dict]], path: str) -> ScriptFile:
     script = ScriptFile()
-    for lineno, record in read_jsonl(path):
+    for lineno, record in rows:
         if set(record) == {"gazetteer"}:
             script.gazetteer.update(_parse_gazetteer(record, str(path), lineno))
             continue
@@ -162,7 +167,7 @@ def load_script(path: str) -> ScriptFile:
         if not isinstance(record["key"], str) or not isinstance(record["response"], str):
             raise ParseError("key and response must be strings", path=str(path), line=lineno)
         if record["key"] in script.entries:
-            raise DuplicateKey(record["key"])
+            raise DuplicateKey(f"request key {record['key']} repeats", path=str(path), line=lineno)
         script.entries[record["key"]] = record["response"]
     return script
 
@@ -244,20 +249,48 @@ def _cassette_line(key: str, text: str) -> str:
     return json.dumps({"key": key, "response": text}, ensure_ascii=False) + "\n"
 
 
+def _read_cassette(path: str) -> dict[str, str]:
+    """The answers in an existing cassette, keyed by request key.
+
+    A last line without its newline is a torn append and is dropped. A
+    gazetteer row means the file is a script, not a cassette, and is a
+    ParseError like any other bad row.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        log.warning("dropping torn last line %d of cassette %s", len(lines), path)
+        lines.pop()
+    rows = list(parse_jsonl(lines, path))
+    for lineno, record in rows:
+        if "gazetteer" in record:
+            raise ParseError("cassette holds a gazetteer row; is it a script file?",
+                             path=str(path), line=lineno)
+    return _script_from_rows(rows, path).entries
+
+
 class RecordingBackend:
     """Proxy to a live backend that appends (key, response) lines to a cassette.
 
-    A request whose key was already recorded in this session is answered from
-    the cassette without touching the live backend, so recording and replay
-    return identical text even for stochastic upstreams. Lines are appended
-    as answers arrive; sort_cassette rewrites them in key order.
+    A request whose key is already in the cassette is answered from it
+    without touching the live backend, so recording and replay return
+    identical text even for stochastic upstreams, and rerunning an
+    interrupted run calls the live backend only for what it lacks. An
+    existing cassette is loaded and rewritten in key order at once; an
+    absent one is created by the first answer. Lines are appended as
+    answers arrive; sort_cassette rewrites them in key order.
     """
 
     def __init__(self, live: Backend, cassette_path: str):
         self.live = live
         self.cassette_path = cassette_path
-        self._seen: dict[str, str] = {}
         self._lock = threading.Lock()
+        try:
+            self._seen = _read_cassette(cassette_path)
+        except FileNotFoundError:
+            self._seen = {}
+        else:
+            self.sort_cassette()
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         key = request_key(request.prompt)

@@ -1,9 +1,11 @@
-"""Command-line interface: crawl, classify, evaluate, export, subgraph, record.
+"""Command-line interface: crawl, classify, evaluate, export, subgraph.
 
 Exit codes: 0 success, 2 configuration or invalid input, 3 budget abort when
 --fail-on-budget is set, 4 backend unreachable or cassette failure, 5 unknown
 entity. Every command writes a manifest.json listing inputs and outputs with
-content digests; timestamps live outside the digested content.
+content digests; timestamps live outside the digested content. crawl and
+classify take --cassette PATH, which records every backend answer into PATH
+and answers first from what PATH already holds, so a rerun resumes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     SupplyGraphError,
     UnknownNode,
 )
-from .files import open_output, write_json
+from .files import write_json
 
 log = logging.getLogger(__name__)
 
@@ -67,26 +69,28 @@ def _report_digest(report: dict) -> str:
 
 
 def _write_manifest(
-    out_dir: str,
-    command: str,
-    backend_spec: str | None,
+    args: argparse.Namespace,
     config: dict,
     inputs: list[str],
     outputs: list[dict],
-) -> str:
+    backend: be.Backend | None = None,
+) -> None:
+    """End a command: write manifest.json into --out. A command that
+    recorded sorts its cassette first and lists it among the outputs."""
+    if isinstance(backend, be.RecordingBackend):
+        backend.sort_cassette()
+        outputs = [*outputs, _output_entry(backend.cassette_path)]
     manifest = {
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "command": command,
-        "backend": backend_spec,
+        "command": args.command,
+        "backend": getattr(args, "backend", None),
         "config": config,
         "inputs": [
             {"path": os.path.abspath(p), "sha256": _sha256_file(p)} for p in inputs
         ],
         "outputs": outputs,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    write_json(path, manifest)
-    return path
+    write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
 def _output_entry(path: str, digest: str | None = None, excludes: list[str] | None = None) -> dict:
@@ -97,21 +101,29 @@ def _output_entry(path: str, digest: str | None = None, excludes: list[str] | No
 
 
 def _make_backend(spec: str, args: argparse.Namespace) -> tuple[be.Backend, str | None]:
-    """The backend a --backend spec names, and the input file it reads, if any."""
+    """The backend a --backend spec names, recording into --cassette if one
+    is given, and the input file it reads, if any."""
+    path = None
     if spec.startswith(("script:", "replay:")):
         kind, _, path = spec.partition(":")
         script = be.load_script(path)
         if kind == "replay":  # keyed rows only, so any other request misses
             script = be.ScriptFile(entries=script.entries)
-        return be.ScriptedBackend(script), path
-    if spec == "http" or spec.startswith(("http:", "https:")):
-        return be.HttpBackend.from_env(
+        backend = be.ScriptedBackend(script)
+    elif spec == "http" or spec.startswith(("http:", "https:")):
+        backend = be.HttpBackend.from_env(
             endpoint=None if spec == "http" else spec,
             timeout_s=args.http_timeout,
             retry_cap=args.http_retries,
             backoff_base_s=args.http_backoff,
-        ), None
-    raise ValueError(f"unknown backend spec {spec!r}; use script:PATH, replay:PATH, or http[s]:URL")
+        )
+    else:
+        raise ValueError(
+            f"unknown backend spec {spec!r}; use script:PATH, replay:PATH, or http[s]:URL"
+        )
+    if args.cassette:
+        backend = be.RecordingBackend(backend, args.cassette)
+    return backend, path
 
 
 def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
@@ -154,27 +166,17 @@ def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
     return cr.CrawlConfig(**values)
 
 
-def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) -> int:
+def cmd_crawl(args: argparse.Namespace) -> int:
     config = _build_crawl_config(args)
     corpus = load_corpus(args.corpus, strict=not args.lenient)
     stopwords = load_stopwords(args.suffixes) if args.suffixes else StopwordLists.default()
     backend, backend_path = _make_backend(args.backend, args)
-    backend_spec = args.backend
     os.makedirs(args.out, exist_ok=True)
-    cassette_path = None
-    if record_cassette is not None:
-        cassette_path = os.path.join(args.out, record_cassette)
-        with open_output(cassette_path):  # recording starts fresh
-            pass
-        backend = be.RecordingBackend(backend, cassette_path)
-        backend_spec = f"record:{args.backend}"
 
     graph = gr.SupplyChainGraph(stopwords)
     if args.aliases:
         graph.apply_aliases(gr.load_alias_file(args.aliases))
     graph, report = cr.run_crawl(config, corpus, backend, graph)
-    if cassette_path:
-        backend.sort_cassette()
 
     state_path = os.path.join(args.out, "graph.json")
     export_path = os.path.join(args.out, f"graph.{args.export_format}")
@@ -190,10 +192,7 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
         _output_entry(export_path),
         _output_entry(report_path, digest=_report_digest(report_dict), excludes=["duration_ms"]),
     ]
-    if cassette_path:
-        outputs.append(_output_entry(cassette_path))
-    _write_manifest(args.out, "record" if record_cassette else "crawl",
-                    backend_spec, config.to_dict(), inputs, outputs)
+    _write_manifest(args, config.to_dict(), inputs, outputs, backend)
 
     print(
         f"crawl finished: {report.termination_reason}; "
@@ -204,14 +203,6 @@ def _run_crawl_command(args: argparse.Namespace, record_cassette: str | None) ->
         print(f"budget abort: {report.termination_reason}", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
-
-
-def cmd_crawl(args: argparse.Namespace) -> int:
-    return _run_crawl_command(args, record_cassette=None)
-
-
-def cmd_record(args: argparse.Namespace) -> int:
-    return _run_crawl_command(args, record_cassette=args.cassette)
 
 
 def _taxonomy_from_args(args: argparse.Namespace) -> cl.CategoryTaxonomy:
@@ -235,10 +226,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     inputs = [p for p in (args.state, backend_path, args.taxonomy) if p]
     _write_manifest(
-        args.out, "classify", args.backend,
+        args,
         {"token_budget": args.token_budget, "taxonomy": list(taxonomy)},
         inputs,
         [_output_entry(state_path), _output_entry(report_path), _output_entry(predictions_path)],
+        backend,
     )
     print(
         f"classified {report['entities_classified']} entities "
@@ -284,7 +276,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.taxonomy:
         inputs.append(args.taxonomy)
     _write_manifest(
-        args.out, "evaluate", None,
+        args,
         {"balanced": bool(args.balanced), "rng_seed": args.rng_seed},
         inputs, [_output_entry(metrics_path)],
     )
@@ -301,7 +293,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     export_path = os.path.join(args.out, f"graph.{args.format}")
     gr.export_graph(graph, args.format, export_path)
     _write_manifest(
-        args.out, "export", None, {"format": args.format},
+        args, {"format": args.format},
         [args.state], [_output_entry(export_path)],
     )
     print(f"exported {len(graph.nodes)} nodes, {len(graph.edges)} edges to {export_path}")
@@ -318,7 +310,7 @@ def cmd_subgraph(args: argparse.Namespace) -> int:
     export_path = os.path.join(args.out, f"subgraph.{args.format}")
     gr.export_graph(sampled, args.format, export_path)
     _write_manifest(
-        args.out, "subgraph", None,
+        args,
         {
             "entity": args.entity,
             "seed": seed,
@@ -338,30 +330,9 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--http-timeout", type=float, default=30.0)
     parser.add_argument("--http-retries", type=int, default=3)
     parser.add_argument("--http-backoff", type=float, default=0.5)
-
-
-def _add_crawl_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", required=True, help="JSONL article corpus")
-    _add_backend_flags(parser)
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seeds", help="comma-separated seed entity names")
-    parser.add_argument("--industry")
-    parser.add_argument("--year-start", type=int, dest="year_start")
-    parser.add_argument("--year-end", type=int, dest="year_end")
-    parser.add_argument("--per-year-min", type=int, dest="per_year_min")
-    parser.add_argument("--token-budget", type=int, dest="token_budget")
-    parser.add_argument("--max-nodes", type=int, dest="max_nodes")
-    parser.add_argument("--max-articles", type=int, dest="max_articles")
-    parser.add_argument("--parallelism", type=int,
-                        help="keywords fetched and extracted at once (default 1)")
-    parser.add_argument("--config", help="JSON config file (flags take precedence)")
-    parser.add_argument("--aliases", help="TSV alias file: variant<TAB>canonical")
-    parser.add_argument("--suffixes", help="company-suffix stopword file")
-    parser.add_argument("--export-format", choices=gr.EXPORT_FORMATS, default="graphml")
-    parser.add_argument("--fail-on-budget", action="store_true",
-                        help="exit 3 when the crawl stops on a budget instead of exhaustion")
-    parser.add_argument("--lenient", action="store_true",
-                        help="ignore unknown corpus fields instead of rejecting them")
+    parser.add_argument("--cassette",
+                        help="JSONL file that records every backend answer; answers it "
+                             "already holds are replayed, so a rerun resumes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,14 +344,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_crawl = sub.add_parser("crawl", help="crawl a corpus into a graph")
-    _add_crawl_flags(p_crawl)
+    p_crawl.add_argument("--corpus", required=True, help="JSONL article corpus")
+    _add_backend_flags(p_crawl)
+    p_crawl.add_argument("--out", required=True, help="output directory")
+    p_crawl.add_argument("--seeds", help="comma-separated seed entity names")
+    p_crawl.add_argument("--industry")
+    p_crawl.add_argument("--year-start", type=int, dest="year_start")
+    p_crawl.add_argument("--year-end", type=int, dest="year_end")
+    p_crawl.add_argument("--per-year-min", type=int, dest="per_year_min")
+    p_crawl.add_argument("--token-budget", type=int, dest="token_budget")
+    p_crawl.add_argument("--max-nodes", type=int, dest="max_nodes")
+    p_crawl.add_argument("--max-articles", type=int, dest="max_articles")
+    p_crawl.add_argument("--parallelism", type=int,
+                         help="keywords fetched and extracted at once (default 1)")
+    p_crawl.add_argument("--config", help="JSON config file (flags take precedence)")
+    p_crawl.add_argument("--aliases", help="TSV alias file: variant<TAB>canonical")
+    p_crawl.add_argument("--suffixes", help="company-suffix stopword file")
+    p_crawl.add_argument("--export-format", choices=gr.EXPORT_FORMATS, default="graphml")
+    p_crawl.add_argument("--fail-on-budget", action="store_true",
+                         help="exit 3 when the crawl stops on a budget instead of exhaustion")
+    p_crawl.add_argument("--lenient", action="store_true",
+                         help="ignore unknown corpus fields instead of rejecting them")
     p_crawl.set_defaults(func=cmd_crawl)
-
-    p_record = sub.add_parser("record", help="crawl while recording a replay cassette")
-    _add_crawl_flags(p_record)
-    p_record.add_argument("--cassette", default="cassette.jsonl",
-                          help="cassette file name inside the output directory")
-    p_record.set_defaults(func=cmd_record)
 
     p_classify = sub.add_parser("classify", help="label graph entities by category")
     p_classify.add_argument("--state", required=True, help="graph state JSON")

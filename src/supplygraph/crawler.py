@@ -184,7 +184,6 @@ class Crawler:
         self.fetcher = CorpusFetcher(source) if isinstance(source, Corpus) else source
         self.backend = backend
         self.graph = graph if graph is not None else SupplyChainGraph()
-        self.diagnostics = ParseDiagnostics()
 
     def run(self) -> tuple[SupplyChainGraph, CrawlReport]:
         started = time.monotonic()
@@ -241,6 +240,7 @@ class Crawler:
         entities: list[ExtractedEntity] = []
         parse_failures = 0
         backend_failures = 0
+        diagnostics = ParseDiagnostics()
         plan = segment_text(payload, self.config.token_budget)
         for i, segment in enumerate(plan.segments):
             request = BackendRequest(
@@ -254,7 +254,7 @@ class Crawler:
                 backend_failures += 1
                 continue
             try:
-                entities.extend(parse_entity_list(response.text, self.diagnostics))
+                entities.extend(parse_entity_list(response.text, diagnostics))
             except EmptyParse:
                 parse_failures += 1
         return _ArticleResult(article_id, entities, parse_failures, backend_failures)

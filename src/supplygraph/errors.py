@@ -51,15 +51,15 @@ class ScriptMiss(BackendUnavailable):
     """Scripted backend had no keyed entry and no way to synthesize one."""
 
 
-class DuplicateKey(SupplyGraphError):
+class DuplicateKey(ParseError):
     """A script or cassette file contains the same request key twice."""
 
 
 class CassetteWriteError(SupplyGraphError):
-    """Recording backend could not append to its cassette.
+    """Recording backend could not write its cassette.
 
     Not a BackendUnavailable: a cassette that cannot be written aborts a
-    record run instead of being counted as a failed call."""
+    recording run instead of being counted as a failed call."""
 
 
 class UnknownNode(SupplyGraphError):

@@ -22,16 +22,21 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     Raises ParseError with the path and line on bad JSON or a non-object row.
     """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", path=str(path), line=lineno)
-            yield lineno, record
+        yield from parse_jsonl(fh, path)
+
+
+def parse_jsonl(lines: Iterable[str], path: str) -> Iterator[tuple[int, dict]]:
+    """read_jsonl over lines already read from ``path``."""
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=lineno) from exc
+        if not isinstance(record, dict):
+            raise ParseError("record is not an object", path=str(path), line=lineno)
+        yield lineno, record
 
 
 @contextmanager

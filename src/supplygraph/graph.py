@@ -300,12 +300,17 @@ def save_state(graph: SupplyChainGraph, path: str) -> None:
     write_json(path, state)
 
 
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_state(path: str) -> SupplyChainGraph:
     """Load a graph saved by save_state; round-trips to an equal graph.
 
     Raises ParseError, naming the file, on a state save_state cannot write:
-    an edge or alias that points at no node, a self-loop, or an edge without
-    provenance.
+    a repeated node, node fields that are not lists of strings or of
+    [description, article id] pairs, an edge or alias that points at no
+    node, a self-loop, or an edge without provenance.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -322,8 +327,22 @@ def load_state(path: str) -> SupplyChainGraph:
         stopwords = StopwordLists(frozenset(state["stopwords"]["company_suffixes"]))
         graph = SupplyChainGraph(stopwords)
         for rec in state["nodes"]:
-            graph.nodes[rec["canonical_id"]] = EntityNode(
-                canonical_id=rec["canonical_id"],
+            cid = rec["canonical_id"]
+            if cid in graph.nodes:
+                raise ParseError(f"node {cid!r} repeats", path=str(path))
+            for name in ("aliases", "categories"):
+                if not _is_strings(rec[name]):
+                    raise ParseError(f"node {cid!r} {name} must be a list of strings",
+                                     path=str(path))
+            if not isinstance(rec["descriptions"], list) or not all(
+                _is_strings(p) and len(p) == 2 for p in rec["descriptions"]
+            ):
+                raise ParseError(
+                    f"node {cid!r} descriptions must be [description, article id] pairs",
+                    path=str(path),
+                )
+            graph.nodes[cid] = EntityNode(
+                canonical_id=cid,
                 display_name=rec["display_name"],
                 aliases=set(rec["aliases"]),
                 descriptions=[tuple(p) for p in rec["descriptions"]],

@@ -185,9 +185,9 @@ def test_acceptance_classification_roundtrip():
 
 def test_acceptance_determinism(tmp_path):
     with _criterion("5 determinism and replay"):
-        def crawl(out, backend, fmt="graphml", command="crawl"):
+        def crawl(out, backend, fmt="graphml", *extra):
             code = main([
-                command,
+                "crawl",
                 "--corpus", NEWS_PATH,
                 "--backend", backend,
                 "--out", str(out),
@@ -195,6 +195,7 @@ def test_acceptance_determinism(tmp_path):
                 "--year-start", "2019", "--year-end", "2021",
                 "--per-year-min", "1",
                 "--export-format", fmt,
+                *extra,
             ])
             assert code == 0
 
@@ -207,9 +208,10 @@ def test_acceptance_determinism(tmp_path):
             assert (out1 / f"graph.{fmt}").read_bytes() == (out2 / f"graph.{fmt}").read_bytes()
 
         recorded = tmp_path / "recorded"
-        crawl(recorded, f"script:{GAZETTEER_PATH}", command="record")
+        cassette = tmp_path / "cassette.jsonl"
+        crawl(recorded, f"script:{GAZETTEER_PATH}", "graphml", "--cassette", str(cassette))
         replayed = tmp_path / "replayed"
-        crawl(replayed, f"replay:{recorded / 'cassette.jsonl'}")
+        crawl(replayed, f"replay:{cassette}")
         assert (recorded / "graph.json").read_bytes() == (replayed / "graph.json").read_bytes()
         assert (recorded / "graph.graphml").read_bytes() == (replayed / "graph.graphml").read_bytes()
 

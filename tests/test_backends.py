@@ -268,7 +268,7 @@ def test_scripted_backend_token_accounting(gazetteer_backend):
 
 def _replay(path):
     """The backend that --backend replay:PATH builds."""
-    backend, input_path = _make_backend(f"replay:{path}", argparse.Namespace())
+    backend, input_path = _make_backend(f"replay:{path}", argparse.Namespace(cassette=None))
     assert input_path == str(path)
     assert isinstance(backend, ScriptedBackend) and backend.script.gazetteer == {}
     return backend

@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import GAZETTEER_PATH, LABELS_PATH, NEWS_PATH
 from supplygraph import cli
-from supplygraph.backends import BackendResponse, load_script
+from supplygraph.backends import BackendResponse, ScriptedBackend, load_script
 from supplygraph.cli import (
     EXIT_BACKEND,
     EXIT_BUDGET,
@@ -267,78 +269,85 @@ def test_crawl_export_format_flag(tmp_path):
     assert not (out / "graph.graphml").exists()
 
 
-# -- record and replay ------------------------------------------------------------
+# -- recording, replay and resume ---------------------------------------------------
+
+
+def _live_backend(monkeypatch, limit: int | None = None) -> SimpleNamespace:
+    """Turn script: backends into live stand-ins that count their calls and
+    raise KeyboardInterrupt on every call after the first ``limit``."""
+    counter = SimpleNamespace(calls=0)
+    lock = threading.Lock()
+
+    class Live(ScriptedBackend):
+        def complete(self, request):
+            with lock:
+                counter.calls += 1
+                if limit is not None and counter.calls > limit:
+                    raise KeyboardInterrupt
+            return super().complete(request)
+
+    monkeypatch.setattr(cli.be, "ScriptedBackend", Live)
+    return counter
+
+
+def _output_digests(out) -> list[str]:
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return [entry["sha256"] for entry in manifest["outputs"]]
+
+
+def _lines(path) -> int:
+    return len(path.read_text(encoding="utf-8").splitlines()) if path.exists() else 0
+
+
+def test_record_is_not_a_command(capsys):
+    # Recording is --cassette on crawl and classify, not a subcommand.
+    with pytest.raises(SystemExit) as exc:
+        main(["record"] + _crawl_args("out")[1:])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'record'" in capsys.readouterr().err
 
 
 def test_record_then_replay_matches(tmp_path):
     rec_out = tmp_path / "rec"
-    code = main([
-        "record",
-        "--corpus", NEWS_PATH,
-        "--backend", f"script:{GAZETTEER_PATH}",
-        "--out", str(rec_out),
-        "--seeds", "bechtel",
-        "--year-start", "2019", "--year-end", "2021", "--per-year-min", "1",
-    ])
-    assert code == EXIT_OK
-    cassette = rec_out / "cassette.jsonl"
-    assert cassette.is_file()
+    cassette = tmp_path / "cassette.jsonl"
+    assert _crawl(rec_out, cassette=cassette) == EXIT_OK
     assert len(load_script(str(cassette)).entries) == 36  # one per article
 
     replay_out = tmp_path / "replay"
-    code = main([
-        "crawl",
-        "--corpus", NEWS_PATH,
-        "--backend", f"replay:{cassette}",
-        "--out", str(replay_out),
-        "--seeds", "bechtel",
-        "--year-start", "2019", "--year-end", "2021", "--per-year-min", "1",
-    ])
-    assert code == EXIT_OK
+    assert _crawl(replay_out, backend=f"replay:{cassette}") == EXIT_OK
     assert (rec_out / "graph.json").read_bytes() == (replay_out / "graph.json").read_bytes()
     assert (rec_out / "graph.graphml").read_bytes() == (replay_out / "graph.graphml").read_bytes()
 
 
-def test_record_truncates_stale_cassette(tmp_path):
-    rec_out = tmp_path / "rec"
-    rec_out.mkdir()
-    stale = rec_out / "cassette.jsonl"
-    stale.write_text('{"key": "stale", "response": "junk"}\n', encoding="utf-8")
-    code = main([
-        "record",
-        "--corpus", NEWS_PATH,
-        "--backend", f"script:{GAZETTEER_PATH}",
-        "--out", str(rec_out),
-        "--seeds", "bechtel",
-        "--year-start", "2019", "--year-end", "2021", "--per-year-min", "1",
-    ])
-    assert code == EXIT_OK
-    assert "stale" not in load_script(str(stale)).entries
+def test_record_keeps_seeded_cassette_answers(tmp_path, monkeypatch):
+    full = tmp_path / "full.jsonl"
+    assert _crawl(tmp_path / "full", cassette=full) == EXIT_OK
+    cassette = tmp_path / "cassette.jsonl"
+    seeded = full.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    stale = '{"key": "stale", "response": "junk"}\n'
+    cassette.write_text(stale + seeded, encoding="utf-8")
+    live = _live_backend(monkeypatch)
+    assert _crawl(tmp_path / "rec", cassette=cassette) == EXIT_OK
+    assert live.calls == 35  # the seeded answer cost no call
+    # both seeded lines stay; "stale" sorts after every hex request key
+    assert cassette.read_text(encoding="utf-8") == full.read_text(encoding="utf-8") + stale
 
 
 def test_record_manifest_includes_cassette(tmp_path):
     rec_out = tmp_path / "rec"
-    code = main([
-        "record",
-        "--corpus", NEWS_PATH,
-        "--backend", f"script:{GAZETTEER_PATH}",
-        "--out", str(rec_out),
-        "--seeds", "bechtel",
-        "--year-start", "2019", "--year-end", "2021", "--per-year-min", "1",
-    ])
-    assert code == EXIT_OK
+    assert _crawl(rec_out, cassette=rec_out / "cassette.jsonl") == EXIT_OK
     manifest = json.loads((rec_out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["command"] == "record"
-    assert manifest["backend"] == f"record:script:{GAZETTEER_PATH}"
+    assert manifest["command"] == "crawl"
+    assert manifest["backend"] == f"script:{GAZETTEER_PATH}"
     output_paths = [entry["path"] for entry in manifest["outputs"]]
-    assert any(p.endswith("cassette.jsonl") for p in output_paths)
+    assert output_paths[-1] == str(rec_out / "cassette.jsonl")
 
 
 def test_parallel_record_cassette_bytes_are_stable(tmp_path):
     cassettes = []
     for run in ("a", "b"):
         out = tmp_path / run
-        assert main(["record"] + _crawl_args(out, parallelism=4)[1:]) == EXIT_OK
+        assert _crawl(out, parallelism=4, cassette=out / "cassette.jsonl") == EXIT_OK
         cassettes.append((out / "cassette.jsonl").read_bytes())
     assert cassettes[0] == cassettes[1]
     keys = [json.loads(line)["key"] for line in cassettes[0].decode("utf-8").splitlines()]
@@ -347,6 +356,86 @@ def test_parallel_record_cassette_bytes_are_stable(tmp_path):
     assert sorted(os.listdir(tmp_path / "a")) == [
         "cassette.jsonl", "crawl_report.json", "graph.graphml", "graph.json", "manifest.json",
     ]
+
+
+def test_budgeted_parallel_recording_replays_as_sequential_crawl(tmp_path):
+    # Keywords harvested past the budget make this cassette's length depend
+    # on timing; what it replays does not.
+    cassette = tmp_path / "cassette.jsonl"
+    assert _crawl(tmp_path / "rec", parallelism=4, max_nodes=9, cassette=cassette) == EXIT_OK
+    assert _crawl(tmp_path / "seq", max_nodes=9) == EXIT_OK
+    assert _crawl(tmp_path / "replay", max_nodes=9, backend=f"replay:{cassette}") == EXIT_OK
+    for name in ("graph.json", "graph.graphml"):
+        assert (tmp_path / "replay" / name).read_bytes() == (tmp_path / "seq" / name).read_bytes()
+    assert _output_digests(tmp_path / "replay") == _output_digests(tmp_path / "seq")
+
+
+def _check_resume(tmp_path, monkeypatch, run) -> int:
+    """Interrupt ``run(out, cassette)`` after k live calls, rerun it with the
+    same cassette, and compare with an uninterrupted run; its call count."""
+    full = _live_backend(monkeypatch)
+    assert run(tmp_path / "full", tmp_path / "full.jsonl") == EXIT_OK
+    for k in (0, 1, 7, 20, 35):
+        out, cassette = tmp_path / f"run{k}", tmp_path / f"cassette{k}.jsonl"
+        _live_backend(monkeypatch, limit=k)
+        with pytest.raises(KeyboardInterrupt):
+            run(out, cassette)
+        assert _lines(cassette) == k
+        live = _live_backend(monkeypatch)
+        assert run(out, cassette) == EXIT_OK
+        assert live.calls == full.calls - k, k
+        assert _output_digests(out) == _output_digests(tmp_path / "full"), k
+    return full.calls
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_interrupted_crawl_resumes_from_cassette(tmp_path, monkeypatch, parallelism):
+    def crawl(out, cassette):
+        return _crawl(out, parallelism=parallelism, cassette=cassette)
+
+    assert _check_resume(tmp_path, monkeypatch, crawl) == 36
+
+
+def test_interrupted_classify_resumes_from_cassette(tmp_path, monkeypatch, crawled_state):
+    def classify(out, cassette):
+        return main(["classify", "--state", crawled_state, "--backend", f"script:{GAZETTEER_PATH}",
+                     "--out", str(out), "--cassette", str(cassette)])
+
+    assert _check_resume(tmp_path, monkeypatch, classify) > 35
+
+
+@pytest.mark.parametrize("cut", [1, 20], ids=["newline", "mid-line"])
+def test_cassette_torn_last_line_is_dropped(tmp_path, monkeypatch, cut):
+    full = _live_backend(monkeypatch)
+    assert _crawl(tmp_path / "full", cassette=tmp_path / "full.jsonl") == EXIT_OK
+    out, cassette = tmp_path / "run", tmp_path / "cassette.jsonl"
+    _live_backend(monkeypatch, limit=7)
+    with pytest.raises(KeyboardInterrupt):
+        _crawl(out, cassette=cassette)
+    cassette.write_bytes(cassette.read_bytes()[:-cut])  # the last append was torn
+    # A second interruption: its appends must not join the torn line.
+    _live_backend(monkeypatch, limit=2)
+    with pytest.raises(KeyboardInterrupt):
+        _crawl(out, cassette=cassette)
+    live = _live_backend(monkeypatch)
+    assert _crawl(out, cassette=cassette) == EXIT_OK
+    assert live.calls == full.calls - 8
+    assert _output_digests(out) == _output_digests(tmp_path / "full")
+
+
+@pytest.mark.parametrize("content, message", [
+    (open(GAZETTEER_PATH, encoding="utf-8").read(), "gazetteer row; is it a script file? ({}:1)"),
+    ('{"key": "a", "response": "x"}\nnot json\n{"key": "b", "respo',
+     "bad JSON: Expecting value ({}:2)"),
+], ids=["script-file", "bad-line-before-last"])
+def test_bad_cassette_exits_config_unchanged(tmp_path, capsys, content, message):
+    cassette = tmp_path / "cassette.jsonl"
+    cassette.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    assert _crawl(out, cassette=cassette) == EXIT_CONFIG
+    assert cassette.read_text(encoding="utf-8") == content
+    assert message.format(cassette) in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- classify ------------------------------------------------------------------------

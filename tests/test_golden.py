@@ -1,8 +1,8 @@
 """Golden digests of the fixture pipeline: the determinism contract as a check.
 
-Runs crawl, a parallel budgeted record, classify, export in every format,
-subgraph and evaluate over tests/fixtures, then compares every manifest
-output digest with the committed values. The crawl report's digest already
+Runs crawl, a parallel budgeted crawl that records a cassette, classify,
+export in every format, subgraph and evaluate over tests/fixtures, then
+compares every manifest output digest with the committed values. The crawl report's digest already
 excludes duration_ms, and manifests themselves (created_at, absolute paths)
 are not compared. A change that alters any output byte fails here.
 """
@@ -53,7 +53,9 @@ def _pipeline_digests(tmp_path) -> dict[str, str]:
         digests.update(_manifest_digests(tmp_path / step, step))
 
     run("crawl", _crawl_args(tmp_path / "crawl"))
-    run("record", ["record"] + _crawl_args(tmp_path / "record", parallelism=4, max_nodes=5)[1:])
+    record = tmp_path / "record"
+    run("record", _crawl_args(record, parallelism=4, max_nodes=5,
+                              cassette=record / "cassette.jsonl"))
     state = str(tmp_path / "crawl" / "graph.json")
     run("classify", ["classify", "--state", state, "--backend", f"script:{GAZETTEER_PATH}",
                      "--out", str(tmp_path / "classify")])

@@ -545,8 +545,17 @@ def test_load_state_malformed_nodes(tmp_path):
         (lambda s: s["edges"][0].update(target=s["edges"][0]["source"]), "self-loop"),
         (lambda s: s["alias_table"].update(stray="ghost"), "unknown node 'ghost'"),
         (lambda s: s.update(alias_table=[["a", "b", "c"]]), "alias_table must be an object"),
+        (lambda s: s["nodes"].append(dict(s["nodes"][0])), "node 'alpha co' repeats"),
+        (lambda s: s["nodes"][0].update(aliases="abc"), "aliases must be a list of strings"),
+        (lambda s: s["nodes"][0].update(categories="legal counsel"),
+         "categories must be a list of strings"),
+        (lambda s: s["nodes"][0].update(descriptions=["xy"]), "[description, article id] pairs"),
+        (lambda s: s["nodes"][0].update(descriptions=[["d", "art-1", "extra"]]),
+         "[description, article id] pairs"),
     ],
-    ids=["edge-end", "empty-provenance", "self-loop", "alias-target", "alias-table-list"],
+    ids=["edge-end", "empty-provenance", "self-loop", "alias-target", "alias-table-list",
+         "repeated-node", "aliases-string", "categories-string", "description-string",
+         "description-triple"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
