@@ -54,12 +54,20 @@ ENDPOINT_ENV = "SUPPLYGRAPH_ENDPOINT"
 API_KEY_ENV = "SUPPLYGRAPH_API_KEY"
 MODEL_ENV = "SUPPLYGRAPH_MODEL"
 
+# HttpBackend's default cap on calls in flight, and how many questions
+# classify asks at once when its calls wait on the network. One number, so
+# the backend's semaphore stays the one real cap: a backend built with a
+# smaller in_flight admits fewer, and a wider classify would only queue on it.
+IN_FLIGHT = 8
+
 _QUESTION_RE = re.compile(
     r"^Is this entity (?P<name>.+) mentioned in the description belonging to a "
     r"(?P<category>.+)\?$",
     re.DOTALL,
 )
 _WORD_RE = re.compile(r"\w+")
+# Retry-After as delay-seconds; an HTTP-date or any other form is ignored.
+_DELAY_SECONDS_RE = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -322,6 +330,13 @@ class RecordingBackend:
                 raise CassetteWriteError(f"cannot rewrite {self.cassette_path}: {exc}") from exc
 
 
+def _retry_after_s(header: str | None) -> float:
+    """Seconds a Retry-After header asks for; 0 when absent or not delay-seconds."""
+    if header is None or not _DELAY_SECONDS_RE.fullmatch(header.strip()):
+        return 0.0
+    return float(header.strip())  # a float, so a huge value is inf, not an error
+
+
 class HttpBackend:
     """Chat-completion HTTP client with bounded retries and in-flight cap.
 
@@ -330,7 +345,9 @@ class HttpBackend:
     choices[0].message.content reply shape. The API key is sent as a bearer
     token and never logged. Each attempt opens its own connection through
     urllib, which honours HTTP(S)_PROXY and NO_PROXY and checks HTTPS
-    certificates against the system CA store.
+    certificates against the system CA store. A 429 or 503 whose Retry-After
+    gives delay-seconds waits that long before the next attempt, if longer
+    than the backoff, but never past the longest backoff step.
     """
 
     def __init__(
@@ -341,7 +358,7 @@ class HttpBackend:
         timeout_s: float = 30.0,
         retry_cap: int = 3,
         backoff_base_s: float = 0.5,
-        in_flight: int = 8,
+        in_flight: int = IN_FLIGHT,
     ):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
@@ -401,14 +418,17 @@ class HttpBackend:
         body = json.dumps(self._payload(request), allow_nan=False).encode("utf-8")
         attempts = 1 + self.retry_cap
         last_error = "unknown"
+        # What the last 429 or 503 asked for, capped at the longest backoff step.
+        retry_after = 0.0
         for attempt in range(attempts):
             if attempt:
                 delay = self.backoff_base_s * (2 ** (attempt - 1))
-                time.sleep(delay + self._rng.uniform(0, self.backoff_base_s))
+                time.sleep(max(delay + self._rng.uniform(0, self.backoff_base_s), retry_after))
+                retry_after = 0.0
             started = time.monotonic()
             try:
                 with self._slots:
-                    status, raw = self._post(body, headers)
+                    status, raw, retry_header = self._post(body, headers)
             except (OSError, http.client.HTTPException) as exc:
                 # URLError, an OSError, wraps the socket error behind it.
                 reason = getattr(exc, "reason", exc)
@@ -418,6 +438,9 @@ class HttpBackend:
                 log.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
                 continue
             if status == 429 or status >= 500:
+                if status in (429, 503):
+                    retry_after = min(_retry_after_s(retry_header),
+                                      self.backoff_base_s * 2 ** max(0, self.retry_cap - 1))
                 last_error = f"HTTP {status}"
                 log.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
                 continue
@@ -430,15 +453,16 @@ class HttpBackend:
             f"backend unreachable after {attempts} attempts: {last_error}", attempts=attempts
         )
 
-    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
-        """POST once on a new connection; the status, and the body of a 2xx reply."""
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes, str | None]:
+        """POST once on a new connection; the status, the body of a 2xx reply,
+        and the Retry-After header of an error reply."""
         req = urllib.request.Request(self.endpoint, data=body, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return resp.status, resp.read()
+                return resp.status, resp.read(), None
         except urllib.error.HTTPError as exc:
             exc.close()
-            return exc.code, b""
+            return exc.code, b"", exc.headers.get("Retry-After")
 
     def _parse(self, raw: bytes, started: float, attempts: int) -> BackendResponse:
         latency_ms = int((time.monotonic() - started) * 1000)

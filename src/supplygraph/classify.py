@@ -11,12 +11,15 @@ per-category, macro, and micro metrics.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
+import threading
+import time
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
-from .backends import Backend, BackendRequest
+from .backends import IN_FLIGHT, Backend, BackendRequest
 from .errors import (
     AmbiguousAnswer,
     DegenerateClass,
@@ -44,6 +47,15 @@ DEFAULT_CATEGORIES = (
 )
 
 DATASET_FIELDS = ("entity_id", "category", "gold", "description")
+
+# A question that took longer than this waited on something outside the
+# process: scripted and replayed answers take about 20 us, a call to an HTTP
+# endpoint milliseconds. Helper threads start only after two such questions
+# in a row, since starting and joining one costs about 0.1 ms, more than an
+# offline answer. One is not enough: on a busy host a garbage collection or
+# the scheduler now and then stalls one offline question for milliseconds,
+# but a network wait slows every question.
+SLOW_QUESTION_S = 0.001
 
 # (entity_id, category) -> yes/no answer, or None when undetermined.
 Answers = dict[tuple[str, str], bool | None]
@@ -173,28 +185,83 @@ def classify_entity(
     reasoning preamble; a second ambiguity leaves the answer None
     (undetermined).
     """
+    description = _description(entity, token_budget)
+    return {
+        category: _ask(backend, entity.canonical_id, description, category)
+        for category in taxonomy
+    }
+
+
+def _description(entity: EntityNode, token_budget: int) -> str:
     if not entity.descriptions:
         raise ValueError(f"entity {entity.canonical_id!r} has no descriptions")
-    description = truncate_to_budget(
+    return truncate_to_budget(
         " ".join(text for _, text in reversed(entity.descriptions)), token_budget
     )
-    answers: dict[str, bool | None] = {}
-    for category in taxonomy:
-        answer: bool | None = None
-        for reasoning in (False, True):
-            prompt = build_classification_prompt(
-                entity.canonical_id, description, category, reasoning=reasoning
-            )
-            response = backend.complete(BackendRequest(
-                prompt=prompt,
-                request_tag=f"classify:{entity.canonical_id}:{category}",
-            ))
+
+
+def _ask(backend: Backend, cid: str, description: str, category: str) -> bool | None:
+    """One membership question, with its one retry on an ambiguous answer."""
+    for reasoning in (False, True):
+        prompt = build_classification_prompt(cid, description, category, reasoning=reasoning)
+        response = backend.complete(BackendRequest(
+            prompt=prompt, request_tag=f"classify:{cid}:{category}",
+        ))
+        try:
+            return parse_yes_no(response.text)
+        except AmbiguousAnswer:
+            continue
+    return None
+
+
+def _ask_all(backend: Backend, questions: Sequence[tuple[str, str, str]]) -> list[bool | None]:
+    """Answer every (entity, description, category) question; answers by index.
+
+    The calling thread answers them in order. Once two in a row have taken
+    longer than SLOW_QUESTION_S, IN_FLIGHT - 1 helper threads join in. Every
+    thread takes the next index from one shared counter, so each question
+    has a single owner. An error, interrupts included, stops every thread
+    from taking a new question; once all have stopped, the error of the
+    lowest index is raised. Every index below it was taken before it, so
+    this is the error a sequential run meets first.
+    """
+    answers: list[bool | None] = [None] * len(questions)
+    errors: dict[int, BaseException] = {}
+    stop = threading.Event()
+    indices = itertools.count()
+    helpers: list[threading.Thread] = []
+
+    def work(watch: bool) -> None:
+        slow_before = False
+        for i in indices:
+            if i >= len(questions) or stop.is_set():
+                return
+            started = time.perf_counter()
             try:
-                answer = parse_yes_no(response.text)
-                break
-            except AmbiguousAnswer:
+                answers[i] = _ask(backend, *questions[i])
+            except BaseException as exc:  # re-raised by the calling thread
+                errors[i] = exc
+                stop.set()
+                return
+            if not watch:
                 continue
-        answers[category] = answer
+            slow = time.perf_counter() - started > SLOW_QUESTION_S
+            if slow and slow_before:
+                watch = False
+                for _ in range(IN_FLIGHT - 1):
+                    helper = threading.Thread(target=work, args=(False,), name="classify")
+                    helper.start()
+                    helpers.append(helper)
+            slow_before = slow
+
+    try:
+        work(True)
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
     return answers
 
 
@@ -234,18 +301,28 @@ def classify_graph(
     """Classify every node with descriptions and annotate its categories.
 
     Nodes without descriptions are skipped and reported. Entities answering
-    No everywhere stay unlabeled.
+    No everywhere stay unlabeled. Questions go out concurrently once calls
+    wait on the network (see _ask_all); the answers and labels are built in
+    sorted order after the last one, so they do not depend on timing, and a
+    run that raises labels no node.
     """
-    answers: Answers = {}
     skipped: list[str] = []
+    classified: list[str] = []
+    questions: list[tuple[str, str, str]] = []
     for cid in sorted(graph.nodes):
         node = graph.nodes[cid]
         if not node.descriptions:
             skipped.append(cid)
             continue
-        by_category = classify_entity(node, taxonomy, backend, token_budget=token_budget)
-        node.categories = {category for category, answer in by_category.items() if answer}
-        answers.update(((cid, category), answer) for category, answer in by_category.items())
+        classified.append(cid)
+        description = _description(node, token_budget)
+        questions.extend((cid, description, category) for category in taxonomy)
+    answers: Answers = {
+        (cid, category): answer
+        for (cid, _, category), answer in zip(questions, _ask_all(backend, questions))
+    }
+    for cid in classified:
+        graph.nodes[cid].categories = {c for c in taxonomy if answers[(cid, c)]}
     return ClassificationOutcome(answers=answers, skipped_no_description=skipped)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 
 import pytest
 
@@ -19,6 +20,16 @@ TRUTH_PATH = os.path.join(FIXTURES, "news_mentions.json")
 GAZETTEER_PATH = os.path.join(FIXTURES, "gazetteer.jsonl")
 DEDUP_NEWS_PATH = os.path.join(FIXTURES, "dedup_news.jsonl")
 LABELS_PATH = os.path.join(FIXTURES, "labels.jsonl")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test after which a non-daemon thread it started still runs,
+    such as a crawl pool worker or a classify helper never joined."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate() if t not in before and not t.daemon]
+    assert not leaked, f"threads left running: {leaked}"
 
 
 @pytest.fixture(scope="session")

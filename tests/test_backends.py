@@ -417,6 +417,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     requests_seen = []
     reply = _STUB_REPLY  # body of every 200 reply; bytes are sent as they are
     error_body = b""  # body of every non-200 reply
+    retry_after = None  # Retry-After header of every non-200 reply, if set
     slow_s = 0.5
 
     def do_POST(self):
@@ -435,6 +436,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             status = 200
         if status != 200:
             self.send_response(status)
+            if self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
             if self.error_body:
                 self.send_header("Content-Length", str(len(self.error_body)))
             self.end_headers()
@@ -464,6 +467,7 @@ def http_stub():
     _StubHandler.requests_seen = []
     _StubHandler.reply = _STUB_REPLY
     _StubHandler.error_body = b""
+    _StubHandler.retry_after = None
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
@@ -562,6 +566,44 @@ def test_http_backend_retries_then_succeeds(http_stub):
     response = backend.complete(_classify_request("acme", "builds", "legal counsel"))
     assert response.text == "Yes"
     assert len(_StubHandler.requests_seen) == 3
+
+
+@pytest.mark.parametrize("status, header, waited", [
+    (503, "1", 1.0),  # longer than the first backoff step
+    (429, "2", 2.0),
+    (503, "7", 2.0),  # capped at the longest step: 0.5 * 2 ** (3 - 1)
+    (503, "0", None),  # shorter than the backoff
+    (503, "soon", None),
+    (503, "1.5", None),
+    (503, "-1", None),
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT", None),  # HTTP-date: not read
+    (503, "9" * 5000, 2.0),
+    (500, "2", None),  # only 429 and 503 carry it
+], ids=["longer", "429", "capped", "shorter", "word", "fraction", "negative", "http-date",
+        "huge", "500"])
+def test_http_backend_honours_retry_after(http_stub, monkeypatch, status, header, waited):
+    _StubHandler.plan = [status, 200]
+    _StubHandler.retry_after = header
+    sleeps = []
+    monkeypatch.setattr("supplygraph.backends.time.sleep", sleeps.append)
+    backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0.5)
+    assert backend.complete(_classify_request("acme", "builds", "legal counsel")).text == "Yes"
+    (slept,) = sleeps
+    if waited is None:  # the first backoff step, 0.5 s, plus up to 0.5 s of jitter
+        assert 0.5 <= slept <= 1.0
+    else:
+        assert slept == waited
+
+
+def test_http_backend_retry_after_applies_to_the_next_attempt_only(http_stub, monkeypatch):
+    _StubHandler.plan = [503, "drop", 200]
+    _StubHandler.retry_after = "2"
+    sleeps = []
+    monkeypatch.setattr("supplygraph.backends.time.sleep", sleeps.append)
+    backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0.5)
+    assert backend.complete(_classify_request("acme", "builds", "legal counsel")).text == "Yes"
+    assert sleeps[0] == 2.0
+    assert 1.0 <= sleeps[1] <= 1.5  # the second backoff step and jitter
 
 
 def test_http_backend_exhausts_retry_cap(http_stub):

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+import time
 
 import pytest
 
 import oracles
 from conftest import LABELS_PATH
-from supplygraph.backends import BackendResponse
+from supplygraph import classify as classify_module
+from supplygraph.backends import IN_FLIGHT, BackendResponse
 from supplygraph.classify import (
     DEFAULT_CATEGORIES,
     CategoryTaxonomy,
@@ -25,6 +29,7 @@ from supplygraph.classify import (
     load_predictions,
 )
 from supplygraph.errors import (
+    BackendUnavailable,
     DegenerateClass,
     EmptyInput,
     LengthMismatch,
@@ -200,6 +205,140 @@ def test_classify_graph_annotates_and_skips(gazetteer_backend, gazetteer):
     assert report["unlabeled_count"] == 0
     assert report["labels"]["aecom"] == ["engineering consulting"]
     assert report["undetermined"] == {}
+
+
+class _Gazetteer:
+    """Gazetteer answers after ``delay_s``, made ambiguous for two categories
+    ("legal counsel" without the reasoning preamble, "insurance provider"
+    always). ``fail`` maps an (entity, category) pair to an error and a
+    delay: its question raises that error after that delay. Counts the calls
+    in flight at once and lists the errors raised, in time order."""
+
+    def __init__(self, inner, delay_s=0.0, fail=()):
+        self.inner = inner
+        self.delay_s = delay_s
+        self.fail = dict(fail)
+        self.raised = []
+        self.calls = self.in_flight = self.most_in_flight = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        try:
+            name, category = request.request_tag.split(":")[1:]
+            if (name, category) in self.fail:
+                error, delay_s = self.fail[(name, category)]
+                time.sleep(delay_s)
+                self.raised.append(error)
+                raise error
+            time.sleep(self.delay_s)
+            question = request.prompt.question
+            if category == "insurance provider" or (
+                category == "legal counsel" and not question.startswith(REASONING_PREAMBLE)
+            ):
+                return BackendResponse(text="maybe", input_tokens=1, output_tokens=1)
+            return self.inner.complete(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _gazetteer_graph(gazetteer):
+    graph = SupplyChainGraph()
+    for i, (name, entry) in enumerate(sorted(gazetteer.items())):
+        graph.upsert_entity(name, entry["description"], f"a-{i}")
+    graph.upsert_entity("mystery co")  # no description: skipped
+    return graph
+
+
+def _classified(graph, backend, tmp_path, name):
+    taxonomy = CategoryTaxonomy()
+    outcome = classify_graph(graph, taxonomy, backend)
+    dump_predictions(outcome.answers, str(tmp_path / name))
+    return (
+        list(outcome.answers.items()),
+        {cid: node.categories for cid, node in graph.nodes.items()},
+        json.dumps(outcome.to_report(taxonomy)),
+        (tmp_path / name).read_bytes(),
+    )
+
+
+def test_classify_graph_concurrent_matches_sequential(gazetteer_backend, gazetteer, tmp_path):
+    sequential = _classified(_gazetteer_graph(gazetteer), _Gazetteer(gazetteer_backend),
+                             tmp_path, "sequential.jsonl")
+    slow = _Gazetteer(gazetteer_backend, delay_s=0.003)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to expose lost updates
+    try:
+        concurrent = _classified(_gazetteer_graph(gazetteer), slow, tmp_path, "concurrent.jsonl")
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 < slow.most_in_flight <= IN_FLIGHT
+    assert concurrent == sequential
+    answers, categories, _, _ = sequential
+    assert len(answers) == 12 * 9
+    assert categories["aecom"] == {"engineering consulting"}
+    assert categories["mystery co"] == set()
+    assert sum(answer is None for _, answer in answers) == 12  # insurance provider
+
+
+@pytest.mark.parametrize("stall", [None, ("bechtel", "legal counsel")], ids=["fast", "one-stall"])
+def test_classify_graph_offline_backend_starts_no_thread(gazetteer_backend, gazetteer,
+                                                        monkeypatch, stall):
+    # One question stalled past SLOW_QUESTION_S, as a busy host now and then
+    # stalls one, is not a network wait.
+    class Stalling:
+        def complete(self, request):
+            if request.request_tag.split(":")[1:] == list(stall or ()):
+                time.sleep(0.005)
+            return gazetteer_backend.complete(request)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("classify started a thread")
+
+    monkeypatch.setattr(classify_module.threading, "Thread", no_thread)
+    graph = _gazetteer_graph(gazetteer)
+    classify_graph(graph, CategoryTaxonomy(), Stalling())
+    assert graph.nodes["bechtel"].categories == {"construction contractor"}
+
+
+@pytest.mark.parametrize("delay_s", [0.0, 0.003], ids=["sequential", "concurrent"])
+def test_classify_graph_raises_lowest_index_error_and_labels_nothing(
+    gazetteer_backend, gazetteer, delay_s
+):
+    # "aecom" sorts before "txdot"; when questions run concurrently, its
+    # error comes last in time.
+    first = BackendUnavailable("aecom failed")
+    later = BackendUnavailable("txdot failed")
+    backend = _Gazetteer(gazetteer_backend, delay_s=delay_s, fail={
+        ("aecom", "legal counsel"): (first, 0.5),
+        ("txdot", "equipment lessor"): (later, 0.0),
+    })
+    graph = _gazetteer_graph(gazetteer)
+    with pytest.raises(BackendUnavailable) as err:
+        classify_graph(graph, CategoryTaxonomy(), backend)
+    assert err.value is first
+    if delay_s:
+        assert backend.raised == [later, first]
+    assert all(not node.categories for node in graph.nodes.values())
+
+
+def test_classify_graph_interrupt_in_a_helper_reaches_the_caller(gazetteer_backend, gazetteer):
+    class InterruptHelper(_Gazetteer):
+        def complete(self, request):
+            if threading.current_thread() is not threading.main_thread():
+                raise KeyboardInterrupt
+            return super().complete(request)
+
+    backend = InterruptHelper(gazetteer_backend, delay_s=0.003)
+    graph = _gazetteer_graph(gazetteer)
+    with pytest.raises(KeyboardInterrupt):
+        classify_graph(graph, CategoryTaxonomy(), backend)
+    assert backend.calls < 12 * 9
+    assert all(not node.categories for node in graph.nodes.values())
 
 
 def test_classification_outcome_predictions_and_undetermined():

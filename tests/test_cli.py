@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -272,18 +273,21 @@ def test_crawl_export_format_flag(tmp_path):
 # -- recording, replay and resume ---------------------------------------------------
 
 
-def _live_backend(monkeypatch, limit: int | None = None) -> SimpleNamespace:
+def _live_backend(monkeypatch, limit: int | None = None, delay_s: float = 0.0) -> SimpleNamespace:
     """Turn script: backends into live stand-ins that count their calls and
-    raise KeyboardInterrupt on every call after the first ``limit``."""
-    counter = SimpleNamespace(calls=0)
+    the threads making them, raise KeyboardInterrupt on every call after the
+    first ``limit`` and take ``delay_s`` over every other."""
+    counter = SimpleNamespace(calls=0, threads=set())
     lock = threading.Lock()
 
     class Live(ScriptedBackend):
         def complete(self, request):
             with lock:
                 counter.calls += 1
+                counter.threads.add(threading.get_ident())
                 if limit is not None and counter.calls > limit:
                     raise KeyboardInterrupt
+            time.sleep(delay_s)
             return super().complete(request)
 
     monkeypatch.setattr(cli.be, "ScriptedBackend", Live)
@@ -402,6 +406,30 @@ def test_interrupted_classify_resumes_from_cassette(tmp_path, monkeypatch, crawl
                      "--out", str(out), "--cassette", str(cassette)])
 
     assert _check_resume(tmp_path, monkeypatch, classify) > 35
+
+
+def test_interrupted_concurrent_classify_resumes_from_cassette(tmp_path, monkeypatch,
+                                                              crawled_state):
+    # Slow answers make classify ask concurrently; the interrupt then lands
+    # in one thread while others finish and record the calls they took.
+    def classify(out, cassette):
+        return main(["classify", "--state", crawled_state, "--backend", f"script:{GAZETTEER_PATH}",
+                     "--out", str(out), "--cassette", str(cassette)])
+
+    full = _live_backend(monkeypatch)
+    assert classify(tmp_path / "full", tmp_path / "full.jsonl") == EXIT_OK
+    for k in (1, 7, 20):
+        out, cassette = tmp_path / f"run{k}", tmp_path / f"cassette{k}.jsonl"
+        _live_backend(monkeypatch, limit=k, delay_s=0.003)
+        with pytest.raises(KeyboardInterrupt):
+            classify(out, cassette)
+        recorded = _lines(cassette)
+        assert recorded >= k
+        live = _live_backend(monkeypatch, delay_s=0.003)
+        assert classify(out, cassette) == EXIT_OK
+        assert len(live.threads) > 1
+        assert live.calls == full.calls - recorded, k
+        assert _output_digests(out) == _output_digests(tmp_path / "full"), k
 
 
 @pytest.mark.parametrize("cut", [1, 20], ids=["newline", "mid-line"])

@@ -552,10 +552,16 @@ def test_load_state_malformed_nodes(tmp_path):
         (lambda s: s["nodes"][0].update(descriptions=["xy"]), "[description, article id] pairs"),
         (lambda s: s["nodes"][0].update(descriptions=[["d", "art-1", "extra"]]),
          "[description, article id] pairs"),
+        (lambda s: s["edges"][0].update(provenance="art-1"),
+         "provenance must be a list of strings"),
+        (lambda s: s["edges"][0].update(provenance=["art-1", 2]),
+         "provenance must be a list of strings"),
+        (lambda s: s["stopwords"].update(company_suffixes="inc"),
+         "company_suffixes must be a list of strings"),
     ],
     ids=["edge-end", "empty-provenance", "self-loop", "alias-target", "alias-table-list",
          "repeated-node", "aliases-string", "categories-string", "description-string",
-         "description-triple"],
+         "description-triple", "provenance-string", "provenance-number", "suffixes-string"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
