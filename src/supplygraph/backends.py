@@ -139,14 +139,16 @@ def _parse_gazetteer(record: dict, path: str, lineno: int) -> dict[str, Gazettee
                 f"gazetteer entry for {name!r} needs description and categories",
                 path=path, line=lineno,
             )
-        if not isinstance(entry["description"], str) or not isinstance(entry["categories"], list):
+        categories = entry["categories"]
+        if (not isinstance(entry["description"], str) or not isinstance(categories, list)
+                or not all(isinstance(c, str) for c in categories)):
             raise ParseError(
                 f"gazetteer entry for {name!r} has wrong field types",
                 path=path, line=lineno,
             )
         gazetteer[name] = GazetteerEntry(
             description=entry["description"],
-            categories=frozenset(entry["categories"]),
+            categories=frozenset(categories),
         )
     return gazetteer
 

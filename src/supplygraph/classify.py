@@ -421,8 +421,12 @@ def downsample_balanced(
 
 
 def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) -> list[LabeledExample]:
-    """Load a JSONL labeled dataset of (entity_id, category, gold, description)."""
+    """Load a JSONL labeled dataset of (entity_id, category, gold, description).
+
+    Raises ParseError at a row that repeats an (entity_id, category) pair.
+    """
     examples: list[LabeledExample] = []
+    seen: set[tuple[str, str]] = set()
     for lineno, record in read_jsonl(path):
         missing = [f for f in DATASET_FIELDS if f not in record]
         if missing:
@@ -436,6 +440,10 @@ def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) ->
             raise ParseError(
                 f"category {record['category']!r} not in taxonomy", path=str(path), line=lineno
             )
+        pair = (record["entity_id"], record["category"])
+        if pair in seen:
+            raise ParseError(f"repeated label for {pair}", path=str(path), line=lineno)
+        seen.add(pair)
         examples.append(LabeledExample(
             entity_id=record["entity_id"],
             category=record["category"],

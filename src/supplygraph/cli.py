@@ -58,11 +58,15 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+# Wall-clock report fields: zeroed in the digested form so identical runs
+# produce identical manifests.
+_REPORT_DIGEST_EXCLUDES = ["duration_ms"]
+
+
 def _report_digest(report: dict) -> str:
-    # duration_ms is wall clock; it is zeroed in the digested form so
-    # identical runs produce identical manifests.
     canonical = dict(report)
-    canonical["duration_ms"] = 0
+    for key in _REPORT_DIGEST_EXCLUDES:
+        canonical[key] = 0
     return hashlib.sha256(
         json.dumps(canonical, sort_keys=True, ensure_ascii=False).encode("utf-8")
     ).hexdigest()
@@ -190,7 +194,8 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     outputs = [
         _output_entry(state_path),
         _output_entry(export_path),
-        _output_entry(report_path, digest=_report_digest(report_dict), excludes=["duration_ms"]),
+        _output_entry(report_path, digest=_report_digest(report_dict),
+                      excludes=_REPORT_DIGEST_EXCLUDES),
     ]
     _write_manifest(args, config.to_dict(), inputs, outputs, backend)
 
@@ -268,13 +273,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         payload["rng_seed"] = args.rng_seed
     write_json(metrics_path, payload)
 
-    inputs = [args.dataset]
-    if args.predictions:
-        inputs.append(args.predictions)
-    else:
-        inputs.append(args.state)
-    if args.taxonomy:
-        inputs.append(args.taxonomy)
+    inputs = [p for p in (args.dataset, args.predictions, args.state, args.taxonomy) if p]
     _write_manifest(
         args,
         {"balanced": bool(args.balanced), "rng_seed": args.rng_seed},

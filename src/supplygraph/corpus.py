@@ -105,7 +105,8 @@ def preprocess_text(body: str) -> str:
 
 
 class Corpus:
-    """An ordered, immutable-after-load collection of articles.
+    """An ordered, immutable-after-load collection of articles, and the
+    ArticleFetcher a crawl searches.
 
     Keeps a keyword index mapping retrieved_for_keyword values to article ids
     in insertion order.
@@ -123,11 +124,10 @@ class Corpus:
         self._by_id[article.id] = article
         self.keyword_index.setdefault(article.retrieved_for_keyword, []).append(article.id)
 
-    def get(self, article_id: str) -> Article:
-        return self._by_id[article_id]
-
-    def for_keyword(self, keyword: str) -> list[Article]:
-        return [self._by_id[aid] for aid in self.keyword_index.get(keyword, [])]
+    def search(self, keyword: str, year: int, limit: int) -> list[Article]:
+        """The first ``limit`` articles retrieved for keyword and published in year."""
+        articles = (self._by_id[aid] for aid in self.keyword_index.get(keyword, ()))
+        return [a for a in articles if a.published_year == year][:limit]
 
     def __len__(self) -> int:
         return len(self.articles)
@@ -190,33 +190,23 @@ class ArticleFetcher(Protocol):
     def search(self, keyword: str, year: int, limit: int) -> list[Article]: ...
 
 
-class CorpusFetcher:
-    """Fetcher backed by a local corpus; filters by keyword and year."""
-
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-
-    def search(self, keyword: str, year: int, limit: int) -> list[Article]:
-        hits = [a for a in self.corpus.for_keyword(keyword) if a.published_year == year]
-        return hits[:limit]
+# A failed search is retried FETCH_RETRIES times, the n-th retry after
+# n * FETCH_BACKOFF_S seconds.
+FETCH_RETRIES = 2
+FETCH_BACKOFF_S = 0.1
 
 
 def _search_with_retries(
-    fetcher: ArticleFetcher,
-    keyword: str,
-    year: int,
-    limit: int,
-    retries: int,
-    backoff_s: float,
+    fetcher: ArticleFetcher, keyword: str, year: int, limit: int
 ) -> list[Article]:
     last: Exception | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(FETCH_RETRIES + 1):
         try:
             return fetcher.search(keyword, year, limit)
         except FetchError as exc:
             last = exc
-            if attempt < retries and backoff_s > 0:
-                time.sleep(backoff_s * (attempt + 1))
+            if attempt < FETCH_RETRIES:
+                time.sleep(FETCH_BACKOFF_S * (attempt + 1))
     raise FetchError(f"search failed for keyword={keyword!r} year={year}: {last}")
 
 
@@ -224,16 +214,14 @@ def fetch_articles(
     keyword: str,
     config: "CrawlConfig",
     fetcher: ArticleFetcher,
-    retries: int = 2,
-    backoff_s: float = 0.1,
     stop: threading.Event | None = None,
 ) -> list[Article]:
     """Fetch up to config.per_year_min articles per year across config.year_range.
 
     Shortfalls are logged, not raised; a source failure surfaces as FetchError
-    after retries. Every returned article is tagged with the keyword and has a
-    published_year inside the configured range. Once stop is set, no further
-    year is searched and the articles so far are returned.
+    after FETCH_RETRIES retries. Every returned article is tagged with the
+    keyword and has a published_year inside the configured range. Once stop
+    is set, no further year is searched and the articles so far are returned.
     """
     if not keyword or not keyword.strip():
         raise ValueError("keyword must be non-empty")
@@ -242,7 +230,7 @@ def fetch_articles(
     for year in range(start, end + 1):
         if stop is not None and stop.is_set():
             break
-        hits = _search_with_retries(fetcher, keyword, year, config.per_year_min, retries, backoff_s)
+        hits = _search_with_retries(fetcher, keyword, year, config.per_year_min)
         hits = [a for a in hits if start <= a.published_year <= end][: config.per_year_min]
         if len(hits) < config.per_year_min:
             log.warning(

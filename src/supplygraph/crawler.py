@@ -14,16 +14,9 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Union
 
 from .backends import Backend, BackendRequest
-from .corpus import (
-    ArticleFetcher,
-    Corpus,
-    CorpusFetcher,
-    fetch_articles,
-    preprocess_text,
-)
+from .corpus import ArticleFetcher, fetch_articles, preprocess_text
 from .errors import (
     BackendUnavailable,
     EmptyName,
@@ -103,9 +96,6 @@ class CrawlStats:
     backend_failures: int = 0
     fetch_failures: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class CrawlState:
@@ -124,7 +114,7 @@ class CrawlReport:
     def to_dict(self) -> dict:
         return {
             "termination_reason": self.termination_reason,
-            "stats": self.stats.to_dict(),
+            "stats": asdict(self.stats),
             "duration_ms": self.duration_ms,
             "config": self.config.to_dict(),
         }
@@ -176,12 +166,12 @@ class Crawler:
     def __init__(
         self,
         config: CrawlConfig,
-        source: Union[Corpus, ArticleFetcher],
+        source: ArticleFetcher,
         backend: Backend,
         graph: SupplyChainGraph | None = None,
     ):
         self.config = config
-        self.fetcher = CorpusFetcher(source) if isinstance(source, Corpus) else source
+        self.fetcher = source
         self.backend = backend
         self.graph = graph if graph is not None else SupplyChainGraph()
 
@@ -298,7 +288,7 @@ class Crawler:
 
 def run_crawl(
     config: CrawlConfig,
-    source: Union[Corpus, ArticleFetcher],
+    source: ArticleFetcher,
     backend: Backend,
     graph: SupplyChainGraph | None = None,
 ) -> tuple[SupplyChainGraph, CrawlReport]:

@@ -69,22 +69,16 @@ class SupplyChainGraph:
 
     # -- canonicalization -------------------------------------------------
 
-    def _alias_key(self, raw_name: str) -> str:
-        return normalize_name(raw_name)
-
-    def _match_key(self, raw_name: str) -> str:
-        return normalize_name(raw_name, self.stopwords)
-
     def canonicalize(self, raw_name: str) -> str | None:
         """Resolve a raw name to an existing canonical id, or None if new."""
-        return self.alias_table.get(self._match_key(raw_name))
+        return self.alias_table.get(normalize_name(raw_name, self.stopwords))
 
     def _register_variant(self, raw_name: str, canonical_id: str) -> None:
         node = self.nodes[canonical_id]
-        alias = self._alias_key(raw_name)
+        alias = normalize_name(raw_name)
         node.aliases.add(alias)
         self.alias_table[alias] = canonical_id
-        self.alias_table[self._match_key(raw_name)] = canonical_id
+        self.alias_table[normalize_name(raw_name, self.stopwords)] = canonical_id
 
     def upsert_entity(self, raw_name: str, description: str = "", article_id: str = "") -> str:
         """Insert or update the entity behind a raw name; returns its canonical id.
@@ -95,7 +89,7 @@ class SupplyChainGraph:
         """
         canonical_id = self.canonicalize(raw_name)
         if canonical_id is None:
-            canonical_id = self._alias_key(raw_name)
+            canonical_id = normalize_name(raw_name)
             self.nodes[canonical_id] = EntityNode(
                 canonical_id=canonical_id,
                 display_name=raw_name.strip(),
@@ -317,10 +311,11 @@ def load_state(path: str) -> SupplyChainGraph:
     """Load a graph saved by save_state; round-trips to an equal graph.
 
     Raises ParseError, naming the file, on a state save_state cannot write:
-    company suffixes, node fields or edge provenance that are not lists of
-    strings, descriptions that are not [description, article id] pairs, a
-    repeated node, an edge or alias that points at no node, a self-loop, or
-    an edge without provenance.
+    a node id or display name that is not a string, company suffixes, node
+    fields or edge provenance that are not lists of strings, descriptions
+    that are not [description, article id] pairs, a repeated node, an edge
+    or alias that points at no node, a self-loop, or an edge without
+    provenance.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -342,6 +337,9 @@ def load_state(path: str) -> SupplyChainGraph:
         graph = SupplyChainGraph(stopwords)
         for rec in state["nodes"]:
             cid = rec["canonical_id"]
+            if not isinstance(cid, str) or not isinstance(rec["display_name"], str):
+                raise ParseError(f"node {cid!r} canonical_id and display_name must be strings",
+                                 path=str(path))
             if cid in graph.nodes:
                 raise ParseError(f"node {cid!r} repeats", path=str(path))
             for name in ("aliases", "categories"):

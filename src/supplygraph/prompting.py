@@ -139,7 +139,6 @@ class SegmentPlan:
     """Ordered text segments whose concatenation equals the source exactly."""
 
     segments: tuple[str, ...]
-    budget: int
 
     @property
     def text(self) -> str:
@@ -175,7 +174,7 @@ def segment_text(text: str, budget: int) -> SegmentPlan:
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not text:
-        return SegmentPlan(segments=(), budget=budget)
+        return SegmentPlan(segments=())
 
     units: list[str] = []
     for sentence in _sentence_spans(text):
@@ -201,7 +200,7 @@ def segment_text(text: str, budget: int) -> SegmentPlan:
             words += unit_words
     if current:
         segments.append("".join(current))
-    return SegmentPlan(segments=tuple(segments), budget=budget)
+    return SegmentPlan(segments=tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -219,13 +218,6 @@ class ParseDiagnostics:
     lines_parsed: int = 0
     lines_skipped: int = 0
     empty_parses: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "lines_parsed": self.lines_parsed,
-            "lines_skipped": self.lines_skipped,
-            "empty_parses": self.empty_parses,
-        }
 
 
 def parse_entity_list(

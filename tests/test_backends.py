@@ -33,7 +33,7 @@ from supplygraph.errors import (
     ParseError,
     ScriptMiss,
 )
-from supplygraph.cli import _make_backend
+from supplygraph.cli import _make_backend, main
 from supplygraph.crawler import article_payload
 from supplygraph.prompting import (
     build_classification_prompt,
@@ -107,6 +107,29 @@ def test_load_script_rejects_unnormalized_gazetteer_name(tmp_path):
     with pytest.raises(ParseError) as err:
         load_script(str(path))
     assert "lowercase" in str(err.value)
+
+
+@pytest.mark.parametrize("categories", [[["x"]], [1], ["ok", None]], ids=["list", "int", "none"])
+def test_load_script_rejects_non_string_gazetteer_categories(tmp_path, categories):
+    path = tmp_path / "s.jsonl"
+    record = {"gazetteer": {"acme": {"description": "d", "categories": categories}}}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_script(str(path))
+    assert "wrong field types" in str(err.value)
+    assert (err.value.path, err.value.line) == (str(path), 1)
+
+
+def test_crawl_with_non_string_gazetteer_category_exits_config(tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    record = {"gazetteer": {"bechtel": {"description": "d", "categories": [["x"]]}}}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["crawl", "--corpus", NEWS_PATH, "--backend", f"script:{path}", "--out", str(out),
+            "--seeds", "bechtel"]
+    assert main(argv) == 2
+    assert "wrong field types" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_script_rejects_unknown_record_shape(tmp_path):
@@ -468,7 +491,8 @@ def http_stub():
     _StubHandler.reply = _STUB_REPLY
     _StubHandler.error_body = b""
     _StubHandler.retry_after = None
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()

@@ -569,6 +569,20 @@ def test_load_labeled_dataset_taxonomy_check(tmp_path):
     assert len(load_labeled_dataset(str(path))) == 1  # no taxonomy: accepted
 
 
+def test_load_labeled_dataset_rejects_repeated_pair(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    rows = [
+        {"entity_id": "e", "category": "a cat", "gold": True, "description": "d"},
+        {"entity_id": "e", "category": "b cat", "gold": True, "description": "d"},
+        {"entity_id": "e", "category": "a cat", "gold": False, "description": "d"},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_labeled_dataset(str(path))
+    assert "repeated label" in str(err.value)
+    assert (err.value.path, err.value.line) == (str(path), 3)
+
+
 def test_predictions_roundtrip(tmp_path):
     answers = {("x", "a cat"): True, ("x", "b cat"): None, ("y", "a cat"): False}
     path = tmp_path / "predictions.jsonl"

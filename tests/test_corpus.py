@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from supplygraph import corpus as corpus_module
 from supplygraph.corpus import (
     Article,
-    CorpusFetcher,
     dump_corpus,
     fetch_articles,
     load_corpus,
@@ -268,19 +268,30 @@ def test_fetch_articles_shortfall_logged(caplog):
     assert any("shortfall" in rec.message for rec in caplog.records)
 
 
-def test_fetch_articles_retries_then_succeeds():
+def test_fetch_articles_retries_then_succeeds(monkeypatch):
+    monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
     fetcher = FlakyFetcher(failures=1)
     config = _config(year_range=(2020, 2020), per_year_min=1)
-    assert fetch_articles("x", config, fetcher, retries=2, backoff_s=0) == []
+    assert fetch_articles("x", config, fetcher) == []
     assert fetcher.calls == 2
 
 
-def test_fetch_articles_raises_after_retries():
+def test_fetch_articles_raises_after_retries(monkeypatch):
+    monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
     fetcher = FlakyFetcher(failures=100)
     config = _config(year_range=(2020, 2020), per_year_min=1)
     with pytest.raises(FetchError):
-        fetch_articles("x", config, fetcher, retries=2, backoff_s=0)
+        fetch_articles("x", config, fetcher)
     assert fetcher.calls == 3  # initial attempt plus two retries
+
+
+def test_fetch_articles_backs_off_before_each_retry(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(corpus_module.time, "sleep", sleeps.append)
+    config = _config(year_range=(2020, 2020), per_year_min=1)
+    with pytest.raises(FetchError):
+        fetch_articles("x", config, FlakyFetcher(failures=100))
+    assert sleeps == [0.1, 0.2]
 
 
 def test_fetch_articles_filters_out_of_range_years():
@@ -299,11 +310,10 @@ def test_fetch_articles_filters_out_of_range_years():
 
 
 def test_corpus_fetcher_filters_by_keyword_and_year(news_corpus):
-    fetcher = CorpusFetcher(news_corpus)
-    hits = fetcher.search("bechtel", 2019, 5)
+    hits = news_corpus.search("bechtel", 2019, 5)
     assert [a.id for a in hits] == ["bechtel-0"]
-    assert fetcher.search("bechtel", 1990, 5) == []
-    assert fetcher.search("nobody", 2019, 5) == []
+    assert news_corpus.search("bechtel", 1990, 5) == []
+    assert news_corpus.search("nobody", 2019, 5) == []
 
 
 def test_fetch_articles_rejects_blank_keyword():

@@ -10,7 +10,7 @@ import oracles
 from conftest import GAZETTEER_PATH, NEWS_PATH, TRUTH_PATH
 from supplygraph import corpus as corpus_module
 from supplygraph.backends import RecordingBackend, ScriptedBackend, load_script
-from supplygraph.corpus import Article, Corpus, CorpusFetcher
+from supplygraph.corpus import Article, Corpus
 from supplygraph.crawler import (
     TERMINATION_ARTICLE_BUDGET,
     TERMINATION_EXHAUSTED,
@@ -233,16 +233,13 @@ class FailingFetcher:
         raise FetchError("source down")
 
 
-def test_crawl_fetch_failure_is_tallied_not_fatal(gazetteer_backend):
+def test_crawl_fetch_failure_is_tallied_not_fatal(monkeypatch, gazetteer_backend):
+    monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1)
     graph, report = run_crawl(config, FailingFetcher(), gazetteer_backend)
     assert report.termination_reason == TERMINATION_EXHAUSTED
     assert report.stats.fetch_failures == 1
     assert set(graph.nodes) == {"bechtel"}
-
-
-class _OneArticleCorpus(Corpus):
-    pass
 
 
 def _single_article_corpus(body: str, keyword: str = "bechtel") -> Corpus:
@@ -370,17 +367,17 @@ def test_crawl_unusable_entity_names_are_dropped():
     assert report.stats.entities_extracted == 2  # counted before the name check
 
 
-class OneKeywordDown(CorpusFetcher):
-    """Corpus fetcher whose source fails for a single keyword."""
+class OneKeywordDown:
+    """A corpus whose search fails for a single keyword."""
 
     def __init__(self, corpus, down):
-        super().__init__(corpus)
+        self.corpus = corpus
         self.down = down
 
     def search(self, keyword, year, limit):
         if keyword == self.down:
             raise FetchError("source down")
-        return super().search(keyword, year, limit)
+        return self.corpus.search(keyword, year, limit)
 
 
 def _crawl_outputs(tmp_path, config, source, backend) -> dict[str, bytes]:
@@ -459,7 +456,7 @@ def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazettee
     held_search_arrived = threading.Event()
     searches = []
 
-    class HoldingFetcher(CorpusFetcher):
+    class HoldingFetcher:
         def search(self, keyword, year, limit):
             searches.append((keyword, year))
             if keyword == "national lime stone":
@@ -468,9 +465,9 @@ def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazettee
             elif keyword == "txdot" and year == 2019:
                 # the stop decision waits for txdot, so the held search comes first
                 assert held_search_arrived.wait(5)
-            return super().search(keyword, year, limit)
+            return news_corpus.search(keyword, year, limit)
 
-    crawler = Crawler(config, HoldingFetcher(news_corpus), gazetteer_backend)
+    crawler = Crawler(config, HoldingFetcher(), gazetteer_backend)
     graph, report = crawler.run()
     assert report.termination_reason == TERMINATION_ARTICLE_BUDGET
     assert [s for s in searches if s[0] == "national lime stone"] == [("national lime stone", 2019)]

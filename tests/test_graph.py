@@ -558,10 +558,15 @@ def test_load_state_malformed_nodes(tmp_path):
          "provenance must be a list of strings"),
         (lambda s: s["stopwords"].update(company_suffixes="inc"),
          "company_suffixes must be a list of strings"),
+        (lambda s: s["nodes"][0].update(display_name=5),
+         "canonical_id and display_name must be strings"),
+        (lambda s: s["nodes"].append(dict(s["nodes"][0], canonical_id=7)),
+         "canonical_id and display_name must be strings"),
     ],
     ids=["edge-end", "empty-provenance", "self-loop", "alias-target", "alias-table-list",
          "repeated-node", "aliases-string", "categories-string", "description-string",
-         "description-triple", "provenance-string", "provenance-number", "suffixes-string"],
+         "description-triple", "provenance-string", "provenance-number", "suffixes-string",
+         "display-name-number", "edgeless-id-number"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
