@@ -453,10 +453,6 @@ def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) ->
     return examples
 
 
-def dump_labeled_dataset(examples: Sequence[LabeledExample], path: str) -> None:
-    write_jsonl(path, (asdict(ex) for ex in examples))
-
-
 def dump_predictions(answers: Answers, path: str) -> None:
     """Write one predictions.jsonl row per pair, in table order."""
     write_jsonl(path, (

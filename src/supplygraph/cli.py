@@ -215,6 +215,8 @@ def _taxonomy_from_args(args: argparse.Namespace) -> cl.CategoryTaxonomy:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.token_budget < 1:
+        raise ValueError(f"--token-budget must be >= 1, got {args.token_budget}")
     graph = gr.load_state(args.state)
     taxonomy = _taxonomy_from_args(args)
     backend, backend_path = _make_backend(args.backend, args)

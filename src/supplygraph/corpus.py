@@ -17,7 +17,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterator, Protocol
 
 from .errors import DuplicateId, EmptyName, FetchError, ParseError
-from .files import read_jsonl, write_jsonl
+from .files import read_jsonl
 
 if TYPE_CHECKING:
     from .crawler import CrawlConfig
@@ -174,14 +174,6 @@ def load_corpus(path: str, strict: bool = True) -> Corpus:
     for lineno, record in read_jsonl(path):
         corpus.add(_article_from_record(record, strict, str(path), lineno))
     return corpus
-
-
-def dump_corpus(corpus: Corpus, path: str) -> None:
-    """Write a corpus as JSONL with the canonical field order.
-
-    Loading a file produced here and dumping it again is byte-identical.
-    """
-    write_jsonl(path, ({f: getattr(a, f) for f in ARTICLE_FIELDS} for a in corpus))
 
 
 class ArticleFetcher(Protocol):

@@ -98,13 +98,6 @@ class CrawlStats:
 
 
 @dataclass
-class CrawlState:
-    frontier: deque = field(default_factory=deque)
-    ever_enqueued: set = field(default_factory=set)
-    stats: CrawlStats = field(default_factory=CrawlStats)
-
-
-@dataclass
 class CrawlReport:
     termination_reason: str
     stats: CrawlStats
@@ -118,27 +111,6 @@ class CrawlReport:
             "duration_ms": self.duration_ms,
             "config": self.config.to_dict(),
         }
-
-
-def _budget_reason(
-    state: CrawlState, config: CrawlConfig, graph: SupplyChainGraph
-) -> str | None:
-    """The budget the crawl has used up, or None while both have room."""
-    if len(graph.nodes) >= config.max_nodes:
-        return TERMINATION_NODE_BUDGET
-    if state.stats.articles_processed >= config.max_articles:
-        return TERMINATION_ARTICLE_BUDGET
-    return None
-
-
-def should_terminate(
-    state: CrawlState, config: CrawlConfig, graph: SupplyChainGraph
-) -> tuple[bool, str | None]:
-    """Decide whether the crawl is done and why."""
-    if not state.frontier:
-        return True, TERMINATION_EXHAUSTED
-    reason = _budget_reason(state, config, graph)
-    return reason is not None, reason
 
 
 def article_payload(title: str, body: str) -> str:
@@ -177,13 +149,13 @@ class Crawler:
 
     def run(self) -> tuple[SupplyChainGraph, CrawlReport]:
         started = time.monotonic()
-        state = CrawlState()
+        self._frontier: deque[str] = deque()
+        self._enqueued: set[str] = set()
+        self._stats = CrawlStats()
+        self._cut = False  # a budget left a fetched article unapplied
         for raw_seed in self.config.seeds:
-            cid = self.graph.upsert_entity(raw_seed)
-            if cid not in state.ever_enqueued:
-                state.frontier.append(cid)
-                state.ever_enqueued.add(cid)
-        # pending[i] harvests state.frontier[i]; keywords are applied in
+            self._enqueue(self.graph.upsert_entity(raw_seed))
+        # pending[i] harvests self._frontier[i]; keywords are applied in
         # frontier order, so any width gives the bytes of a sequential crawl.
         pending: deque[Future[_Harvest]] = deque()
         # Set once the loop ends, by a stop or an error: harvests still in
@@ -192,24 +164,36 @@ class Crawler:
         self._stop = threading.Event()
         with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
             try:
-                while True:
-                    done, reason = should_terminate(state, self.config, self.graph)
-                    if done:
-                        break
-                    while len(pending) < min(self.config.parallelism, len(state.frontier)):
-                        pending.append(pool.submit(self._harvest, state.frontier[len(pending)]))
-                    state.frontier.popleft()
-                    self._apply(state, pending.popleft().result())
+                while self._frontier and not self._budget_reason():
+                    while len(pending) < min(self.config.parallelism, len(self._frontier)):
+                        pending.append(pool.submit(self._harvest, self._frontier[len(pending)]))
+                    self._frontier.popleft()
+                    self._apply(pending.popleft().result())
             finally:
                 self._stop.set()
-        duration_ms = int((time.monotonic() - started) * 1000)
+        # Exhausted only if every fetched article of every enqueued keyword
+        # was applied; otherwise the budget that stopped the crawl.
+        reason = self._budget_reason() if self._frontier or self._cut else None
         report = CrawlReport(
             termination_reason=reason or TERMINATION_EXHAUSTED,
-            stats=state.stats,
-            duration_ms=duration_ms,
+            stats=self._stats,
+            duration_ms=int((time.monotonic() - started) * 1000),
             config=self.config,
         )
         return self.graph, report
+
+    def _enqueue(self, cid: str) -> None:
+        if cid not in self._enqueued:
+            self._frontier.append(cid)
+            self._enqueued.add(cid)
+
+    def _budget_reason(self) -> str | None:
+        """The budget the crawl has used up, or None while both have room."""
+        if len(self.graph.nodes) >= self.config.max_nodes:
+            return TERMINATION_NODE_BUDGET
+        if self._stats.articles_processed >= self.config.max_articles:
+            return TERMINATION_ARTICLE_BUDGET
+        return None
 
     def _harvest(self, keyword: str) -> _Harvest:
         harvest = _Harvest(keyword=keyword)
@@ -249,17 +233,19 @@ class Crawler:
                 parse_failures += 1
         return _ArticleResult(article_id, entities, parse_failures, backend_failures)
 
-    def _apply(self, state: CrawlState, harvest: _Harvest) -> None:
+    def _apply(self, harvest: _Harvest) -> None:
+        stats = self._stats
         if harvest.fetch_failed:
-            state.stats.fetch_failures += 1
+            stats.fetch_failures += 1
             return
         for result in harvest.articles:
-            if _budget_reason(state, self.config, self.graph):
+            if self._budget_reason():
+                self._cut = True
                 break
-            state.stats.articles_processed += 1
-            state.stats.parse_failures += result.parse_failures
-            state.stats.backend_failures += result.backend_failures
-            state.stats.entities_extracted += len(result.entities)
+            stats.articles_processed += 1
+            stats.parse_failures += result.parse_failures
+            stats.backend_failures += result.backend_failures
+            stats.entities_extracted += len(result.entities)
             nodes_before = len(self.graph.nodes)
             edges_before = len(self.graph.edges)
             mentioned = {harvest.keyword}
@@ -270,17 +256,15 @@ class Crawler:
                     log.debug("dropped unusable entity name %r", entity.name)
                     continue
                 mentioned.add(cid)
-                if cid not in state.ever_enqueued:
-                    state.frontier.append(cid)
-                    state.ever_enqueued.add(cid)
+                self._enqueue(cid)
             self.graph.add_comention(result.article_id, mentioned)
-            state.stats.nodes_created += len(self.graph.nodes) - nodes_before
-            state.stats.edges_created += len(self.graph.edges) - edges_before
+            stats.nodes_created += len(self.graph.nodes) - nodes_before
+            stats.edges_created += len(self.graph.edges) - edges_before
         log.info(
             "crawl keyword=%s articles=%d frontier=%d nodes=%d edges=%d",
             harvest.keyword,
             len(harvest.articles),
-            len(state.frontier),
+            len(self._frontier),
             len(self.graph.nodes),
             len(self.graph.edges),
         )

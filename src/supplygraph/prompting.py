@@ -140,10 +140,6 @@ class SegmentPlan:
 
     segments: tuple[str, ...]
 
-    @property
-    def text(self) -> str:
-        return "".join(self.segments)
-
 
 def _sentence_spans(text: str) -> list[str]:
     spans = []
@@ -215,9 +211,7 @@ class ExtractedEntity:
 class ParseDiagnostics:
     """Counters for extraction-response parsing across a run."""
 
-    lines_parsed: int = 0
     lines_skipped: int = 0
-    empty_parses: int = 0
 
 
 def parse_entity_list(
@@ -244,11 +238,8 @@ def parse_entity_list(
                 continue
         skipped += 1
     if diagnostics is not None:
-        diagnostics.lines_parsed += len(entities)
         diagnostics.lines_skipped += skipped
     if not entities and response.strip():
-        if diagnostics is not None:
-            diagnostics.empty_parses += 1
         raise EmptyParse(f"no entities in non-empty response ({skipped} lines skipped)")
     return entities
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
-from supplygraph.classify import DEFAULT_CATEGORIES, LabeledExample, dump_labeled_dataset
-from supplygraph.corpus import Article, Corpus, dump_corpus
+from supplygraph.classify import DEFAULT_CATEGORIES, LabeledExample
+from supplygraph.corpus import Article, Corpus
+from supplygraph.files import write_jsonl
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -175,7 +177,7 @@ def build_labels() -> list[LabeledExample]:
 
 def main() -> None:
     corpus, truth = build_corpus()
-    dump_corpus(corpus, os.path.join(HERE, "news.jsonl"))
+    write_jsonl(os.path.join(HERE, "news.jsonl"), (asdict(a) for a in corpus))
     with open(os.path.join(HERE, "news_mentions.json"), "w", encoding="utf-8") as fh:
         json.dump(truth, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
@@ -187,8 +189,8 @@ def main() -> None:
     with open(os.path.join(HERE, "gazetteer.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"gazetteer": gazetteer}, ensure_ascii=False) + "\n")
 
-    dump_corpus(build_dedup_corpus(), os.path.join(HERE, "dedup_news.jsonl"))
-    dump_labeled_dataset(build_labels(), os.path.join(HERE, "labels.jsonl"))
+    write_jsonl(os.path.join(HERE, "dedup_news.jsonl"), (asdict(a) for a in build_dedup_corpus()))
+    write_jsonl(os.path.join(HERE, "labels.jsonl"), (asdict(ex) for ex in build_labels()))
     print("fixtures written to", HERE)
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -21,7 +22,6 @@ from supplygraph.classify import (
     classify_entity,
     classify_graph,
     downsample_balanced,
-    dump_labeled_dataset,
     dump_predictions,
     evaluate_all,
     evaluate_binary,
@@ -36,6 +36,7 @@ from supplygraph.errors import (
     MissingPrediction,
     ParseError,
 )
+from supplygraph.files import write_jsonl
 from supplygraph.graph import EntityNode, SupplyChainGraph
 from supplygraph.prompting import REASONING_PREAMBLE
 
@@ -539,7 +540,7 @@ def test_load_labeled_dataset_fixture():
 def test_labeled_dataset_roundtrip(tmp_path):
     dataset = load_labeled_dataset(LABELS_PATH)
     out = tmp_path / "labels.jsonl"
-    dump_labeled_dataset(dataset, str(out))
+    write_jsonl(str(out), (asdict(ex) for ex in dataset))
     assert load_labeled_dataset(str(out)) == dataset
 
 

@@ -108,6 +108,17 @@ def test_crawl_fail_on_budget(tmp_path, capsys):
     assert (out / "graph.json").is_file()
 
 
+def test_crawl_fail_on_budget_when_budget_cuts_the_last_keyword(tmp_path, capsys):
+    # 35 of the crawl's 36 articles: the frontier is empty when the budget
+    # leaves the last article unapplied.
+    out = tmp_path / "run"
+    assert _crawl(out, max_articles=35, fail_on_budget=None) == EXIT_BUDGET
+    assert "budget abort: article budget" in capsys.readouterr().err
+    report = json.loads((out / "crawl_report.json").read_text(encoding="utf-8"))
+    assert report["termination_reason"] == "article budget"
+    assert report["stats"]["articles_processed"] == 35
+
+
 def test_crawl_budget_without_flag_is_success(tmp_path):
     out = tmp_path / "run"
     assert _crawl(out, max_nodes=1) == EXIT_OK
@@ -577,6 +588,22 @@ def test_crawl_negative_http_retries_exits_config_before_work(tmp_path, capsys):
     code = _crawl(out, backend="http://127.0.0.1:1/unreachable", http_retries=-1)
     assert code == EXIT_CONFIG
     assert "retry_cap must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_classify_token_budget_below_one_exits_config_before_work(tmp_path, crawled_state, capsys,
+                                                                  budget):
+    out = tmp_path / "cls"
+    code = main([
+        "classify",
+        "--state", crawled_state,
+        "--backend", f"script:{GAZETTEER_PATH}",
+        "--out", str(out),
+        "--token-budget", budget,
+    ])
+    assert code == EXIT_CONFIG
+    assert f"--token-budget must be >= 1, got {budget}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import filecmp
 import random
+from dataclasses import asdict
 
 import pytest
 
 from supplygraph import corpus as corpus_module
 from supplygraph.corpus import (
     Article,
-    dump_corpus,
     fetch_articles,
     load_corpus,
     load_stopwords,
@@ -17,6 +17,7 @@ from supplygraph.corpus import (
 )
 from supplygraph.crawler import CrawlConfig
 from supplygraph.errors import DuplicateId, EmptyName, FetchError, ParseError
+from supplygraph.files import write_jsonl
 
 from conftest import NEWS_PATH
 
@@ -199,7 +200,7 @@ def test_load_corpus_year_must_be_int(tmp_path):
 def test_corpus_roundtrip_is_byte_identical(tmp_path):
     corpus = load_corpus(NEWS_PATH)
     out = tmp_path / "copy.jsonl"
-    dump_corpus(corpus, str(out))
+    write_jsonl(str(out), (asdict(a) for a in corpus))
     assert filecmp.cmp(NEWS_PATH, str(out), shallow=False)
 
 

@@ -16,14 +16,12 @@ from supplygraph.crawler import (
     TERMINATION_EXHAUSTED,
     TERMINATION_NODE_BUDGET,
     CrawlConfig,
-    CrawlState,
     Crawler,
     article_payload,
     run_crawl,
-    should_terminate,
 )
 from supplygraph.errors import CassetteWriteError, FetchError, ScriptMiss
-from supplygraph.graph import EXPORT_FORMATS, SupplyChainGraph, export_graph, graph_equal, save_state
+from supplygraph.graph import EXPORT_FORMATS, export_graph, graph_equal, save_state
 from supplygraph.prompting import ExtractedEntity, render_entity_list
 
 
@@ -75,31 +73,28 @@ def test_crawl_config_to_dict_roundtrips_year_range():
 # -- termination ----------------------------------------------------------------
 
 
-def test_should_terminate_cases():
-    config = CrawlConfig(seeds=["a"], max_nodes=2, max_articles=5)
-    graph = SupplyChainGraph()
-    state = CrawlState()
-
-    assert should_terminate(state, config, graph) == (True, TERMINATION_EXHAUSTED)
-
-    state.frontier.append("a")
-    assert should_terminate(state, config, graph) == (False, None)
-
-    graph.upsert_entity("a")
-    graph.upsert_entity("b")
-    assert should_terminate(state, config, graph) == (True, TERMINATION_NODE_BUDGET)
-
-    config2 = CrawlConfig(seeds=["a"], max_nodes=100, max_articles=5)
-    state.stats.articles_processed = 5
-    assert should_terminate(state, config2, graph) == (True, TERMINATION_ARTICLE_BUDGET)
-
-
-def test_exhaustion_checked_before_budgets():
-    config = CrawlConfig(seeds=["a"], max_nodes=1)
-    graph = SupplyChainGraph()
-    graph.upsert_entity("a")
-    state = CrawlState()
-    assert should_terminate(state, config, graph) == (True, TERMINATION_EXHAUSTED)
+@pytest.mark.parametrize("parallelism", [1, 8])
+@pytest.mark.parametrize(
+    ("max_articles", "reason", "edges"),
+    [
+        (33, TERMINATION_ARTICLE_BUDGET, 34),
+        (34, TERMINATION_ARTICLE_BUDGET, 34),
+        (35, TERMINATION_ARTICLE_BUDGET, 34),
+        (36, TERMINATION_EXHAUSTED, 35),
+    ],
+)
+def test_crawl_article_budget_reason(news_corpus, gazetteer_backend, max_articles, reason, edges,
+                                     parallelism):
+    # The full crawl applies 36 articles. Budgets of 34 and 35 run out on the
+    # last keyword, with the frontier already empty: a fetched article is
+    # left unapplied, so the budget, not exhaustion, stopped the crawl. A
+    # budget of 36 is used up by the last article and leaves nothing out.
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         max_articles=max_articles, parallelism=parallelism)
+    graph, report = Crawler(config, news_corpus, gazetteer_backend).run()
+    assert report.termination_reason == reason
+    assert report.stats.articles_processed == max_articles
+    assert len(graph.edges) == edges
 
 
 # -- payload ----------------------------------------------------------------------
@@ -171,13 +166,14 @@ def test_crawl_reprocessing_into_existing_graph_adds_nothing(
 
 
 def test_crawl_node_budget_stops_after_seed(news_corpus, gazetteer_backend):
-    config = CrawlConfig(
-        seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1, max_nodes=1
-    )
-    graph, report = run_crawl(config, news_corpus, gazetteer_backend)
-    assert report.termination_reason == TERMINATION_NODE_BUDGET
-    assert set(graph.nodes) == {"bechtel"}
-    assert report.stats.articles_processed == 0
+    for seeds in (["bechtel"], ["bechtel", "aecom"]):
+        config = CrawlConfig(
+            seeds=seeds, year_range=(2019, 2021), per_year_min=1, max_nodes=len(seeds)
+        )
+        graph, report = run_crawl(config, news_corpus, gazetteer_backend)
+        assert report.termination_reason == TERMINATION_NODE_BUDGET
+        assert set(graph.nodes) == set(seeds)
+        assert report.stats.articles_processed == 0
 
 
 def test_crawl_article_budget(news_corpus, gazetteer_backend):
