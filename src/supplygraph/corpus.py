@@ -206,12 +206,14 @@ def fetch_articles(
     keyword: str,
     config: "CrawlConfig",
     fetcher: ArticleFetcher,
+    failed_years: list[int],
     stop: threading.Event | None = None,
 ) -> list[Article]:
     """Fetch up to config.per_year_min articles per year across config.year_range.
 
-    Shortfalls are logged, not raised; a source failure surfaces as FetchError
-    after FETCH_RETRIES retries. Every returned article is tagged with the
+    Shortfalls are logged, not raised. A year whose search still fails after
+    FETCH_RETRIES retries is logged and appended to failed_years; the other
+    years' articles are kept. Every returned article is tagged with the
     keyword and has a published_year inside the configured range. Once stop
     is set, no further year is searched and the articles so far are returned.
     """
@@ -222,7 +224,12 @@ def fetch_articles(
     for year in range(start, end + 1):
         if stop is not None and stop.is_set():
             break
-        hits = _search_with_retries(fetcher, keyword, year, config.per_year_min)
+        try:
+            hits = _search_with_retries(fetcher, keyword, year, config.per_year_min)
+        except FetchError as exc:
+            log.warning("fetch failed: %s", exc)
+            failed_years.append(year)
+            continue
         hits = [a for a in hits if start <= a.published_year <= end][: config.per_year_min]
         if len(hits) < config.per_year_min:
             log.warning(

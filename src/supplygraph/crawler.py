@@ -17,12 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 from .backends import Backend, BackendRequest
 from .corpus import ArticleFetcher, fetch_articles, preprocess_text
-from .errors import (
-    BackendUnavailable,
-    EmptyName,
-    EmptyParse,
-    FetchError,
-)
+from .errors import BackendUnavailable, EmptyName, EmptyParse
 from .graph import SupplyChainGraph
 from .prompting import (
     ExtractedEntity,
@@ -131,7 +126,7 @@ class _ArticleResult:
 class _Harvest:
     keyword: str
     articles: list[_ArticleResult] = field(default_factory=list)
-    fetch_failed: bool = False
+    fetch_failures: int = 0  # years whose search failed after its retries
 
 
 class Crawler:
@@ -196,13 +191,10 @@ class Crawler:
         return None
 
     def _harvest(self, keyword: str) -> _Harvest:
-        harvest = _Harvest(keyword=keyword)
-        try:
-            articles = fetch_articles(keyword, self.config, self.fetcher, stop=self._stop)
-        except FetchError as exc:
-            log.warning("fetch failed keyword=%s error=%s", keyword, exc)
-            harvest.fetch_failed = True
-            return harvest
+        failed_years: list[int] = []
+        articles = fetch_articles(keyword, self.config, self.fetcher, failed_years,
+                                  stop=self._stop)
+        harvest = _Harvest(keyword=keyword, fetch_failures=len(failed_years))
         for article in articles:
             if self._stop.is_set():
                 break
@@ -235,9 +227,7 @@ class Crawler:
 
     def _apply(self, harvest: _Harvest) -> None:
         stats = self._stats
-        if harvest.fetch_failed:
-            stats.fetch_failures += 1
-            return
+        stats.fetch_failures += harvest.fetch_failures
         for result in harvest.articles:
             if self._budget_reason():
                 self._cut = True

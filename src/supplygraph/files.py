@@ -3,7 +3,9 @@
 Every JSON Lines input goes through read_jsonl, so each reports a bad line
 the same way. Every output goes through open_output, so an interrupted run
 leaves the previous file (or none) in place, never a truncated one;
-write_json and write_jsonl fix the two JSON output formats.
+write_json and write_jsonl fix the two JSON output formats. graph.json and
+the graph exports are rendered in graph.py, in the same layout and with the
+json module's own string quoting.
 """
 
 from __future__ import annotations

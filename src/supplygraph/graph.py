@@ -13,12 +13,13 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from json.encoder import encode_basestring as _q
+from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import StopwordLists, normalize_name
 from .errors import ParseError, SameNode, SchemaVersionMismatch, UnknownNode
-from .files import open_output, write_json
+from .files import open_output
 
 SCHEMA_VERSION = 2
 # Schema 1 also stored a general-stopword list, which load_state ignores.
@@ -268,30 +269,56 @@ def graph_equal(g1: SupplyChainGraph, g2: SupplyChainGraph) -> bool:
 # -- persistence -------------------------------------------------------------
 
 
+def _json_list(items: Iterable[str], indent: str) -> str:
+    """A JSON array of rendered items, laid out as json.dump(indent=2) lays
+    out an array whose line starts at ``indent``."""
+    body = f",\n  {indent}".join(items)
+    return f"[\n  {indent}{body}\n{indent}]" if body else "[]"
+
+
+def _json_rows(rows: Iterable[str], indent: str) -> Iterator[str]:
+    """_json_list, yielded one rendered row at a time."""
+    sep = f"[\n  {indent}"
+    for row in rows:
+        yield sep + row
+        sep = f",\n  {indent}"
+    yield "[]" if sep.startswith("[") else f"\n{indent}]"
+
+
+def _state_chunks(graph: SupplyChainGraph) -> Iterator[str]:
+    """graph.json in chunks: the bytes json.dump(state, indent=2,
+    ensure_ascii=False) gives, with each string quoted by the json module's
+    own C quoter."""
+    qid = {cid: _q(cid) for cid in graph.nodes}
+    suffixes = _json_list(map(_q, sorted(graph.stopwords.company_suffixes)), "    ")
+    yield (f'{{\n  "schema_version": {SCHEMA_VERSION:d},\n  "stopwords": {{\n'
+           f'    "company_suffixes": {suffixes}\n  }},\n  "nodes": ')
+    yield from _json_rows((
+        f'{{\n      "canonical_id": {qid[cid]},'
+        f'\n      "display_name": {_q(node.display_name)},'
+        f'\n      "aliases": {_json_list(map(_q, sorted(node.aliases)), "      ")},'
+        f'\n      "descriptions": '
+        f'{_json_list((_json_list(map(_q, p), "        ") for p in node.descriptions), "      ")},'
+        f'\n      "categories": {_json_list(map(_q, sorted(node.categories)), "      ")}'
+        f'\n    }}'
+        for cid, node in sorted(graph.nodes.items())
+    ), "  ")
+    yield ',\n  "edges": '
+    yield from _json_rows((
+        f'{{\n      "source": {qid[a]},\n      "target": {qid[b]},'
+        f'\n      "provenance": {_json_list(map(_q, sorted(edge.provenance)), "      ")}'
+        f'\n    }}'
+        for (a, b), edge in sorted(graph.edges.items())
+    ), "  ")
+    table = graph.alias_table
+    body = ",\n    ".join(f"{_q(k)}: {_q(table[k])}" for k in sorted(table))
+    yield f',\n  "alias_table": {{\n    {body}\n  }}\n}}\n' if body else ',\n  "alias_table": {}\n}\n'
+
+
 def save_state(graph: SupplyChainGraph, path: str) -> None:
     """Write the full graph as versioned JSON with deterministic ordering."""
-    state = {
-        "schema_version": SCHEMA_VERSION,
-        "stopwords": {
-            "company_suffixes": sorted(graph.stopwords.company_suffixes),
-        },
-        "nodes": [
-            {
-                "canonical_id": node.canonical_id,
-                "display_name": node.display_name,
-                "aliases": sorted(node.aliases),
-                "descriptions": [list(p) for p in node.descriptions],
-                "categories": sorted(node.categories),
-            }
-            for _, node in sorted(graph.nodes.items())
-        ],
-        "edges": [
-            {"source": a, "target": b, "provenance": sorted(edge.provenance)}
-            for (a, b), edge in sorted(graph.edges.items())
-        ],
-        "alias_table": {k: graph.alias_table[k] for k in sorted(graph.alias_table)},
-    }
-    write_json(path, state)
+    with open_output(path) as fh:
+        fh.writelines(_state_chunks(graph))
 
 
 def _is_strings(value: object) -> bool:
@@ -313,17 +340,18 @@ def load_state(path: str) -> SupplyChainGraph:
     Raises ParseError, naming the file, on a state save_state cannot write:
     a node id or display name that is not a string, company suffixes, node
     fields or edge provenance that are not lists of strings, descriptions
-    that are not [description, article id] pairs, a repeated node, an edge
-    or alias that points at no node, a self-loop, or an edge without
+    that are not [description, article id] pairs, a repeated node or edge,
+    an edge or alias that points at no node, a self-loop, or an edge without
     provenance.
     """
+    where = str(path)
     with open(path, encoding="utf-8") as fh:
         try:
             state = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad graph state JSON: {exc.msg}", path=str(path)) from exc
+            raise ParseError(f"bad graph state JSON: {exc.msg}", path=where) from exc
     if not isinstance(state, dict) or "schema_version" not in state:
-        raise ParseError("graph state missing schema_version", path=str(path))
+        raise ParseError("graph state missing schema_version", path=where)
     if state["schema_version"] not in _READABLE_SCHEMAS:
         raise SchemaVersionMismatch(
             f"expected schema 1 or {SCHEMA_VERSION}, found {state['schema_version']}"
@@ -331,58 +359,58 @@ def load_state(path: str) -> SupplyChainGraph:
     try:
         suffixes = state["stopwords"]["company_suffixes"]
         if not _is_strings(suffixes):
-            raise ParseError("stopwords company_suffixes must be a list of strings",
-                             path=str(path))
-        stopwords = StopwordLists(frozenset(suffixes))
-        graph = SupplyChainGraph(stopwords)
+            raise ParseError("stopwords company_suffixes must be a list of strings", path=where)
+        graph = SupplyChainGraph(StopwordLists(frozenset(suffixes)))
+        nodes = graph.nodes
         for rec in state["nodes"]:
             cid = rec["canonical_id"]
             if not isinstance(cid, str) or not isinstance(rec["display_name"], str):
                 raise ParseError(f"node {cid!r} canonical_id and display_name must be strings",
-                                 path=str(path))
-            if cid in graph.nodes:
-                raise ParseError(f"node {cid!r} repeats", path=str(path))
+                                 path=where)
+            if cid in nodes:
+                raise ParseError(f"node {cid!r} repeats", path=where)
             for name in ("aliases", "categories"):
                 if not _is_strings(rec[name]):
-                    raise ParseError(f"node {cid!r} {name} must be a list of strings",
-                                     path=str(path))
-            if not isinstance(rec["descriptions"], list) or not all(
-                _is_strings(p) and len(p) == 2 for p in rec["descriptions"]
+                    raise ParseError(f"node {cid!r} {name} must be a list of strings", path=where)
+            descriptions = rec["descriptions"]
+            if not isinstance(descriptions, list) or not all(
+                _is_strings(p) and len(p) == 2 for p in descriptions
             ):
                 raise ParseError(
                     f"node {cid!r} descriptions must be [description, article id] pairs",
-                    path=str(path),
+                    path=where,
                 )
-            graph.nodes[cid] = EntityNode(
-                canonical_id=cid,
-                display_name=rec["display_name"],
-                aliases=set(rec["aliases"]),
-                descriptions=[tuple(p) for p in rec["descriptions"]],
-                categories=set(rec["categories"]),
-            )
+            nodes[cid] = EntityNode(cid, rec["display_name"], set(rec["aliases"]),
+                                    list(map(tuple, descriptions)), set(rec["categories"]))
+        # The neighbour index is unbuilt, so edges are stored directly.
+        edges = graph.edges
         for rec in state["edges"]:
             key = _pair(rec["source"], rec["target"])
-            for end in key:
-                if end not in graph.nodes:
-                    raise ParseError(f"edge {key} ends at unknown node {end!r}", path=str(path))
-            if key[0] == key[1]:
-                raise ParseError(f"edge {key} is a self-loop", path=str(path))
-            if not _is_strings(rec["provenance"]):
-                raise ParseError(f"edge {key} provenance must be a list of strings",
-                                 path=str(path))
-            if not rec["provenance"]:
-                raise ParseError(f"edge {key} has no provenance", path=str(path))
-            graph._add_edge(*key, set(rec["provenance"]))
-        if not isinstance(state["alias_table"], dict):
-            raise ParseError("graph state alias_table must be an object", path=str(path))
-        for variant, target in state["alias_table"].items():
-            if target not in graph.nodes:
-                raise ParseError(
-                    f"alias {variant!r} points to unknown node {target!r}", path=str(path)
-                )
-        graph.alias_table = dict(state["alias_table"])
+            a, b = key
+            if a not in nodes:
+                raise ParseError(f"edge {key} ends at unknown node {a!r}", path=where)
+            if b not in nodes:
+                raise ParseError(f"edge {key} ends at unknown node {b!r}", path=where)
+            if a == b:
+                raise ParseError(f"edge {key} is a self-loop", path=where)
+            provenance = rec["provenance"]
+            if not _is_strings(provenance):
+                raise ParseError(f"edge {key} provenance must be a list of strings", path=where)
+            if not provenance:
+                raise ParseError(f"edge {key} has no provenance", path=where)
+            if key in edges:
+                raise ParseError(f"edge {key} repeats", path=where)
+            edges[key] = ComentionEdge(a, b, set(provenance))
+        alias_table = state["alias_table"]
+        if not isinstance(alias_table, dict):
+            raise ParseError("graph state alias_table must be an object", path=where)
+        for variant, target in alias_table.items():
+            if target not in nodes:
+                raise ParseError(f"alias {variant!r} points to unknown node {target!r}",
+                                 path=where)
+        graph.alias_table = dict(alias_table)
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"graph state malformed: {exc}", path=str(path)) from exc
+        raise ParseError(f"graph state malformed: {exc}", path=where) from exc
     return graph
 
 
@@ -412,64 +440,57 @@ def _sorted_edges(graph: SupplyChainGraph) -> list[ComentionEdge]:
     return [graph.edges[k] for k in sorted(graph.edges)]
 
 
-def _to_graphml(graph: SupplyChainGraph) -> str:
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="d0" for="node" attr.name="display_name" attr.type="string"/>',
-        '  <key id="d1" for="node" attr.name="categories" attr.type="string"/>',
-        '  <key id="d2" for="edge" attr.name="weight" attr.type="int"/>',
-        '  <graph id="G" edgedefault="undirected">',
-    ]
+def _to_graphml(graph: SupplyChainGraph) -> Iterator[str]:
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="d0" for="node" attr.name="display_name" attr.type="string"/>\n'
+        '  <key id="d1" for="node" attr.name="categories" attr.type="string"/>\n'
+        '  <key id="d2" for="edge" attr.name="weight" attr.type="int"/>\n'
+        '  <graph id="G" edgedefault="undirected">\n'
+    )
+    qid = {cid: quoteattr(cid) for cid in graph.nodes}
     for node in _sorted_nodes(graph):
-        lines.append(f"    <node id={quoteattr(node.canonical_id)}>")
-        lines.append(f"      <data key=\"d0\">{escape(node.display_name)}</data>")
-        lines.append(f"      <data key=\"d1\">{escape(';'.join(sorted(node.categories)))}</data>")
-        lines.append("    </node>")
+        yield (f"    <node id={qid[node.canonical_id]}>\n"
+               f"      <data key=\"d0\">{escape(node.display_name)}</data>\n"
+               f"      <data key=\"d1\">{escape(';'.join(sorted(node.categories)))}</data>\n"
+               "    </node>\n")
     for edge in _sorted_edges(graph):
-        lines.append(f"    <edge source={quoteattr(edge.a)} target={quoteattr(edge.b)}>")
-        lines.append(f"      <data key=\"d2\">{edge.weight}</data>")
-        lines.append("    </edge>")
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+        yield (f"    <edge source={qid[edge.a]} target={qid[edge.b]}>\n"
+               f"      <data key=\"d2\">{edge.weight}</data>\n"
+               "    </edge>\n")
+    yield "  </graph>\n</graphml>\n"
 
 
 def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(graph: SupplyChainGraph) -> str:
-    lines = ["graph supply_chain {"]
+def _to_dot(graph: SupplyChainGraph) -> Iterator[str]:
+    yield "graph supply_chain {\n"
+    qid = {cid: _dot_quote(cid) for cid in graph.nodes}
     for node in _sorted_nodes(graph):
         attrs = f"label={_dot_quote(node.display_name)}"
         if node.categories:
             attrs += f", categories={_dot_quote(';'.join(sorted(node.categories)))}"
-        lines.append(f"  {_dot_quote(node.canonical_id)} [{attrs}];")
+        yield f"  {qid[node.canonical_id]} [{attrs}];\n"
     for edge in _sorted_edges(graph):
-        lines.append(f"  {_dot_quote(edge.a)} -- {_dot_quote(edge.b)} [weight={edge.weight}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {qid[edge.a]} -- {qid[edge.b]} [weight={edge.weight}];\n"
+    yield "}\n"
 
 
-def _to_jsonl(graph: SupplyChainGraph) -> str:
-    lines = []
+def _to_jsonl(graph: SupplyChainGraph) -> Iterator[str]:
+    """One row per node, then per edge: the bytes of json.dumps(row,
+    ensure_ascii=False), with each string quoted by the json module's C
+    quoter."""
+    qid = {cid: _q(cid) for cid in graph.nodes}
     for node in _sorted_nodes(graph):
-        lines.append(json.dumps(
-            {
-                "kind": "node",
-                "id": node.canonical_id,
-                "display_name": node.display_name,
-                "categories": sorted(node.categories),
-            },
-            ensure_ascii=False,
-        ))
+        categories = ", ".join(map(_q, sorted(node.categories)))
+        yield (f'{{"kind": "node", "id": {qid[node.canonical_id]}, '
+               f'"display_name": {_q(node.display_name)}, "categories": [{categories}]}}\n')
     for edge in _sorted_edges(graph):
-        lines.append(json.dumps(
-            {"kind": "edge", "source": edge.a, "target": edge.b, "weight": edge.weight},
-            ensure_ascii=False,
-        ))
-    return "".join(line + "\n" for line in lines)
+        yield (f'{{"kind": "edge", "source": {qid[edge.a]}, "target": {qid[edge.b]}, '
+               f'"weight": {edge.weight:d}}}\n')
 
 
 _RENDERERS = {"graphml": _to_graphml, "dot": _to_dot, "jsonl": _to_jsonl}
@@ -484,6 +505,5 @@ def export_graph(graph: SupplyChainGraph, fmt: str, path: str) -> None:
     """
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
-    text = _RENDERERS[fmt](graph)
     with open_output(path) as fh:
-        fh.write(text)
+        fh.writelines(_RENDERERS[fmt](graph))

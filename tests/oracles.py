@@ -13,8 +13,10 @@ import random
 import re
 from collections import deque
 from itertools import combinations
+from xml.sax.saxutils import escape, quoteattr
 
 from supplygraph.errors import SameNode, UnknownNode
+from supplygraph.files import open_output
 from supplygraph.graph import ComentionEdge, SupplyChainGraph
 
 
@@ -274,3 +276,115 @@ class ScanGraph(SupplyChainGraph):
             if target in keep:
                 sub.alias_table[variant] = target
         return sub
+
+
+# -- persistence and exports: the json-module writers ---------------------------------
+
+
+def save_state_json(graph, path):
+    """graph.json as json.dump(indent=2) streams it, through the atomic writer."""
+    state = {
+        "schema_version": 2,
+        "stopwords": {
+            "company_suffixes": sorted(graph.stopwords.company_suffixes),
+        },
+        "nodes": [
+            {
+                "canonical_id": node.canonical_id,
+                "display_name": node.display_name,
+                "aliases": sorted(node.aliases),
+                "descriptions": [list(p) for p in node.descriptions],
+                "categories": sorted(node.categories),
+            }
+            for _, node in sorted(graph.nodes.items())
+        ],
+        "edges": [
+            {"source": a, "target": b, "provenance": sorted(edge.provenance)}
+            for (a, b), edge in sorted(graph.edges.items())
+        ],
+        "alias_table": {k: graph.alias_table[k] for k in sorted(graph.alias_table)},
+    }
+    with open_output(path) as fh:
+        json.dump(state, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
+def _sorted_nodes(graph):
+    return [graph.nodes[cid] for cid in sorted(graph.nodes)]
+
+
+def _sorted_edges(graph):
+    return [graph.edges[k] for k in sorted(graph.edges)]
+
+
+def graphml_text(graph):
+    """The graphml export, quoting each edge end again."""
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="d0" for="node" attr.name="display_name" attr.type="string"/>',
+        '  <key id="d1" for="node" attr.name="categories" attr.type="string"/>',
+        '  <key id="d2" for="edge" attr.name="weight" attr.type="int"/>',
+        '  <graph id="G" edgedefault="undirected">',
+    ]
+    for node in _sorted_nodes(graph):
+        lines.append(f"    <node id={quoteattr(node.canonical_id)}>")
+        lines.append(f"      <data key=\"d0\">{escape(node.display_name)}</data>")
+        lines.append(f"      <data key=\"d1\">{escape(';'.join(sorted(node.categories)))}</data>")
+        lines.append("    </node>")
+    for edge in _sorted_edges(graph):
+        lines.append(f"    <edge source={quoteattr(edge.a)} target={quoteattr(edge.b)}>")
+        lines.append(f"      <data key=\"d2\">{edge.weight}</data>")
+        lines.append("    </edge>")
+    lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
+
+
+def _dot_quote(value):
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def dot_text(graph):
+    """The dot export, quoting each edge end again."""
+    lines = ["graph supply_chain {"]
+    for node in _sorted_nodes(graph):
+        attrs = f"label={_dot_quote(node.display_name)}"
+        if node.categories:
+            attrs += f", categories={_dot_quote(';'.join(sorted(node.categories)))}"
+        lines.append(f"  {_dot_quote(node.canonical_id)} [{attrs}];")
+    for edge in _sorted_edges(graph):
+        lines.append(f"  {_dot_quote(edge.a)} -- {_dot_quote(edge.b)} [weight={edge.weight}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def jsonl_text(graph):
+    """The jsonl export, one json.dumps call per row."""
+    lines = []
+    for node in _sorted_nodes(graph):
+        lines.append(json.dumps(
+            {
+                "kind": "node",
+                "id": node.canonical_id,
+                "display_name": node.display_name,
+                "categories": sorted(node.categories),
+            },
+            ensure_ascii=False,
+        ))
+    for edge in _sorted_edges(graph):
+        lines.append(json.dumps(
+            {"kind": "edge", "source": edge.a, "target": edge.b, "weight": edge.weight},
+            ensure_ascii=False,
+        ))
+    return "".join(line + "\n" for line in lines)
+
+
+EXPORT_TEXT = {"graphml": graphml_text, "dot": dot_text, "jsonl": jsonl_text}
+
+
+def export_text(graph, fmt, path):
+    """An export as the string renderers built it, through the atomic writer."""
+    text = EXPORT_TEXT[fmt](graph)
+    with open_output(path) as fh:
+        fh.write(text)

@@ -250,7 +250,7 @@ class FlakyFetcher:
 
 def test_fetch_articles_full_range():
     config = _config(year_range=(2018, 2023), per_year_min=10)
-    articles = fetch_articles("bechtel", config, YearlyFetcher())
+    articles = fetch_articles("bechtel", config, YearlyFetcher(), [])
     assert len(articles) == 60
     assert all(a.retrieved_for_keyword == "bechtel" for a in articles)
     assert {a.published_year for a in articles} == set(range(2018, 2024))
@@ -264,7 +264,7 @@ def test_fetch_articles_shortfall_logged(caplog):
             return []
 
     with caplog.at_level("WARNING"):
-        articles = fetch_articles("ghost", config, EmptyFetcher())
+        articles = fetch_articles("ghost", config, EmptyFetcher(), [])
     assert articles == []
     assert any("shortfall" in rec.message for rec in caplog.records)
 
@@ -273,26 +273,46 @@ def test_fetch_articles_retries_then_succeeds(monkeypatch):
     monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
     fetcher = FlakyFetcher(failures=1)
     config = _config(year_range=(2020, 2020), per_year_min=1)
-    assert fetch_articles("x", config, fetcher) == []
+    assert fetch_articles("x", config, fetcher, []) == []
     assert fetcher.calls == 2
 
 
-def test_fetch_articles_raises_after_retries(monkeypatch):
+def test_fetch_articles_records_the_failed_year_after_retries(monkeypatch, caplog):
     monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
     fetcher = FlakyFetcher(failures=100)
     config = _config(year_range=(2020, 2020), per_year_min=1)
-    with pytest.raises(FetchError):
-        fetch_articles("x", config, fetcher)
+    failed_years = []
+    with caplog.at_level("WARNING"):
+        assert fetch_articles("x", config, fetcher, failed_years) == []
     assert fetcher.calls == 3  # initial attempt plus two retries
+    assert failed_years == [2020]
+    assert any("keyword='x' year=2020" in rec.message for rec in caplog.records)
+
+
+def test_fetch_articles_keeps_the_years_around_a_failed_one(monkeypatch):
+    monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
+
+    class DownIn2020(YearlyFetcher):
+        def search(self, keyword, year, limit):
+            if year == 2020:
+                raise FetchError("source down")
+            return super().search(keyword, year, limit)
+
+    config = _config(year_range=(2019, 2021), per_year_min=2)
+    failed_years = []
+    articles = fetch_articles("x", config, DownIn2020(), failed_years)
+    assert [a.id for a in articles] == ["x-2019-0", "x-2019-1", "x-2021-0", "x-2021-1"]
+    assert failed_years == [2020]
 
 
 def test_fetch_articles_backs_off_before_each_retry(monkeypatch):
     sleeps = []
     monkeypatch.setattr(corpus_module.time, "sleep", sleeps.append)
     config = _config(year_range=(2020, 2020), per_year_min=1)
-    with pytest.raises(FetchError):
-        fetch_articles("x", config, FlakyFetcher(failures=100))
+    failed_years = []
+    fetch_articles("x", config, FlakyFetcher(failures=100), failed_years)
     assert sleeps == [0.1, 0.2]
+    assert failed_years == [2020]
 
 
 def test_fetch_articles_filters_out_of_range_years():
@@ -307,7 +327,7 @@ def test_fetch_articles_filters_out_of_range_years():
             ]
 
     config = _config(year_range=(2020, 2021), per_year_min=2)
-    assert fetch_articles("x", config, WrongYearFetcher()) == []
+    assert fetch_articles("x", config, WrongYearFetcher(), []) == []
 
 
 def test_corpus_fetcher_filters_by_keyword_and_year(news_corpus):
@@ -320,4 +340,4 @@ def test_corpus_fetcher_filters_by_keyword_and_year(news_corpus):
 def test_fetch_articles_rejects_blank_keyword():
     config = _config()
     with pytest.raises(ValueError):
-        fetch_articles("  ", config, YearlyFetcher())
+        fetch_articles("  ", config, YearlyFetcher(), [])

@@ -234,8 +234,37 @@ def test_crawl_fetch_failure_is_tallied_not_fatal(monkeypatch, gazetteer_backend
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1)
     graph, report = run_crawl(config, FailingFetcher(), gazetteer_backend)
     assert report.termination_reason == TERMINATION_EXHAUSTED
-    assert report.stats.fetch_failures == 1
+    assert report.stats.fetch_failures == 3  # one per year
     assert set(graph.nodes) == {"bechtel"}
+
+
+class DownIn2021:
+    """A corpus whose search fails for every keyword in 2021."""
+
+    def __init__(self, corpus):
+        self.corpus = corpus
+
+    def search(self, keyword, year, limit):
+        if year == 2021:
+            raise FetchError("source down")
+        return self.corpus.search(keyword, year, limit)
+
+
+@pytest.mark.parametrize("parallelism", [1, 8])
+def test_crawl_keeps_the_years_fetched_before_a_failed_year(
+    monkeypatch, news_corpus, gazetteer_backend, parallelism
+):
+    monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         parallelism=parallelism)
+    graph, report = run_crawl(config, DownIn2021(news_corpus), gazetteer_backend)
+    applied = set().union(*(edge.provenance for edge in graph.edges.values()))
+    assert report.termination_reason == TERMINATION_EXHAUSTED
+    assert {"bechtel-0", "bechtel-1"} <= applied
+    assert not applied & {a.id for a in news_corpus if a.published_year == 2021}
+    assert report.stats.articles_processed == len(applied)
+    # every crawled keyword lost its 2021 search and nothing else
+    assert report.stats.fetch_failures == len(graph.nodes)
 
 
 def _single_article_corpus(body: str, keyword: str = "bechtel") -> Corpus:

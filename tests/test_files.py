@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
 
+from supplygraph import files as files_module
 from supplygraph import graph as gr
 from supplygraph.backends import load_script
 from supplygraph.classify import load_labeled_dataset, load_predictions
@@ -32,6 +34,32 @@ def test_jsonl_readers_report_bad_line(tmp_path, reader, bad_line):
     assert err.value.path == str(path)
 
 
+class _FillingDisk:
+    """A text file whose disk fills once ``room`` characters are written: the
+    write that crosses it writes what fits, then raises ENOSPC."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room, self.written = fh, room, 0
+
+    def write(self, text):
+        if self.written + len(text) > self.room:
+            self.fh.write(text[: self.room - self.written])
+            self.written = self.room
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.written += len(text)
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
 def test_save_state_crash_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "graph.json"
     graph = gr.SupplyChainGraph(StopwordLists.default())
@@ -39,14 +67,17 @@ def test_save_state_crash_keeps_previous_file(tmp_path, monkeypatch):
     gr.save_state(graph, str(path))
     before = path.read_bytes()
 
-    def dump_then_crash(obj, fh, **kwargs):
-        fh.write('{"schema_version": 2, "stopwords": ')
-        raise RuntimeError("disk full")
+    disks = []
+
+    def open_on_filling_disk(file, mode="r", **kwargs):
+        disks.append(_FillingDisk(open(file, mode, **kwargs), room=len(before) // 2))
+        return disks[-1]
 
     graph.upsert_entity("Delta", "supplies steel", "a-2")
-    monkeypatch.setattr(gr.json, "dump", dump_then_crash)
-    with pytest.raises(RuntimeError, match="disk full"):
+    monkeypatch.setattr(files_module, "open", open_on_filling_disk, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
         gr.save_state(graph, str(path))
+    assert [disk.written for disk in disks] == [len(before) // 2]  # a partial write
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.json"]
 

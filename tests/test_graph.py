@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import oracles
+from supplygraph.corpus import StopwordLists
 from supplygraph.errors import (
     ParseError,
     SameNode,
@@ -14,6 +15,9 @@ from supplygraph.errors import (
     UnknownNode,
 )
 from supplygraph.graph import (
+    EXPORT_FORMATS,
+    ComentionEdge,
+    EntityNode,
     SupplyChainGraph,
     export_graph,
     graph_equal,
@@ -562,11 +566,17 @@ def test_load_state_malformed_nodes(tmp_path):
          "canonical_id and display_name must be strings"),
         (lambda s: s["nodes"].append(dict(s["nodes"][0], canonical_id=7)),
          "canonical_id and display_name must be strings"),
+        (lambda s: s["edges"].append(dict(s["edges"][0], provenance=["art-9"])),
+         "edge ('alpha co', 'bravo ltd') repeats"),
+        (lambda s: s["edges"].append(dict(s["edges"][0], source=s["edges"][0]["target"],
+                                          target=s["edges"][0]["source"])),
+         "edge ('alpha co', 'bravo ltd') repeats"),
     ],
     ids=["edge-end", "empty-provenance", "self-loop", "alias-target", "alias-table-list",
          "repeated-node", "aliases-string", "categories-string", "description-string",
          "description-triple", "provenance-string", "provenance-number", "suffixes-string",
-         "display-name-number", "edgeless-id-number"],
+         "display-name-number", "edgeless-id-number", "repeated-edge",
+         "repeated-edge-swapped"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
@@ -578,6 +588,95 @@ def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
         load_state(str(path))
     assert message in str(err.value)
     assert err.value.path == str(path)
+
+
+# Every character the json module escapes, those it leaves alone although other
+# encoders escape them, markup and separators of the exports, and non-ASCII from
+# each UTF-8 width.
+_AWKWARD = ([chr(c) for c in range(0x20)] + ["\x7f", "\x85", "\u2028", "\u2029", '"', "\\",
+            "'", "<", ">", "&", ";", " ", "-", "a", "Z", "0", "é", "漢", "😀"])
+
+
+def _awkward_text(rng: random.Random, min_len: int = 0) -> str:
+    return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(min_len, 6)))
+
+
+def _awkward_graph(seed: int) -> SupplyChainGraph:
+    """A graph load_state accepts, built field by field so that every string,
+    ids included, is drawn from _AWKWARD; any list or table may be empty."""
+    rng = random.Random(seed)
+    g = SupplyChainGraph(StopwordLists(frozenset(
+        _awkward_text(rng, 1) for _ in range(rng.choice((0, 1, 4))))))
+    for _ in range(rng.randint(0, 8)):
+        cid = _awkward_text(rng, 1)
+        g.nodes[cid] = EntityNode(
+            cid,
+            _awkward_text(rng),
+            {_awkward_text(rng) for _ in range(rng.randint(0, 3))},
+            [(_awkward_text(rng), _awkward_text(rng)) for _ in range(rng.randint(0, 3))],
+            {_awkward_text(rng) for _ in range(rng.randint(0, 3))},
+        )
+    ids = sorted(g.nodes)
+    for _ in range(rng.randint(0, 12) if len(ids) > 1 else 0):
+        a, b = sorted(rng.sample(ids, 2))
+        g.edges[(a, b)] = ComentionEdge(
+            a, b, {_awkward_text(rng) for _ in range(rng.randint(1, 3))})
+    for _ in range(rng.randint(0, 6) if ids else 0):
+        g.alias_table[_awkward_text(rng)] = rng.choice(ids)
+    return g
+
+
+def _written(tmp_path, graph, save, export) -> dict[str, bytes]:
+    out = {}
+    save(graph, str(tmp_path / "graph.json"))
+    for fmt in EXPORT_FORMATS:
+        export(graph, fmt, str(tmp_path / f"graph.{fmt}"))
+    for path in sorted(tmp_path.iterdir()):
+        out[path.name] = path.read_bytes()
+        path.unlink()
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_writers_give_the_json_module_bytes(tmp_path, seed):
+    graph = _awkward_graph(seed) if seed else _graph()  # seed 0: the empty graph
+    written = _written(tmp_path, graph, save_state, export_graph)
+    assert written == _written(tmp_path, graph, oracles.save_state_json, oracles.export_text)
+    (tmp_path / "graph.json").write_bytes(written["graph.json"])
+    assert graph_equal(load_state(str(tmp_path / "graph.json")), graph)
+
+
+def test_awkward_graphs_cover_every_character_and_empty_field():
+    graphs = [_awkward_graph(seed) for seed in range(1, 40)]
+    strings = set()
+    for g in graphs:
+        strings |= g.stopwords.company_suffixes | set(g.alias_table)
+        for node in g.nodes.values():
+            strings |= {node.canonical_id, node.display_name} | node.aliases | node.categories
+            strings.update(text for pair in node.descriptions for text in pair)
+        for edge in g.edges.values():
+            strings |= edge.provenance
+    assert set(_AWKWARD) <= set("".join(strings))
+    nodes = [node for g in graphs for node in g.nodes.values()]
+    for name in ("aliases", "descriptions", "categories"):
+        assert any(not getattr(node, name) for node in nodes)
+        assert any(getattr(node, name) for node in nodes)
+    assert any(node.display_name == "" for node in nodes)
+    assert any(not g.alias_table and g.nodes for g in graphs)
+    assert any(not g.stopwords.company_suffixes for g in graphs)
+
+
+@pytest.mark.parametrize("fmt", ["graph.json", *EXPORT_FORMATS])
+@pytest.mark.parametrize("save, export", [
+    (save_state, export_graph), (oracles.save_state_json, oracles.export_text),
+], ids=["direct", "json-module"])
+def test_lone_surrogate_raises_and_leaves_no_file(tmp_path, fmt, save, export):
+    g = _path_graph()
+    g.nodes["bravo ltd"].display_name = "Bravo \ud800"
+    path = str(tmp_path / fmt)
+    with pytest.raises(UnicodeEncodeError):
+        save(g, path) if fmt == "graph.json" else export(g, fmt, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- exports -------------------------------------------------------------------------
