@@ -11,11 +11,11 @@ per-category, macro, and micro metrics.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import random
-import threading
 import time
+from collections import Counter
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -24,7 +24,6 @@ from .errors import (
     AmbiguousAnswer,
     DegenerateClass,
     EmptyInput,
-    LengthMismatch,
     MissingPrediction,
     ParseError,
 )
@@ -50,9 +49,9 @@ DATASET_FIELDS = ("entity_id", "category", "gold", "description")
 
 # A question that took longer than this waited on something outside the
 # process: scripted and replayed answers take about 20 us, a call to an HTTP
-# endpoint milliseconds. Helper threads start only after two such questions
-# in a row, since starting and joining one costs about 0.1 ms, more than an
-# offline answer. One is not enough: on a busy host a garbage collection or
+# endpoint milliseconds. The thread pool starts only after two such questions
+# in a row, since starting and joining a thread costs about 0.1 ms, more than
+# an offline answer. One is not enough: on a busy host a garbage collection or
 # the scheduler now and then stalls one offline question for milliseconds,
 # but a network wait slows every question.
 SLOW_QUESTION_S = 0.001
@@ -149,28 +148,6 @@ class Metrics:
         return cls(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
 
 
-def evaluate_binary(
-    predictions: Sequence[bool], golds: Sequence[bool]
-) -> tuple[ConfusionCounts, Metrics]:
-    """Confusion counts and metrics for one binary task."""
-    if len(predictions) != len(golds):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(golds)} golds")
-    if not golds:
-        raise EmptyInput("no examples")
-    tp = fp = tn = fn = 0
-    for pred, gold in zip(predictions, golds):
-        if pred and gold:
-            tp += 1
-        elif pred and not gold:
-            fp += 1
-        elif not pred and gold:
-            fn += 1
-        else:
-            tn += 1
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    return counts, Metrics.from_counts(counts)
-
-
 def classify_entity(
     entity: EntityNode,
     taxonomy: CategoryTaxonomy,
@@ -218,51 +195,30 @@ def _ask_all(backend: Backend, questions: Sequence[tuple[str, str, str]]) -> lis
     """Answer every (entity, description, category) question; answers by index.
 
     The calling thread answers them in order. Once two in a row have taken
-    longer than SLOW_QUESTION_S, IN_FLIGHT - 1 helper threads join in. Every
-    thread takes the next index from one shared counter, so each question
-    has a single owner. An error, interrupts included, stops every thread
-    from taking a new question; once all have stopped, the error of the
-    lowest index is raised. Every index below it was taken before it, so
-    this is the error a sequential run meets first.
+    longer than SLOW_QUESTION_S, the rest go to a pool of IN_FLIGHT threads
+    and the caller waits. An error, interrupts included, stops the pool from
+    starting new questions. The pool starts questions in index order, so
+    every question below the first error has run, and the scan in index
+    order raises the error a sequential run meets first.
     """
-    answers: list[bool | None] = [None] * len(questions)
-    errors: dict[int, BaseException] = {}
-    stop = threading.Event()
-    indices = itertools.count()
-    helpers: list[threading.Thread] = []
-
-    def work(watch: bool) -> None:
-        slow_before = False
-        for i in indices:
-            if i >= len(questions) or stop.is_set():
-                return
-            started = time.perf_counter()
-            try:
-                answers[i] = _ask(backend, *questions[i])
-            except BaseException as exc:  # re-raised by the calling thread
-                errors[i] = exc
-                stop.set()
-                return
-            if not watch:
-                continue
-            slow = time.perf_counter() - started > SLOW_QUESTION_S
-            if slow and slow_before:
-                watch = False
-                for _ in range(IN_FLIGHT - 1):
-                    helper = threading.Thread(target=work, args=(False,), name="classify")
-                    helper.start()
-                    helpers.append(helper)
-            slow_before = slow
-
+    answers: list[bool | None] = []
+    slow_before = False
+    for question in questions:
+        started = time.perf_counter()
+        answers.append(_ask(backend, *question))
+        slow = time.perf_counter() - started > SLOW_QUESTION_S
+        if slow and slow_before:
+            break
+        slow_before = slow
+    else:
+        return answers
+    pool = ThreadPoolExecutor(IN_FLIGHT, thread_name_prefix="classify")
     try:
-        work(True)
+        futures = [pool.submit(_ask, backend, *q) for q in questions[len(answers):]]
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
-        stop.set()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return answers
+        pool.shutdown(cancel_futures=True)
+    return answers + [f.result() for f in futures]
 
 
 @dataclass
@@ -364,7 +320,7 @@ def evaluate_all(
     """
     if not dataset:
         raise EmptyInput("dataset is empty")
-    by_category: dict[str, tuple[list[bool], list[bool]]] = {}
+    tallies: dict[str, Counter[tuple[bool, bool]]] = {}
     undetermined = 0
     for example in dataset:
         if example.category not in taxonomy:
@@ -376,15 +332,10 @@ def evaluate_all(
         if answer is None:
             undetermined += 1
             continue
-        preds, golds = by_category.setdefault(example.category, ([], []))
-        preds.append(answer)
-        golds.append(example.gold)
-    if not by_category:
+        tallies.setdefault(example.category, Counter())[answer, example.gold] += 1
+    if not tallies:
         raise EmptyInput("every example was undetermined")
-    per_category = {
-        category: evaluate_binary(preds, golds)
-        for category, (preds, golds) in by_category.items()
-    }
+    per_category = {category: _scored(tally) for category, tally in tallies.items()}
     metric_values = [metrics for _, metrics in per_category.values()]
     macro = Metrics(
         accuracy=sum(m.accuracy for m in metric_values) / len(metric_values),
@@ -392,11 +343,16 @@ def evaluate_all(
         recall=sum(m.recall for m in metric_values) / len(metric_values),
         f1=sum(m.f1 for m in metric_values) / len(metric_values),
     )
-    micro_counts, micro = evaluate_binary(
-        [pred for preds, _ in by_category.values() for pred in preds],
-        [gold for _, golds in by_category.values() for gold in golds],
-    )
+    micro_counts, micro = _scored(sum(tallies.values(), Counter()))
     return EvaluationReport(per_category, macro, micro_counts, micro, undetermined)
+
+
+def _scored(tally: Counter[tuple[bool, bool]]) -> tuple[ConfusionCounts, Metrics]:
+    """Confusion counts and metrics from a (prediction, gold) tally."""
+    counts = ConfusionCounts(
+        tp=tally[True, True], fp=tally[True, False], tn=tally[False, False], fn=tally[False, True],
+    )
+    return counts, Metrics.from_counts(counts)
 
 
 def downsample_balanced(

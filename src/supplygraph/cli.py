@@ -23,10 +23,11 @@ from . import backends as be
 from . import classify as cl
 from . import crawler as cr
 from . import graph as gr
-from .corpus import StopwordLists, load_corpus, load_stopwords
+from .corpus import StopwordLists, load_corpus, load_stopwords, normalize_name
 from .errors import (
     BackendUnavailable,
     CassetteWriteError,
+    EmptyName,
     MissingPrediction,
     ParseError,
     SupplyGraphError,
@@ -174,6 +175,14 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     config = _build_crawl_config(args)
     corpus = load_corpus(args.corpus, strict=not args.lenient)
     stopwords = load_stopwords(args.suffixes) if args.suffixes else StopwordLists.default()
+    for seed in config.seeds:
+        try:
+            normalize_name(seed, stopwords)
+        except EmptyName:
+            raise ValueError(
+                f"seed {seed!r} has no name left after stripping punctuation and company "
+                "suffixes (from --seeds or the config's seeds)"
+            ) from None
     backend, backend_path = _make_backend(args.backend, args)
     os.makedirs(args.out, exist_ok=True)
 

@@ -74,10 +74,6 @@ class SchemaVersionMismatch(SupplyGraphError):
     """Persisted graph state was written by an incompatible schema."""
 
 
-class LengthMismatch(SupplyGraphError):
-    """Prediction and gold sequences differ in length."""
-
-
 class EmptyInput(SupplyGraphError):
     """Metrics requested over zero examples."""
 

@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
+from .corpus import _CONTROL_RE
 from .errors import AmbiguousAnswer, EmptyParse
 
 TOKEN_SAFETY_FACTOR = 1.3
@@ -221,8 +222,9 @@ def parse_entity_list(
 
     A line counts as an entity when it has a numeric "N." prefix or a
     non-empty description after the first colon; anything else is skipped and
-    tallied. An empty response parses to an empty list; a non-empty response
-    with zero entities raises EmptyParse.
+    tallied. Control characters are removed from names and descriptions, as
+    XML forbids them in ``graph.graphml``. An empty response parses to an
+    empty list; a non-empty response with zero entities raises EmptyParse.
     """
     entities: list[ExtractedEntity] = []
     skipped = 0
@@ -231,8 +233,8 @@ def parse_entity_list(
             continue
         m = _ENTITY_LINE_RE.match(line)
         if m:
-            name = m.group("name").strip()
-            desc = m.group("desc").strip()
+            name = _CONTROL_RE.sub("", m.group("name")).strip()
+            desc = _CONTROL_RE.sub("", m.group("desc")).strip()
             if name and (m.group("num") or desc):
                 entities.append(ExtractedEntity(name=name, description=desc))
                 continue

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from supplygraph.backends import ScriptedBackend, load_script
+from supplygraph.classify import CategoryTaxonomy, LabeledExample, evaluate_all
 from supplygraph.corpus import StopwordLists, load_corpus
 from supplygraph.crawler import CrawlConfig
 
@@ -22,10 +23,21 @@ DEDUP_NEWS_PATH = os.path.join(FIXTURES, "dedup_news.jsonl")
 LABELS_PATH = os.path.join(FIXTURES, "labels.jsonl")
 
 
+def score_one_category(predictions, golds):
+    """evaluate_all over a one-category dataset whose i-th example has gold
+    ``golds[i]`` and answer ``predictions[i]``: that category's (counts,
+    metrics), which are also the micro ones."""
+    dataset = [LabeledExample(f"e{i}", "a cat", gold, "d") for i, gold in enumerate(golds)]
+    answers = {(f"e{i}", "a cat"): pred for i, pred in enumerate(predictions)}
+    report = evaluate_all(dataset, answers, CategoryTaxonomy(categories=("a cat",)))
+    assert (report.micro_counts, report.micro) == report.per_category["a cat"]
+    return report.per_category["a cat"]
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test after which a non-daemon thread it started still runs,
-    such as a crawl pool worker or a classify helper never joined."""
+    such as a crawl or classify pool worker never joined."""
     before = set(threading.enumerate())
     yield
     leaked = [t for t in threading.enumerate() if t not in before and not t.daemon]

@@ -12,7 +12,14 @@ import time
 from contextlib import contextmanager
 
 import oracles
-from conftest import DEDUP_NEWS_PATH, GAZETTEER_PATH, LABELS_PATH, NEWS_PATH, TRUTH_PATH
+from conftest import (
+    DEDUP_NEWS_PATH,
+    GAZETTEER_PATH,
+    LABELS_PATH,
+    NEWS_PATH,
+    TRUTH_PATH,
+    score_one_category,
+)
 from supplygraph.backends import (
     BackendRequest,
     ScriptFile,
@@ -25,7 +32,6 @@ from supplygraph.classify import (
     classify_graph,
     downsample_balanced,
     evaluate_all,
-    evaluate_binary,
     load_labeled_dataset,
 )
 from supplygraph.cli import main
@@ -138,7 +144,7 @@ def test_acceptance_metrics_fidelity():
         # planted confusion: TP=2, TN=6, FP=1, FN=1
         predictions = [True, True, True, False] + [False] * 6
         golds = [True, True, False, True] + [False] * 6
-        counts, metrics = evaluate_binary(predictions, golds)
+        counts, metrics = score_one_category(predictions, golds)
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (2, 6, 1, 1)
         assert abs(metrics.accuracy - 0.800) <= 1e-9
         # 2*TP / (2*TP + FP + FN) = 4/6; 0.666667 is its 6-decimal rounding
@@ -150,7 +156,7 @@ def test_acceptance_metrics_fidelity():
             n = rng.randint(1, 60)
             preds = [rng.random() < rng.uniform(0.1, 0.9) for _ in range(n)]
             gold = [rng.random() < rng.uniform(0.1, 0.9) for _ in range(n)]
-            counts, metrics = evaluate_binary(preds, gold)
+            counts, metrics = score_one_category(preds, gold)
             tp, fp, tn, fn = oracles.confusion_recount(preds, gold)
             assert (counts.tp, counts.fp, counts.tn, counts.fn) == (tp, fp, tn, fn)
             accuracy, f1 = oracles.metrics_recount(tp, fp, tn, fn)

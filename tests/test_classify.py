@@ -10,8 +10,7 @@ from dataclasses import asdict
 import pytest
 
 import oracles
-from conftest import LABELS_PATH
-from supplygraph import classify as classify_module
+from conftest import LABELS_PATH, score_one_category
 from supplygraph.backends import IN_FLIGHT, BackendResponse
 from supplygraph.classify import (
     DEFAULT_CATEGORIES,
@@ -24,7 +23,6 @@ from supplygraph.classify import (
     downsample_balanced,
     dump_predictions,
     evaluate_all,
-    evaluate_binary,
     load_labeled_dataset,
     load_predictions,
 )
@@ -32,7 +30,6 @@ from supplygraph.errors import (
     BackendUnavailable,
     DegenerateClass,
     EmptyInput,
-    LengthMismatch,
     MissingPrediction,
     ParseError,
 )
@@ -67,7 +64,7 @@ def test_evaluate_binary_planted_counts():
     # TP=2, TN=6, FP=1, FN=1
     predictions = [True, True, True, False, False, False, False, False, False, False]
     golds = [True, True, False, True, False, False, False, False, False, False]
-    counts, metrics = evaluate_binary(predictions, golds)
+    counts, metrics = score_one_category(predictions, golds)
     assert counts == ConfusionCounts(tp=2, fp=1, tn=6, fn=1)
     assert metrics.accuracy == pytest.approx(0.8, abs=1e-12)
     assert metrics.precision == pytest.approx(2 / 3, abs=1e-12)
@@ -77,27 +74,20 @@ def test_evaluate_binary_planted_counts():
 
 def test_evaluate_binary_perfect_and_inverted():
     golds = [True, False, True, False]
-    _, perfect = evaluate_binary(golds, golds)
+    _, perfect = score_one_category(golds, golds)
     assert perfect == Metrics(accuracy=1.0, precision=1.0, recall=1.0, f1=1.0)
-    _, inverted = evaluate_binary([not g for g in golds], golds)
+    _, inverted = score_one_category([not g for g in golds], golds)
     assert inverted == Metrics(accuracy=0.0, precision=0.0, recall=0.0, f1=0.0)
 
 
 def test_evaluate_binary_zero_denominator_conventions():
     # no positive predictions: precision 0; no positive golds: recall 0
-    counts, metrics = evaluate_binary([False, False], [False, False])
+    counts, metrics = score_one_category([False, False], [False, False])
     assert counts == ConfusionCounts(tn=2)
     assert metrics.accuracy == 1.0
     assert metrics.precision == 0.0
     assert metrics.recall == 0.0
     assert metrics.f1 == 0.0
-
-
-def test_evaluate_binary_errors():
-    with pytest.raises(LengthMismatch):
-        evaluate_binary([True], [True, False])
-    with pytest.raises(EmptyInput):
-        evaluate_binary([], [])
 
 
 def test_evaluate_binary_matches_recount_fuzz():
@@ -106,7 +96,7 @@ def test_evaluate_binary_matches_recount_fuzz():
         n = rng.randint(1, 40)
         predictions = [rng.random() < 0.5 for _ in range(n)]
         golds = [rng.random() < 0.5 for _ in range(n)]
-        counts, metrics = evaluate_binary(predictions, golds)
+        counts, metrics = score_one_category(predictions, golds)
         tp, fp, tn, fn = oracles.confusion_recount(predictions, golds)
         assert (counts.tp, counts.fp, counts.tn, counts.fn) == (tp, fp, tn, fn)
         accuracy, f1 = oracles.metrics_recount(tp, fp, tn, fn)
@@ -300,7 +290,7 @@ def test_classify_graph_offline_backend_starts_no_thread(gazetteer_backend, gaze
     def no_thread(*args, **kwargs):
         raise AssertionError("classify started a thread")
 
-    monkeypatch.setattr(classify_module.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     graph = _gazetteer_graph(gazetteer)
     classify_graph(graph, CategoryTaxonomy(), Stalling())
     assert graph.nodes["bechtel"].categories == {"construction contractor"}
@@ -325,6 +315,22 @@ def test_classify_graph_raises_lowest_index_error_and_labels_nothing(
     if delay_s:
         assert backend.raised == [later, first]
     assert all(not node.categories for node in graph.nodes.values())
+
+
+def test_classify_graph_error_stops_new_questions(gazetteer_backend, gazetteer):
+    # While the first entity's question stalls, the second entity's fails:
+    # the pool starts no further question, though the stalled one finishes
+    # and its error is the one raised.
+    first = BackendUnavailable("aconex failed")
+    later = BackendUnavailable("aecom failed")
+    backend = _Gazetteer(gazetteer_backend, delay_s=0.003, fail={
+        ("aconex", "legal counsel"): (first, 0.5),
+        ("aecom", "engineering consulting"): (later, 0.0),
+    })
+    with pytest.raises(BackendUnavailable) as err:
+        classify_graph(_gazetteer_graph(gazetteer), CategoryTaxonomy(), backend)
+    assert err.value is first
+    assert backend.calls < 12 * 9 // 2
 
 
 def test_classify_graph_interrupt_in_a_helper_reaches_the_caller(gazetteer_backend, gazetteer):

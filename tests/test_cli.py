@@ -214,6 +214,19 @@ def test_crawl_requires_seeds(tmp_path, capsys):
     assert "seeds are required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, empty", [("Ltd.", "Ltd."), ("bechtel,!!!", "!!!")])
+def test_crawl_seed_with_no_name_left_exits_config_before_work(tmp_path, monkeypatch, capsys,
+                                                                seeds, empty):
+    live = _live_backend(monkeypatch)
+    out = tmp_path / "run"
+    assert _crawl(out, seeds=seeds) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"seed {empty!r} has no name left" in err
+    assert "--seeds" in err
+    assert not out.exists()
+    assert live.calls == 0
+
+
 def test_crawl_missing_corpus_file(tmp_path):
     code = main([
         "crawl",

@@ -25,6 +25,7 @@ from supplygraph.graph import (
     load_state,
     save_state,
 )
+from supplygraph.prompting import parse_entity_list
 
 
 def _graph() -> SupplyChainGraph:
@@ -731,6 +732,18 @@ def test_export_graphml_escapes_special_characters(tmp_path):
     ns = "{http://graphml.graphdrawing.org/xmlns}"
     node = root.find(f"{ns}graph/{ns}node")
     assert node.find(f"{ns}data").text == 'A&B "Quoted" <Firm>'
+
+
+def test_export_graphml_of_a_reply_with_control_characters_parses(tmp_path):
+    g = _graph()
+    for entity in parse_entity_list("1. Acme\x01 Steel: makes\x1b steel\x7f"):
+        g.upsert_entity(entity.name, entity.description, "art-1")
+    path = tmp_path / "g.graphml"
+    export_graph(g, "graphml", str(path))
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    node = ET.parse(path).getroot().find(f"{ns}graph/{ns}node")
+    assert node.find(f"{ns}data").text == "Acme Steel"
+    assert g.nodes["acme steel"].descriptions == [("art-1", "makes steel")]
 
 
 def test_export_dot_three_node_path(tmp_path):
