@@ -311,6 +311,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_subgraph(args: argparse.Namespace) -> int:
+    for flag, value in (("--hops", args.hops), ("--max-nodes", args.max_nodes)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     graph = gr.load_state(args.state)
     seed = graph.canonicalize(args.entity)
     if seed is None:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from json.encoder import encode_basestring as _q
 from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
@@ -214,50 +213,47 @@ class SupplyChainGraph:
 
         When the neighborhood exceeds max_nodes, a uniform seeded sample of
         max_nodes - 1 members is kept alongside the seed (which always stays).
+        The search goes level by level, each level the union of the last
+        one's neighbour sets, and stops early at a level that adds nothing.
         """
         if seed not in self.nodes:
             raise UnknownNode(seed)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
-        reached: set[str] = {seed}
-        frontier = deque([(seed, 0)])
-        while frontier:
-            cid, depth = frontier.popleft()
-            if depth == k:
-                continue
-            for nb in self.neighbors(cid):
-                if nb not in reached:
-                    reached.add(nb)
-                    frontier.append((nb, depth + 1))
-        candidates = sorted(reached - {seed})
-        if 1 + len(candidates) > max_nodes:
-            rng = random.Random(rng_seed)
-            keep = set(rng.sample(candidates, max_nodes - 1))
-        else:
-            keep = set(candidates)
-        keep.add(seed)
-
+        for name, value in (("k", k), ("max_nodes", max_nodes)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         adj = self._adjacency()
+        reached, frontier = {seed}, {seed}
+        for _ in range(k):
+            frontier = set().union(*map(adj.get, frontier, repeat(()))) - reached
+            if not frontier:
+                break
+            reached |= frontier
+        keep = reached
+        if len(reached) > max_nodes:
+            keep = set(random.Random(rng_seed).sample(sorted(reached - {seed}), max_nodes - 1))
+            keep.add(seed)
+
+        ids, nodes, edges = sorted(keep), self.nodes, self.edges
         sub = SupplyChainGraph(self.stopwords)
-        for cid in sorted(keep):
-            node = self.nodes[cid]
-            sub.nodes[cid] = EntityNode(
-                canonical_id=node.canonical_id,
-                display_name=node.display_name,
-                aliases=set(node.aliases),
-                descriptions=list(node.descriptions),
-                categories=set(node.categories),
-            )
-            # Each kept edge is copied once, from its smaller end, so the
-            # subgraph's edge table is in key order.
-            for other in sorted(keep.intersection(adj.get(cid, ()))):
-                if cid < other:
-                    sub._add_edge(cid, other, set(self.edges[(cid, other)].provenance))
-        for variant, target in self.alias_table.items():
-            if target in keep:
-                sub.alias_table[variant] = target
+        sub.nodes = {
+            cid: EntityNode(node.canonical_id, node.display_name, set(node.aliases),
+                            list(node.descriptions), set(node.categories))
+            for cid in ids
+            for node in (nodes[cid],)
+        }
+        # Each kept edge is copied once, from its smaller end, so the
+        # subgraph's edge table is in key order.
+        sub.edges = {
+            (a, b): ComentionEdge(a, b, set(edges[a, b].provenance))
+            for a in ids
+            for b in sorted(keep.intersection(adj.get(a, ())))
+            if a < b
+        }
+        sub.alias_table = {
+            variant: target for variant, target in self.alias_table.items() if target in keep
+        }
         return sub
 
 

@@ -925,6 +925,25 @@ def test_subgraph_cap_and_seed(tmp_path, crawled_state):
     assert "bechtel" in node_ids
 
 
+@pytest.mark.parametrize(("flag", "value"), [("--hops", "0"), ("--hops", "-2"),
+                                           ("--max-nodes", "0"), ("--max-nodes", "-1")])
+def test_subgraph_below_one_exits_config_before_loading(tmp_path, crawled_state, capsys, flag,
+                                                        value):
+    # The missing state file shows the flag is checked before --state is read.
+    for state in (crawled_state, str(tmp_path / "missing.json")):
+        out = tmp_path / "sub"
+        code = main([
+            "subgraph",
+            "--state", state,
+            "--entity", "bechtel",
+            flag, value,
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_subgraph_unknown_entity(tmp_path, crawled_state, capsys):
     code = main([
         "subgraph",

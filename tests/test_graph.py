@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import random
 import xml.etree.ElementTree as ET
@@ -372,6 +373,26 @@ def test_sample_k_hop_errors():
         g.sample_k_hop("alpha co", 1, 0, rng_seed=1)
 
 
+@pytest.mark.parametrize(("k", "max_nodes", "message"), [
+    (1.5, 10, "k must be an integer, got 1.5"),
+    (True, 10, "k must be an integer, got True"),
+    ("1", 10, "k must be an integer, got '1'"),
+    (None, 10, "k must be an integer, got None"),
+    (1, 2.5, "max_nodes must be an integer, got 2.5"),
+    (1, False, "max_nodes must be an integer, got False"),
+    (1, "2", "max_nodes must be an integer, got '2'"),
+], ids=["k-float", "k-bool", "k-str", "k-none", "max-nodes-float", "max-nodes-bool",
+        "max-nodes-str"])
+def test_sample_k_hop_rejects_non_integer_arguments(k, max_nodes, message):
+    g = _path_graph()
+    g.upsert_entity("Delta Co")
+    g.add_comention("art-3", ["charlie inc", "delta co"])  # a - b - c - d
+    assert len(g.sample_k_hop("alpha co", 1, 10, rng_seed=1).nodes) == 2
+    with pytest.raises(ValueError) as excinfo:
+        g.sample_k_hop("alpha co", k, max_nodes, rng_seed=1)
+    assert str(excinfo.value) == message
+
+
 # -- adjacency index against the full-scan reference -----------------------------------
 
 # Base names with suffix variants, so upserts collide and aliases merge nodes.
@@ -437,6 +458,59 @@ def test_adjacency_index_matches_full_scan_reference(tmp_path, seed):
             _assert_matches_reference(sub, expected)
             for edge in sub.edges.values():
                 assert edge.provenance is not real.edges[(edge.a, edge.b)].provenance
+
+
+def _sampling_graph(seed: int) -> SupplyChainGraph:
+    """Random graph with merged variants, operator aliases, several components
+    and nodes without edges, every node described and categorised."""
+    rng = random.Random(seed)
+    g = SupplyChainGraph()
+    for i, name in enumerate(rng.sample(_VARIANT_NAMES, 40)):
+        cid = g.upsert_entity(name, f"desc {i}", f"art-{i % 9}")
+        g.nodes[cid].categories.add(rng.choice(("legal counsel", "engineering consulting")))
+    g.apply_aliases({rng.choice(_VARIANT_NAMES): rng.choice(_VARIANT_NAMES)})
+    ids = sorted(g.nodes)
+    linked = ids[: len(ids) * 3 // 4]
+    for step in range(25):
+        g.add_comention(f"art-{step % 11}", rng.sample(linked, rng.randint(2, 3)))
+    return g
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
+    real = _sampling_graph(seed)
+    ref = oracles.ScanGraph.of(real)
+    before = copy.deepcopy((real.nodes, real.edges, real.alias_table))
+    adjacency = {cid: set(real.neighbors(cid)) for cid in real.nodes}
+    assert any(not adjacency[cid] for cid in real.nodes)
+    rng = random.Random(f"samples {seed}")
+    for cid in sorted(real.nodes):
+        for hops in (1, 2, 3, 4, 10**9):
+            for max_nodes in (rng.randint(1, 8), len(real.nodes) + 1):
+                rng_seed = rng.randrange(1 << 30)
+                sub = real.sample_k_hop(cid, hops, max_nodes, rng_seed)
+                expected = ref.sample_k_hop(cid, hops, max_nodes, rng_seed)
+                _assert_matches_reference(sub, expected)
+                if max_nodes > len(real.nodes):
+                    # No path is longer than the node count, and bfs_k_hop
+                    # walks every one of its k levels.
+                    depth = min(hops, len(real.nodes))
+                    assert set(sub.nodes) == oracles.bfs_k_hop(adjacency, cid, depth)
+                if not adjacency[cid]:
+                    assert list(sub.nodes) == [cid] and not sub.edges
+                assert list(sub.nodes) == sorted(sub.nodes)
+                assert list(sub.edges) == sorted(sub.edges)
+                assert list(sub.alias_table.items()) == [
+                    item for item in real.alias_table.items() if item[1] in sub.nodes
+                ]
+                for node in sub.nodes.values():
+                    node.aliases.add("mutated")
+                    node.descriptions.append(("art-x", "mutated"))
+                    node.categories.add("mutated")
+                for edge in sub.edges.values():
+                    edge.provenance.add("art-x")
+                sub.alias_table["mutated"] = cid
+    assert (real.nodes, real.edges, real.alias_table) == before
 
 
 # -- persistence ---------------------------------------------------------------------
