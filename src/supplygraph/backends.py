@@ -84,14 +84,16 @@ class BackendResponse:
     latency_ms: int = 0
 
 
+# What json.dumps(..., ensure_ascii=False) builds on every call, built once;
+# encoding keeps no state between calls, so threads share it.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def request_key(prompt: PromptTriple) -> str:
     """Stable hex key for a request's content (request tags excluded)."""
     # The last slot once held the request's temperature, always 0; it stays
     # so that every recorded cassette keeps its keys.
-    payload = json.dumps(
-        [prompt.system, prompt.user, prompt.question, "0"],
-        ensure_ascii=False,
-    )
+    payload = _ENCODER.encode([prompt.system, prompt.user, prompt.question, "0"])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -205,13 +207,17 @@ class ScriptedBackend:
                 self._wordless.append(name)
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        key = request_key(request.prompt)
-        if key in self.script.entries:
-            return _synthetic_response(request.prompt, self.script.entries[key])
-        text = self._synthesize(request.prompt)
+        # A request is hashed only when there are keyed entries to look it
+        # up in, or to name its key in a miss.
+        prompt = request.prompt
+        text = self.script.entries.get(request_key(prompt)) if self.script.entries else None
         if text is None:
-            raise ScriptMiss(f"no script entry for key {key[:12]} and no synthesis possible")
-        return _synthetic_response(request.prompt, text)
+            text = self._synthesize(prompt)
+            if text is None:
+                raise ScriptMiss(
+                    f"no script entry for key {request_key(prompt)[:12]} and no synthesis possible"
+                )
+        return _synthetic_response(prompt, text)
 
     def _synthesize(self, prompt: PromptTriple) -> str | None:
         if not self.script.gazetteer:
@@ -256,7 +262,7 @@ class ScriptedBackend:
 
 
 def _cassette_line(key: str, text: str) -> str:
-    return json.dumps({"key": key, "response": text}, ensure_ascii=False) + "\n"
+    return _ENCODER.encode({"key": key, "response": text}) + "\n"
 
 
 def _read_cassette(path: str) -> dict[str, str]:

@@ -48,10 +48,10 @@ DEFAULT_CATEGORIES = (
 DATASET_FIELDS = ("entity_id", "category", "gold", "description")
 
 # A question that took longer than this waited on something outside the
-# process: scripted and replayed answers take about 20 us, a call to an HTTP
-# endpoint milliseconds. The thread pool starts only after two such questions
-# in a row, since starting and joining a thread costs about 0.1 ms, more than
-# an offline answer. One is not enough: on a busy host a garbage collection or
+# process: scripted and replayed answers take about 10-15 us, a call to an
+# HTTP endpoint milliseconds. The thread pool starts only after two such
+# questions in a row, since starting and joining a thread costs about 0.1 ms,
+# more than an offline answer. One is not enough: on a busy host a garbage collection or
 # the scheduler now and then stalls one offline question for milliseconds,
 # but a network wait slows every question.
 SLOW_QUESTION_S = 0.001

@@ -150,20 +150,27 @@ class Crawler:
         self._cut = False  # a budget left a fetched article unapplied
         for raw_seed in self.config.seeds:
             self._enqueue(self.graph.upsert_entity(raw_seed))
-        # pending[i] harvests self._frontier[i]; keywords are applied in
-        # frontier order, so any width gives the bytes of a sequential crawl.
-        pending: deque[Future[_Harvest]] = deque()
+        # pending[i] harvests self._frontier[i], on a worker, or on this
+        # thread when it is None. Keywords are applied in frontier order, so
+        # any width gives the bytes of a sequential crawl.
+        pending: deque[Future[_Harvest] | None] = deque()
         # Set once the loop ends, by a stop or an error: harvests still in
         # flight will be discarded, so they stop fetching and calling the
         # backend.
         self._stop = threading.Event()
-        with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
+        width = self.config.parallelism
+        # The pool starts a thread per submit, up to width, so a width-1
+        # crawl starts none: every harvest runs on this thread.
+        with ThreadPoolExecutor(max_workers=width) as pool:
             try:
                 while self._frontier and not self._budget_reason():
-                    while len(pending) < min(self.config.parallelism, len(self._frontier)):
+                    if not pending:
+                        pending.append(None)  # no worker holds the head
+                    while len(pending) < min(width, len(self._frontier)):
                         pending.append(pool.submit(self._harvest, self._frontier[len(pending)]))
-                    self._frontier.popleft()
-                    self._apply(pending.popleft().result())
+                    keyword = self._frontier.popleft()
+                    future = pending.popleft()
+                    self._apply(self._harvest(keyword) if future is None else future.result())
             finally:
                 self._stop.set()
         # Exhausted only if every fetched article of every enqueued keyword

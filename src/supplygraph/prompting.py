@@ -2,12 +2,14 @@
 
 The two prompt templates ship as data assets and are rendered by pure
 placeholder substitution; nothing else in the template text is touched.
+Each template is split into literal text and placeholder names once, at
+load, and rendering joins the pieces.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import _CONTROL_RE
@@ -43,23 +45,32 @@ class PromptTemplate:
     system: str
     user: str
     question: str
+    # Each part split once by _PLACEHOLDER_RE: literal text at even indices,
+    # placeholder names at odd ones. The last is the question behind the
+    # reasoning preamble.
+    _pieces: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parts = (self.system, self.user, self.question, REASONING_PREAMBLE + " " + self.question)
+        object.__setattr__(self, "_pieces", tuple(tuple(_PLACEHOLDER_RE.split(p)) for p in parts))
 
     def render(self, values: dict[str, str], reasoning: bool = False) -> PromptTriple:
-        question = self.question
-        if reasoning:
-            question = REASONING_PREAMBLE + " " + question
+        system, user, question, reasoned = self._pieces
         return PromptTriple(
-            system=_substitute(self.system, values),
-            user=_substitute(self.user, values),
-            question=_substitute(question, values),
+            system=_fill(system, values),
+            user=_fill(user, values),
+            question=_fill(reasoned if reasoning else question, values),
         )
 
 
-def _substitute(text: str, values: dict[str, str]) -> str:
-    # Single pass so placeholder-looking text inside a payload is left alone.
-    return _PLACEHOLDER_RE.sub(
-        lambda m: values[m.group(1)] if m.group(1) in values else m.group(0), text
-    )
+def _fill(pieces: tuple[str, ...], values: dict[str, str]) -> str:
+    # Single pass: an inserted value is never scanned for placeholders, and
+    # a placeholder without a value is left as written.
+    out = list(pieces)
+    for i in range(1, len(out), 2):
+        name = out[i]
+        out[i] = values[name] if name in values else "{" + name + "}"
+    return "".join(out)
 
 
 def _load_template(name: str) -> PromptTemplate:

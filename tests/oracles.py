@@ -18,6 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 from supplygraph.errors import SameNode, UnknownNode
 from supplygraph.files import open_output
 from supplygraph.graph import ComentionEdge, SupplyChainGraph
+from supplygraph.prompting import REASONING_PREAMBLE
 
 
 def read_jsonl(path):
@@ -145,6 +146,26 @@ def truncate_by_bisection(text, budget):
         else:
             hi = mid - 1
     return " ".join(words[:lo])
+
+
+_PLACEHOLDER_RE = re.compile(r"\{(news|industry|company_name|company_description|company_category)\}")
+
+
+def substitute(text, values):
+    """text with each known placeholder that has a value replaced, in one
+    regex pass (the renderer's earlier code)."""
+    return _PLACEHOLDER_RE.sub(
+        lambda m: values[m.group(1)] if m.group(1) in values else m.group(0), text
+    )
+
+
+def render_by_regex(template, values, reasoning=False):
+    """(system, user, question) of a PromptTemplate, each part substituted
+    by ``substitute``; the reasoning preamble goes before the question."""
+    question = template.question
+    if reasoning:
+        question = REASONING_PREAMBLE + " " + question
+    return tuple(substitute(part, values) for part in (template.system, template.user, question))
 
 
 def extract_by_name(gazetteer, news):

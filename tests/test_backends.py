@@ -23,9 +23,11 @@ from supplygraph.backends import (
     RecordingBackend,
     ScriptFile,
     ScriptedBackend,
+    _cassette_line,
     load_script,
     request_key,
 )
+from supplygraph import backends as backends_module
 from supplygraph.errors import (
     BackendUnavailable,
     CassetteWriteError,
@@ -61,6 +63,26 @@ def test_request_key_is_stable():
     assert a == b
     # Pinned: a changed key would orphan every recorded cassette.
     assert a == "a226a041321c231736bf1c42c7a4f56472cd53c34b70c386b8e7634677d99fc0"
+
+
+# Non-ASCII text, a quote, a backslash and U+2028, which json.dumps writes
+# raw with ensure_ascii=False.
+_WIDE_NEWS = ("Soci\u00e9t\u00e9 G\u00e9n\u00e9rale financed the Z\u00fcrich\u2028tunnel"
+              " \u2014 \u6771\u4eac \"quoted\" \\ back.")
+
+
+def test_request_key_of_non_ascii_text_is_pinned():
+    key = request_key(build_extraction_prompt(_WIDE_NEWS, "g\u00e9nie civil"))
+    assert key == "dab5b6bc4fb994b3a97abfd05173fe0f13d8baf79112a09967ef44588dd4b639"
+
+
+@pytest.mark.parametrize(
+    "text", ["", "plain", _WIDE_NEWS, "\x00\x1f\x7f\ud7ff\U0001f600", "a\u2029b\nc"]
+)
+def test_cassette_line_bytes_are_json_dumps(text):
+    key = request_key(build_extraction_prompt("n.", "mining"))
+    expected = json.dumps({"key": key, "response": text}, ensure_ascii=False) + "\n"
+    assert _cassette_line(key, text) == expected
 
 
 def test_request_key_varies_with_content():
@@ -219,8 +241,21 @@ def test_scripted_backend_unknown_entity_classifies_no(gazetteer_backend):
 
 def test_scripted_backend_miss_without_gazetteer():
     backend = ScriptedBackend(ScriptFile())
-    with pytest.raises(ScriptMiss):
-        backend.complete(_extract_request())
+    request = _extract_request()
+    key = request_key(request.prompt)
+    with pytest.raises(ScriptMiss, match=f"no script entry for key {key[:12]} and"):
+        backend.complete(request)
+
+
+def test_gazetteer_only_script_answers_without_hashing(monkeypatch, gazetteer_backend):
+    def no_key(prompt):
+        raise AssertionError("hashed a request with no keyed entries to look up")
+
+    monkeypatch.setattr(backends_module, "request_key", no_key)
+    assert gazetteer_backend.complete(_extract_request("bechtel hired aecom.")).text
+    assert gazetteer_backend.complete(
+        _classify_request("bechtel", "builds things", "legal counsel")
+    ).text == "No"
 
 
 def test_scripted_backend_soundness_against_truth(gazetteer_backend, news_corpus, news_truth):
@@ -304,8 +339,9 @@ def test_replay_backend_hits_and_misses(tmp_path):
     cassette.write_text(json.dumps(row) + "\n", encoding="utf-8")
     backend = _replay(cassette)
     assert backend.complete(request).text == "1. Acme: stored"
-    with pytest.raises(ScriptMiss):
-        backend.complete(_extract_request("never recorded."))
+    missed = _extract_request("never recorded.")
+    with pytest.raises(ScriptMiss, match=request_key(missed.prompt)[:12]):
+        backend.complete(missed)
 
 
 def test_replay_ignores_gazetteer_rows(tmp_path, gazetteer_backend):

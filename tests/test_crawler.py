@@ -502,6 +502,85 @@ def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazettee
     assert graph_equal(graph, sequential)
 
 
+class ThreadNoting:
+    """A corpus that notes the thread of every search."""
+
+    def __init__(self, corpus):
+        self.corpus = corpus
+        self.threads = []
+
+    def search(self, keyword, year, limit):
+        self.threads.append(threading.current_thread())
+        return self.corpus.search(keyword, year, limit)
+
+
+def test_width_one_crawl_searches_on_the_calling_thread(monkeypatch, news_corpus,
+                                                        gazetteer_backend):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the crawl started a thread")
+
+    source = ThreadNoting(news_corpus)
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1)
+    expected, _ = run_crawl(config, news_corpus, gazetteer_backend)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    graph, _ = run_crawl(config, source, gazetteer_backend)
+    assert set(source.threads) == {threading.current_thread()}
+    assert len(source.threads) == 3 * len(graph.nodes)  # every keyword, every year
+    assert graph_equal(graph, expected)
+
+
+def test_width_four_crawl_keeps_four_searches_in_flight(news_corpus, gazetteer_backend):
+    # bechtel's articles enqueue these four; then the head, txdot, is
+    # harvested on this thread and the next three on workers. Their 2019
+    # searches all wait at the barrier, which a timeout breaks (raising
+    # BrokenBarrierError out of the crawl) unless four arrive.
+    together = {"txdot", "national lime stone", "aecom", "bragg crane service"}
+    barrier = threading.Barrier(len(together), timeout=5)
+    met = []
+
+    class Meeting:
+        def search(self, keyword, year, limit):
+            if keyword in together and year == 2019:
+                barrier.wait()
+                met.append(threading.current_thread())
+            return news_corpus.search(keyword, year, limit)
+
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         parallelism=4)
+    graph, _ = run_crawl(config, Meeting(), gazetteer_backend)
+    assert len(set(met)) == 4 and threading.current_thread() in met
+    sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
+                              gazetteer_backend)
+    assert graph_equal(graph, sequential)
+
+
+@pytest.mark.parametrize("parallelism,keyword,inline", [
+    (1, "bechtel", True),
+    (1, "aecom", True),
+    (4, "bechtel", True),  # the first head; nothing else is in flight
+    (4, "txdot", True),  # the head, with three harvests in the pool
+    (4, "aecom", False),  # harvested by a worker while txdot runs here
+])
+def test_fetcher_error_leaves_run_and_no_thread(news_corpus, gazetteer_backend,
+                                               parallelism, keyword, inline):
+    raised_on = []
+
+    class Exploding:
+        def search(self, kw, year, limit):
+            if kw == keyword:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError(f"fetcher broke on {kw}")
+            return news_corpus.search(kw, year, limit)
+
+    before = set(threading.enumerate())
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         parallelism=parallelism)
+    with pytest.raises(RuntimeError, match=f"fetcher broke on {keyword}"):
+        Crawler(config, Exploding(), gazetteer_backend).run()
+    assert raised_on and (raised_on[0] is threading.current_thread()) == inline
+    assert set(threading.enumerate()) <= before
+
+
 def test_crawl_prompts_keep_general_stopwords(news_corpus):
     backend = RecordingScripted(load_script(GAZETTEER_PATH))
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1)

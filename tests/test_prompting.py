@@ -12,6 +12,7 @@ from supplygraph.prompting import (
     REASONING_PREAMBLE,
     ExtractedEntity,
     ParseDiagnostics,
+    PromptTemplate,
     build_classification_prompt,
     build_extraction_prompt,
     estimate_tokens,
@@ -299,6 +300,52 @@ def test_substitution_is_single_pass():
     triple = build_extraction_prompt(tricky, "mining")
     assert "look at {industry} here" in triple.user
     assert "mining" in triple.question
+
+
+_PLACEHOLDER_NAMES = ("news", "industry", "company_name", "company_description", "company_category")
+# Replacement escapes, placeholders of this and the other template and of
+# neither, lone braces, non-ASCII text and U+2028 (a line break to
+# str.splitlines, not to the regex).
+_HOSTILE_VALUES = (
+    "\\1", "\\g<0>", "\\", "{news}", "{company_name}", "{unknown}", "{", "}",
+    "}{industry}{", "Z\u00fcrich \u2014 \u6771\u4eac", "line\u2028break", "", "plain",
+)
+_HOSTILE_TEMPLATE = PromptTemplate(
+    system="{news}{news} {{industry}} \\1 \\g<0>",
+    user="a {unknown} { } {company_name {company_name}",
+    question="{company_category}}? \u2028 \u00fc {news}{",
+)
+
+
+def _hostile_value_sets():
+    rng = random.Random(15)
+    sets = [dict.fromkeys(_PLACEHOLDER_NAMES, value) for value in _HOSTILE_VALUES]
+    for _ in range(300):
+        # some names get no value, so their placeholders stay as written
+        names = [name for name in _PLACEHOLDER_NAMES if rng.random() < 0.8]
+        sets.append({
+            name: "".join(rng.choices(_HOSTILE_VALUES, k=rng.randint(1, 3))) for name in names
+        })
+    return sets
+
+
+@pytest.mark.parametrize("reasoning", [False, True], ids=["plain", "reasoning"])
+@pytest.mark.parametrize(
+    "template", [EXTRACTION_TEMPLATE, CLASSIFICATION_TEMPLATE, _HOSTILE_TEMPLATE],
+    ids=["extraction", "classification", "hostile"],
+)
+def test_render_matches_regex_reference(template, reasoning):
+    for values in _hostile_value_sets():
+        triple = template.render(values, reasoning=reasoning)
+        expected = oracles.render_by_regex(template, values, reasoning)
+        assert (triple.system, triple.user, triple.question) == expected, values
+
+
+def test_render_leaves_unknown_placeholders_as_written():
+    triple = _HOSTILE_TEMPLATE.render({"news": "\\1{industry}"})
+    assert triple.system == "\\1{industry}\\1{industry} {{industry}} \\1 \\g<0>"
+    assert triple.user == "a {unknown} { } {company_name {company_name}"
+    assert triple.question == "{company_category}}? \u2028 \u00fc \\1{industry}{"
 
 
 def test_prompt_builders_reject_empty_inputs():
