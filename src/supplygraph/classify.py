@@ -256,22 +256,24 @@ def classify_graph(
 ) -> ClassificationOutcome:
     """Classify every node with descriptions and annotate its categories.
 
-    Nodes without descriptions are skipped and reported. Entities answering
-    No everywhere stay unlabeled. Questions go out concurrently once calls
-    wait on the network (see _ask_all); the answers and labels are built in
-    sorted order after the last one, so they do not depend on timing, and a
-    run that raises labels no node.
+    Nodes with no description text, none stored or only blank ones, are
+    skipped and reported. Entities answering No everywhere stay unlabeled.
+    Questions go out concurrently once calls wait on the network (see
+    _ask_all); the answers and labels are built in sorted order after the
+    last one, so they do not depend on timing, and a run that raises labels
+    no node.
     """
     skipped: list[str] = []
     classified: list[str] = []
     questions: list[tuple[str, str, str]] = []
     for cid in sorted(graph.nodes):
         node = graph.nodes[cid]
-        if not node.descriptions:
+        # Nodes without descriptions, common among hubs, skip the join.
+        description = _description(node, token_budget) if node.descriptions else ""
+        if not description.strip():
             skipped.append(cid)
             continue
         classified.append(cid)
-        description = _description(node, token_budget)
         questions.extend((cid, description, category) for category in taxonomy)
     answers: Answers = {
         (cid, category): answer

@@ -214,27 +214,35 @@ def fetch_articles(
     Shortfalls are logged, not raised. A year whose search still fails after
     FETCH_RETRIES retries is logged and appended to failed_years; the other
     years' articles are kept. Every returned article is tagged with the
-    keyword and has a published_year inside the configured range. Once stop
-    is set, no further year is searched and the articles so far are returned.
+    keyword, has a published_year inside the configured range, and is
+    returned once: a repeat of an article id already fetched is dropped. Once
+    stop is set, no further year is searched and the articles so far are
+    returned.
     """
     if not keyword or not keyword.strip():
         raise ValueError("keyword must be non-empty")
     start, end = config.year_range
+    want = config.per_year_min
     out: list[Article] = []
+    seen: set[str] = set()
     for year in range(start, end + 1):
         if stop is not None and stop.is_set():
             break
         try:
-            hits = _search_with_retries(fetcher, keyword, year, config.per_year_min)
+            hits = _search_with_retries(fetcher, keyword, year, want)
         except FetchError as exc:
             log.warning("fetch failed: %s", exc)
             failed_years.append(year)
             continue
-        hits = [a for a in hits if start <= a.published_year <= end][: config.per_year_min]
-        if len(hits) < config.per_year_min:
+        kept: list[Article] = []
+        for a in hits:
+            if start <= a.published_year <= end and a.id not in seen and len(kept) < want:
+                seen.add(a.id)
+                kept.append(replace(a, retrieved_for_keyword=keyword))
+        if len(kept) < want:
             log.warning(
                 "fetch shortfall keyword=%s year=%d got=%d want=%d",
-                keyword, year, len(hits), config.per_year_min,
+                keyword, year, len(kept), want,
             )
-        out.extend(replace(a, retrieved_for_keyword=keyword) for a in hits)
+        out.extend(kept)
     return out

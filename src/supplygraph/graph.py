@@ -64,7 +64,7 @@ class SupplyChainGraph:
         self.alias_table: dict[str, str] = {}
         # Neighbours of every node with an edge: None until the first read
         # builds it from edges, then kept in step with them. Derived state,
-        # so graph_equal and save_state never read it.
+        # so save_state never reads it.
         self._adj: dict[str, set[str]] | None = None
 
     # -- canonicalization -------------------------------------------------
@@ -257,12 +257,16 @@ class SupplyChainGraph:
         return sub
 
 
-def graph_equal(g1: SupplyChainGraph, g2: SupplyChainGraph) -> bool:
-    """Structural equality: node contents, alias table, edges with provenance."""
-    return (g1.nodes, g1.edges, g1.alias_table) == (g2.nodes, g2.edges, g2.alias_table)
-
-
 # -- persistence -------------------------------------------------------------
+
+
+# Every writer orders records through these two: sorting keys beats sorting items.
+def _sorted_nodes(graph: SupplyChainGraph) -> list[EntityNode]:
+    return [graph.nodes[cid] for cid in sorted(graph.nodes)]
+
+
+def _sorted_edges(graph: SupplyChainGraph) -> list[ComentionEdge]:
+    return [graph.edges[k] for k in sorted(graph.edges)]
 
 
 def _json_list(items: Iterable[str], indent: str) -> str:
@@ -290,21 +294,21 @@ def _state_chunks(graph: SupplyChainGraph) -> Iterator[str]:
     yield (f'{{\n  "schema_version": {SCHEMA_VERSION:d},\n  "stopwords": {{\n'
            f'    "company_suffixes": {suffixes}\n  }},\n  "nodes": ')
     yield from _json_rows((
-        f'{{\n      "canonical_id": {qid[cid]},'
+        f'{{\n      "canonical_id": {qid[node.canonical_id]},'
         f'\n      "display_name": {_q(node.display_name)},'
         f'\n      "aliases": {_json_list(map(_q, sorted(node.aliases)), "      ")},'
         f'\n      "descriptions": '
         f'{_json_list((_json_list(map(_q, p), "        ") for p in node.descriptions), "      ")},'
         f'\n      "categories": {_json_list(map(_q, sorted(node.categories)), "      ")}'
         f'\n    }}'
-        for cid, node in sorted(graph.nodes.items())
+        for node in _sorted_nodes(graph)
     ), "  ")
     yield ',\n  "edges": '
     yield from _json_rows((
-        f'{{\n      "source": {qid[a]},\n      "target": {qid[b]},'
+        f'{{\n      "source": {qid[edge.a]},\n      "target": {qid[edge.b]},'
         f'\n      "provenance": {_json_list(map(_q, sorted(edge.provenance)), "      ")}'
         f'\n    }}'
-        for (a, b), edge in sorted(graph.edges.items())
+        for edge in _sorted_edges(graph)
     ), "  ")
     table = graph.alias_table
     body = ",\n    ".join(f"{_q(k)}: {_q(table[k])}" for k in sorted(table))
@@ -336,7 +340,7 @@ def load_state(path: str) -> SupplyChainGraph:
     Raises ParseError, naming the file, on a state save_state cannot write:
     a node id or display name that is not a string, company suffixes, node
     fields or edge provenance that are not lists of strings, descriptions
-    that are not [description, article id] pairs, a repeated node or edge,
+    that are not [article id, description] pairs, a repeated node or edge,
     an edge or alias that points at no node, a self-loop, or an edge without
     provenance.
     """
@@ -373,7 +377,7 @@ def load_state(path: str) -> SupplyChainGraph:
                 _is_strings(p) and len(p) == 2 for p in descriptions
             ):
                 raise ParseError(
-                    f"node {cid!r} descriptions must be [description, article id] pairs",
+                    f"node {cid!r} descriptions must be [article id, description] pairs",
                     path=where,
                 )
             nodes[cid] = EntityNode(cid, rec["display_name"], set(rec["aliases"]),
@@ -426,14 +430,6 @@ def load_alias_file(path: str) -> dict[str, str]:
 
 
 # -- exports -----------------------------------------------------------------
-
-
-def _sorted_nodes(graph: SupplyChainGraph) -> list[EntityNode]:
-    return [graph.nodes[cid] for cid in sorted(graph.nodes)]
-
-
-def _sorted_edges(graph: SupplyChainGraph) -> list[ComentionEdge]:
-    return [graph.edges[k] for k in sorted(graph.edges)]
 
 
 def _to_graphml(graph: SupplyChainGraph) -> Iterator[str]:

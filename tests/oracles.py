@@ -81,6 +81,20 @@ def metrics_recount(tp, fp, tn, fn):
     return accuracy, f1
 
 
+def adjacency(graph):
+    """Every node's neighbour set, read from the graph's edge table."""
+    adj = {cid: set() for cid in graph.nodes}
+    for a, b in graph.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def graph_equal(g1, g2):
+    """Structural equality: node contents, alias table, edges with provenance."""
+    return (g1.nodes, g1.edges, g1.alias_table) == (g2.nodes, g2.edges, g2.alias_table)
+
+
 def bfs_k_hop(adjacency, seed, k):
     """Set of nodes within k hops of seed (seed included)."""
     reached = {seed}
@@ -225,13 +239,7 @@ class ScanGraph(SupplyChainGraph):
     def neighbors(self, canonical_id):
         if canonical_id not in self.nodes:
             raise UnknownNode(canonical_id)
-        out = []
-        for a, b in self.edges:
-            if a == canonical_id:
-                out.append(b)
-            elif b == canonical_id:
-                out.append(a)
-        return sorted(out)
+        return sorted(adjacency(self)[canonical_id])
 
     def merge_nodes(self, survivor, duplicate):
         if survivor not in self.nodes:

@@ -277,7 +277,7 @@ def test_acceptance_subgraph_sampling():
         assert hub in capped.nodes
 
         full = g.sample_k_hop(hub, 1, 201, rng_seed=42)
-        adjacency = {cid: set(g.neighbors(cid)) for cid in g.nodes}
+        adjacency = oracles.adjacency(g)
         assert set(full.nodes) == oracles.bfs_k_hop(adjacency, hub, 1)
         assert len(full.nodes) == 201
 

@@ -120,19 +120,21 @@ class TapeBackend:
         return BackendResponse(text=text, input_tokens=1, output_tokens=1)
 
 
-def _node(descriptions=(("a-1", "builds bridges"),)):
-    return EntityNode(
-        canonical_id="acme",
-        display_name="Acme",
-        aliases={"acme"},
-        descriptions=list(descriptions),
-    )
+def _classify_acme(taxonomy, backend, descriptions=(("a-1", "builds bridges"),), **kwargs):
+    """classify_graph on a graph holding only acme: acme's answers by
+    category, in the order the questions were asked."""
+    graph = SupplyChainGraph()
+    for article_id, description in descriptions:
+        graph.upsert_entity("Acme", description, article_id)
+    outcome = classify_graph(graph, taxonomy, backend, **kwargs)
+    assert outcome.skipped_no_description == []
+    return {category: answer for (_, category), answer in outcome.answers.items()}
 
 
 def test_classify_entity_asks_one_question_per_category():
     taxonomy = CategoryTaxonomy()
     backend = TapeBackend(["Yes"] + ["No"] * 8)
-    result = classify_entity(_node(), taxonomy, backend)
+    result = _classify_acme(taxonomy, backend)
     assert len(backend.requests) == 9
     assert list(result) == list(DEFAULT_CATEGORIES)  # taxonomy order
     assert result == {category: category == "engineering consulting" for category in taxonomy}
@@ -143,14 +145,14 @@ def test_classify_entity_asks_one_question_per_category():
 def test_classify_entity_multi_label():
     taxonomy = CategoryTaxonomy(categories=("engineering consulting", "software service"))
     backend = TapeBackend(["Yes", "Yes"])
-    result = classify_entity(_node(), taxonomy, backend)
+    result = _classify_acme(taxonomy, backend)
     assert result == {"engineering consulting": True, "software service": True}
 
 
 def test_classify_entity_ambiguous_retries_once_then_undetermined():
     taxonomy = CategoryTaxonomy(categories=("legal counsel",))
     backend = TapeBackend(["hmm", "Yes, clearly."])
-    result = classify_entity(_node(), taxonomy, backend)
+    result = _classify_acme(taxonomy, backend)
     assert result == {"legal counsel": True}
     assert len(backend.requests) == 2
     first, retry = (r.prompt for r in backend.requests)
@@ -159,7 +161,7 @@ def test_classify_entity_ambiguous_retries_once_then_undetermined():
     assert (retry.system, retry.user) == (first.system, first.user)
 
     backend = TapeBackend(["hmm", "still unsure"])
-    result = classify_entity(_node(), taxonomy, backend)
+    result = _classify_acme(taxonomy, backend)
     assert result == {"legal counsel": None}
     assert len(backend.requests) == 2
 
@@ -167,8 +169,8 @@ def test_classify_entity_ambiguous_retries_once_then_undetermined():
 def test_classify_entity_description_newest_first_and_truncated():
     taxonomy = CategoryTaxonomy(categories=("legal counsel",))
     backend = TapeBackend(["No"])
-    node = _node(descriptions=[("a-1", "oldest words here"), ("a-2", "newest words")])
-    classify_entity(node, taxonomy, backend, token_budget=2)
+    descriptions = [("a-1", "oldest words here"), ("a-2", "newest words")]
+    _classify_acme(taxonomy, backend, descriptions, token_budget=2)
     user = backend.requests[0].prompt.user
     assert "newest words" in user
     assert "oldest" not in user  # truncated away by the budget
@@ -176,7 +178,7 @@ def test_classify_entity_description_newest_first_and_truncated():
 
 def test_classify_entity_requires_descriptions():
     taxonomy = CategoryTaxonomy()
-    node = _node(descriptions=[])
+    node = EntityNode(canonical_id="acme", display_name="Acme", aliases={"acme"})
     with pytest.raises(ValueError):
         classify_entity(node, taxonomy, TapeBackend([]))
 
@@ -187,8 +189,19 @@ def test_classify_graph_annotates_and_skips(gazetteer_backend, gazetteer):
     graph.upsert_entity("bechtel", gazetteer["bechtel"]["description"], "a-2")
     graph.upsert_entity("mystery co")  # no description: skipped
     taxonomy = CategoryTaxonomy()
-    outcome = classify_graph(graph, taxonomy, gazetteer_backend)
+    asked = []
+
+    class Recording:
+        def complete(self, request):
+            asked.append(request)
+            return gazetteer_backend.complete(request)
+
+    outcome = classify_graph(graph, taxonomy, Recording())
     assert outcome.skipped_no_description == ["mystery co"]
+    assert len(asked) == 2 * len(taxonomy)
+    assert not any(
+        "mystery co" in " ".join((r.request_tag, r.prompt.user, r.prompt.question)) for r in asked
+    )
     assert graph.nodes["aecom"].categories == {"engineering consulting"}
     assert graph.nodes["bechtel"].categories == {"construction contractor"}
     report = outcome.to_report(taxonomy)
@@ -196,6 +209,21 @@ def test_classify_graph_annotates_and_skips(gazetteer_backend, gazetteer):
     assert report["unlabeled_count"] == 0
     assert report["labels"]["aecom"] == ["engineering consulting"]
     assert report["undetermined"] == {}
+
+
+def test_classify_graph_skips_a_node_whose_descriptions_are_blank(gazetteer_backend, gazetteer):
+    graph = SupplyChainGraph()
+    graph.upsert_entity("aecom", gazetteer["aecom"]["description"], "a-1")
+    graph.upsert_entity("Acme", " ", "a-1")
+    graph.upsert_entity("Acme", "\t", "a-2")
+    assert graph.nodes["acme"].descriptions == [("a-1", " "), ("a-2", "\t")]
+    taxonomy = CategoryTaxonomy()
+    outcome = classify_graph(graph, taxonomy, gazetteer_backend)
+    assert outcome.skipped_no_description == ["acme"]
+    assert {cid for cid, _ in outcome.answers} == {"aecom"}
+    assert graph.nodes["aecom"].categories == {"engineering consulting"}
+    assert graph.nodes["acme"].categories == set()
+    assert outcome.to_report(taxonomy)["skipped_no_description"] == ["acme"]
 
 
 class _Gazetteer:

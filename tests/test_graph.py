@@ -21,7 +21,6 @@ from supplygraph.graph import (
     EntityNode,
     SupplyChainGraph,
     export_graph,
-    graph_equal,
     load_alias_file,
     load_state,
     save_state,
@@ -302,7 +301,7 @@ def _star_graph(leaves: int) -> SupplyChainGraph:
 
 def test_sample_k_hop_equals_bfs_when_uncapped():
     g = _path_graph()
-    adjacency = {cid: set(g.neighbors(cid)) for cid in g.nodes}
+    adjacency = oracles.adjacency(g)
     expected = oracles.bfs_k_hop(adjacency, "alpha co", 1)
     sub = g.sample_k_hop("alpha co", 1, 100, rng_seed=7)
     assert set(sub.nodes) == expected == {"alpha co", "bravo ltd"}
@@ -326,7 +325,7 @@ def test_sample_k_hop_is_seed_reproducible():
     first = g.sample_k_hop("hub", 1, 10, rng_seed=5)
     second = g.sample_k_hop("hub", 1, 10, rng_seed=5)
     different = g.sample_k_hop("hub", 1, 10, rng_seed=6)
-    assert graph_equal(first, second)
+    assert oracles.graph_equal(first, second)
     assert set(first.nodes) != set(different.nodes)
 
 
@@ -406,9 +405,13 @@ _VARIANT_NAMES = [
 
 
 def _assert_matches_reference(real, ref):
-    assert graph_equal(real, ref)
+    assert oracles.graph_equal(real, ref)
+    # neighbors and a one-hop sample both read the live neighbour index, so
+    # this checks that the index keeps up with every write and merge.
     for cid in sorted(ref.nodes):
         assert real.neighbors(cid) == ref.neighbors(cid), cid
+        one_hop = real.sample_k_hop(cid, 1, len(real.nodes), 0).nodes
+        assert set(one_hop) == {cid} | set(ref.neighbors(cid)), cid
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -446,7 +449,7 @@ def test_adjacency_index_matches_full_scan_reference(tmp_path, seed):
         if read_rng.random() < 0.3:
             _assert_matches_reference(real, ref)
         else:
-            assert graph_equal(real, ref)
+            assert oracles.graph_equal(real, ref)
     _assert_matches_reference(real, ref)
 
     assert len(real.edges) >= 10
@@ -481,7 +484,7 @@ def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
     real = _sampling_graph(seed)
     ref = oracles.ScanGraph.of(real)
     before = copy.deepcopy((real.nodes, real.edges, real.alias_table))
-    adjacency = {cid: set(real.neighbors(cid)) for cid in real.nodes}
+    adjacency = oracles.adjacency(real)
     assert any(not adjacency[cid] for cid in real.nodes)
     rng = random.Random(f"samples {seed}")
     for cid in sorted(real.nodes):
@@ -523,7 +526,7 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "graph.json"
     save_state(g, str(path))
     loaded = load_state(str(path))
-    assert graph_equal(g, loaded)
+    assert oracles.graph_equal(g, loaded)
 
 
 def _retarget_alpha_alias(g: SupplyChainGraph) -> None:
@@ -543,10 +546,10 @@ def _retarget_alpha_alias(g: SupplyChainGraph) -> None:
 )
 def test_graph_equal_sees_each_difference(change):
     g, other = _path_graph(), _path_graph()
-    assert graph_equal(g, other)
+    assert oracles.graph_equal(g, other)
     change(other)
-    assert not graph_equal(g, other)
-    assert not graph_equal(other, g)
+    assert not oracles.graph_equal(g, other)
+    assert not oracles.graph_equal(other, g)
 
 
 def test_save_state_is_byte_deterministic(tmp_path):
@@ -587,7 +590,7 @@ def test_load_state_reads_schema_1_and_saves_schema_2(tmp_path):
     v1_path = tmp_path / "v1.json"
     v1_path.write_text(json.dumps(state, indent=2), encoding="utf-8")
     loaded = load_state(str(v1_path))
-    assert graph_equal(loaded, g)
+    assert oracles.graph_equal(loaded, g)
     resaved = tmp_path / "resaved.json"
     save_state(loaded, str(resaved))
     assert resaved.read_bytes() == v2_path.read_bytes()
@@ -628,9 +631,9 @@ def test_load_state_malformed_nodes(tmp_path):
         (lambda s: s["nodes"][0].update(aliases="abc"), "aliases must be a list of strings"),
         (lambda s: s["nodes"][0].update(categories="legal counsel"),
          "categories must be a list of strings"),
-        (lambda s: s["nodes"][0].update(descriptions=["xy"]), "[description, article id] pairs"),
+        (lambda s: s["nodes"][0].update(descriptions=["xy"]), "[article id, description] pairs"),
         (lambda s: s["nodes"][0].update(descriptions=[["d", "art-1", "extra"]]),
-         "[description, article id] pairs"),
+         "[article id, description] pairs"),
         (lambda s: s["edges"][0].update(provenance="art-1"),
          "provenance must be a list of strings"),
         (lambda s: s["edges"][0].update(provenance=["art-1", 2]),
@@ -718,7 +721,7 @@ def test_writers_give_the_json_module_bytes(tmp_path, seed):
     written = _written(tmp_path, graph, save_state, export_graph)
     assert written == _written(tmp_path, graph, oracles.save_state_json, oracles.export_text)
     (tmp_path / "graph.json").write_bytes(written["graph.json"])
-    assert graph_equal(load_state(str(tmp_path / "graph.json")), graph)
+    assert oracles.graph_equal(load_state(str(tmp_path / "graph.json")), graph)
 
 
 def test_awkward_graphs_cover_every_character_and_empty_field():
