@@ -280,7 +280,7 @@ def classify_graph(
         for (cid, _, category), answer in zip(questions, _ask_all(backend, questions))
     }
     for cid in classified:
-        graph.nodes[cid].categories = {c for c in taxonomy if answers[(cid, c)]}
+        graph.set_categories(cid, [c for c in taxonomy if answers[(cid, c)]])
     return ClassificationOutcome(answers=answers, skipped_no_description=skipped)
 
 

@@ -183,12 +183,12 @@ def cmd_crawl(args: argparse.Namespace) -> int:
                 f"seed {seed!r} has no name left after stripping punctuation and company "
                 "suffixes (from --seeds or the config's seeds)"
             ) from None
+    aliases = gr.load_alias_file(args.aliases, stopwords) if args.aliases else {}
     backend, backend_path = _make_backend(args.backend, args)
     os.makedirs(args.out, exist_ok=True)
 
     graph = gr.SupplyChainGraph(stopwords)
-    if args.aliases:
-        graph.apply_aliases(gr.load_alias_file(args.aliases))
+    graph.apply_aliases(aliases)
     graph, report = cr.run_crawl(config, corpus, backend, graph)
 
     state_path = os.path.join(args.out, "graph.json")

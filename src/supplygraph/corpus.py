@@ -79,10 +79,24 @@ def normalize_name(raw: str, stopwords: StopwordLists | None = None) -> str:
     trailing corporate-suffix tokens (right to left). Tokens inside the name
     are never removed. Raises EmptyName when nothing survives.
     """
+    suffixes = stopwords.company_suffixes if stopwords is not None else frozenset()
+    return _strip_suffixes(_plain_name(raw), raw, suffixes)
+
+
+def name_forms(raw: str, stopwords: StopwordLists) -> tuple[str, str]:
+    """``(normalize_name(raw), normalize_name(raw, stopwords))``, normalizing
+    once: the suffix-stripped form is stripped from the plain one."""
+    plain = _plain_name(raw)
+    return plain, _strip_suffixes(plain, raw, stopwords.company_suffixes)
+
+
+def _plain_name(raw: str) -> str:
     if not raw or not raw.strip():
         raise EmptyName("name is empty")
-    name = _WS_RE.sub(" ", raw.lower()).strip(_EDGE_CHARS)
-    suffixes = stopwords.company_suffixes if stopwords is not None else frozenset()
+    return _WS_RE.sub(" ", raw.lower()).strip(_EDGE_CHARS)
+
+
+def _strip_suffixes(name: str, raw: str, suffixes: frozenset[str]) -> str:
     while name:
         tokens = name.split(" ")
         if tokens[-1] not in suffixes:

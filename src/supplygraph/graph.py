@@ -4,20 +4,24 @@ Nodes are keyed by a canonical id (the first-seen variant, lowercased and
 whitespace/punctuation-trimmed). The alias table additionally indexes every
 variant's suffix-stripped form, so "AECOM", "Aecom Ltd." and "AECOM Corp."
 resolve to one node while the stored aliases keep the three variants apart.
+
+Node and edge records are immutable. The graph's methods change a record by
+storing a new one in its place, so a k-hop sample shares its parent's records
+and copies only the dict entries that point at them.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, repeat
 from json.encoder import encode_basestring as _q
 from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
-from .corpus import StopwordLists, normalize_name
-from .errors import ParseError, SameNode, SchemaVersionMismatch, UnknownNode
+from .corpus import StopwordLists, name_forms, normalize_name
+from .errors import EmptyName, ParseError, SameNode, SchemaVersionMismatch, UnknownNode
 from .files import open_output
 
 SCHEMA_VERSION = 2
@@ -25,22 +29,22 @@ SCHEMA_VERSION = 2
 _READABLE_SCHEMAS = (1, SCHEMA_VERSION)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class EntityNode:
     canonical_id: str
     display_name: str
-    aliases: set[str] = field(default_factory=set)
-    descriptions: list[tuple[str, str]] = field(default_factory=list)
-    categories: set[str] = field(default_factory=set)
+    aliases: frozenset[str] = frozenset()
+    descriptions: tuple[tuple[str, str], ...] = ()
+    categories: frozenset[str] = frozenset()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class ComentionEdge:
     """Undirected edge; weight is defined as the number of provenance articles."""
 
     a: str
     b: str
-    provenance: set[str] = field(default_factory=set)
+    provenance: frozenset[str] = frozenset()
 
     @property
     def weight(self) -> int:
@@ -73,12 +77,21 @@ class SupplyChainGraph:
         """Resolve a raw name to an existing canonical id, or None if new."""
         return self.alias_table.get(normalize_name(raw_name, self.stopwords))
 
-    def _register_variant(self, raw_name: str, canonical_id: str) -> None:
+    def _register_variant(self, canonical_id: str, alias: str, key: str,
+                          pair: tuple[str, str] | None = None) -> None:
+        """Index a variant's plain form (alias) and matching form (key) under
+        a node, adding the alias and the description pair to the node. The
+        record is replaced only if one of them is new to it."""
         node = self.nodes[canonical_id]
-        alias = normalize_name(raw_name)
-        node.aliases.add(alias)
-        self.alias_table[alias] = canonical_id
-        self.alias_table[normalize_name(raw_name, self.stopwords)] = canonical_id
+        aliases, descriptions = node.aliases, node.descriptions
+        if alias not in aliases:
+            aliases = aliases | {alias}
+        if pair is not None and pair not in descriptions:
+            descriptions += (pair,)
+        if aliases is not node.aliases or descriptions is not node.descriptions:
+            self.nodes[canonical_id] = EntityNode(
+                node.canonical_id, node.display_name, aliases, descriptions, node.categories)
+        self.alias_table[alias] = self.alias_table[key] = canonical_id
 
     def upsert_entity(self, raw_name: str, description: str = "", article_id: str = "") -> str:
         """Insert or update the entity behind a raw name; returns its canonical id.
@@ -87,21 +100,26 @@ class SupplyChainGraph:
         (article_id, description) pair; an unseen name creates a node. Empty
         descriptions or article ids append nothing.
         """
-        canonical_id = self.canonicalize(raw_name)
-        if canonical_id is None:
-            canonical_id = normalize_name(raw_name)
+        alias, key = name_forms(raw_name, self.stopwords)
+        pair = (article_id, description) if description and article_id else None
+        canonical_id = self.alias_table.get(key)
+        if canonical_id is not None:
+            self._register_variant(canonical_id, alias, key, pair)
+            return canonical_id
+        self.nodes[alias] = EntityNode(
+            alias, raw_name.strip(), frozenset((alias,)), (pair,) if pair else ())
+        self.alias_table[alias] = self.alias_table[key] = alias
+        return alias
+
+    def set_categories(self, canonical_id: str, categories: Iterable[str]) -> None:
+        """Label a node with exactly these categories."""
+        node = self.nodes.get(canonical_id)
+        if node is None:
+            raise UnknownNode(canonical_id)
+        categories = frozenset(categories)
+        if categories != node.categories:
             self.nodes[canonical_id] = EntityNode(
-                canonical_id=canonical_id,
-                display_name=raw_name.strip(),
-                aliases={canonical_id},
-            )
-        self._register_variant(raw_name, canonical_id)
-        node = self.nodes[canonical_id]
-        if description and article_id:
-            pair = (article_id, description)
-            if pair not in node.descriptions:
-                node.descriptions.append(pair)
-        return canonical_id
+                node.canonical_id, node.display_name, node.aliases, node.descriptions, categories)
 
     # -- edges -------------------------------------------------------------
 
@@ -116,23 +134,22 @@ class SupplyChainGraph:
         for cid in ids:
             if cid not in self.nodes:
                 raise UnknownNode(cid)
-        touched = 0
-        for x, y in combinations(ids, 2):
-            key = _pair(x, y)
-            edge = self.edges.get(key)
+        edges, article = self.edges, frozenset((article_id,))
+        # ids is sorted, so each pair comes out as its ordered key.
+        for key in combinations(ids, 2):
+            edge = edges.get(key)
             if edge is None:
-                edge = self._add_edge(key[0], key[1], set())
-            edge.provenance.add(article_id)
-            touched += 1
-        return touched
+                self._add_edge(*key, article)
+            elif article_id not in edge.provenance:
+                edges[key] = ComentionEdge(*key, edge.provenance | article)
+        return len(ids) * (len(ids) - 1) // 2
 
-    def _add_edge(self, a: str, b: str, provenance: set[str]) -> ComentionEdge:
+    def _add_edge(self, a: str, b: str, provenance: frozenset[str]) -> None:
         """Store a new edge under its ordered key (a <= b), indexing it if the
         index is built."""
-        edge = self.edges[(a, b)] = ComentionEdge(a=a, b=b, provenance=provenance)
+        self.edges[(a, b)] = ComentionEdge(a, b, provenance)
         if self._adj is not None:
             _link(self._adj, a, b)
-        return edge
 
     def _adjacency(self) -> dict[str, set[str]]:
         """The neighbour index, built from edges on first use.
@@ -168,11 +185,13 @@ class SupplyChainGraph:
             raise SameNode(survivor)
         surv = self.nodes[survivor]
         dup = self.nodes.pop(duplicate)
-        surv.aliases |= dup.aliases
+        descriptions = list(surv.descriptions)
         for pair in dup.descriptions:
-            if pair not in surv.descriptions:
-                surv.descriptions.append(pair)
-        surv.categories |= dup.categories
+            if pair not in descriptions:
+                descriptions.append(pair)
+        self.nodes[survivor] = EntityNode(
+            surv.canonical_id, surv.display_name, surv.aliases | dup.aliases,
+            tuple(descriptions), surv.categories | dup.categories)
         adj = self._adjacency()
         for other in sorted(adj.pop(duplicate, ())):
             edge = self.edges.pop(_pair(duplicate, other))
@@ -182,9 +201,9 @@ class SupplyChainGraph:
             new_key = _pair(survivor, other)
             kept = self.edges.get(new_key)
             if kept is None:
-                self._add_edge(*new_key, set(edge.provenance))
-            else:
-                kept.provenance |= edge.provenance
+                self._add_edge(*new_key, edge.provenance)
+            elif not edge.provenance <= kept.provenance:
+                self.edges[new_key] = ComentionEdge(*new_key, kept.provenance | edge.provenance)
         for variant, target in list(self.alias_table.items()):
             if target == duplicate:
                 self.alias_table[variant] = survivor
@@ -201,10 +220,11 @@ class SupplyChainGraph:
             target = self.canonicalize(canonical_raw)
             if target is None:
                 target = self.upsert_entity(canonical_raw)
-            existing = self.canonicalize(variant)
+            alias, key = name_forms(variant, self.stopwords)
+            existing = self.alias_table.get(key)
             if existing is not None and existing != target:
                 self.merge_nodes(target, existing)
-            self._register_variant(variant, target)
+            self._register_variant(target, alias, key)
 
     # -- sampling ------------------------------------------------------------
 
@@ -237,20 +257,18 @@ class SupplyChainGraph:
 
         ids, nodes, edges = sorted(keep), self.nodes, self.edges
         sub = SupplyChainGraph(self.stopwords)
-        sub.nodes = {
-            cid: EntityNode(node.canonical_id, node.display_name, set(node.aliases),
-                            list(node.descriptions), set(node.categories))
-            for cid in ids
-            for node in (nodes[cid],)
-        }
-        # Each kept edge is copied once, from its smaller end, so the
-        # subgraph's edge table is in key order.
-        sub.edges = {
-            (a, b): ComentionEdge(a, b, set(edges[a, b].provenance))
-            for a in ids
-            for b in sorted(keep.intersection(adj.get(a, ())))
-            if a < b
-        }
+        # The records are immutable, so the subgraph shares them.
+        sub.nodes = {cid: nodes[cid] for cid in ids}
+        # Each kept edge is taken once, from its smaller end: later holds
+        # the kept ids after a. So the subgraph's edge table is in key order.
+        sub_edges, later = sub.edges, set(keep)
+        for a in ids:
+            later.remove(a)
+            neighbours = adj.get(a)
+            if neighbours:
+                for b in sorted(later.intersection(neighbours)):
+                    key = (a, b)
+                    sub_edges[key] = edges[key]
         sub.alias_table = {
             variant: target for variant, target in self.alias_table.items() if target in keep
         }
@@ -380,8 +398,8 @@ def load_state(path: str) -> SupplyChainGraph:
                     f"node {cid!r} descriptions must be [article id, description] pairs",
                     path=where,
                 )
-            nodes[cid] = EntityNode(cid, rec["display_name"], set(rec["aliases"]),
-                                    list(map(tuple, descriptions)), set(rec["categories"]))
+            nodes[cid] = EntityNode(cid, rec["display_name"], frozenset(rec["aliases"]),
+                                    tuple(map(tuple, descriptions)), frozenset(rec["categories"]))
         # The neighbour index is unbuilt, so edges are stored directly.
         edges = graph.edges
         for rec in state["edges"]:
@@ -400,7 +418,7 @@ def load_state(path: str) -> SupplyChainGraph:
                 raise ParseError(f"edge {key} has no provenance", path=where)
             if key in edges:
                 raise ParseError(f"edge {key} repeats", path=where)
-            edges[key] = ComentionEdge(a, b, set(provenance))
+            edges[key] = ComentionEdge(a, b, frozenset(provenance))
         alias_table = state["alias_table"]
         if not isinstance(alias_table, dict):
             raise ParseError("graph state alias_table must be an object", path=where)
@@ -414,9 +432,18 @@ def load_state(path: str) -> SupplyChainGraph:
     return graph
 
 
-def load_alias_file(path: str) -> dict[str, str]:
-    """Read a TSV alias file: variant<TAB>canonical, one pair per line."""
+def load_alias_file(path: str, stopwords: StopwordLists | None = None) -> dict[str, str]:
+    """Read a TSV alias file: variant<TAB>canonical, one pair per line.
+
+    Raises ParseError naming the file and line for a line that is not two
+    fields, a name with nothing left after normalization with ``stopwords``
+    (the default list if None), or a variant that an earlier line maps to a
+    different canonical name. Two variants or two canonical names are the
+    same when they normalize to the same matching form.
+    """
+    stopwords = stopwords if stopwords is not None else StopwordLists.default()
     mapping: dict[str, str] = {}
+    seen: dict[str, tuple[str, str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -425,7 +452,22 @@ def load_alias_file(path: str) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                 raise ParseError("alias line must be variant<TAB>canonical", path=str(path), line=lineno)
-            mapping[parts[0].strip()] = parts[1].strip()
+            variant, canonical = parts[0].strip(), parts[1].strip()
+            forms = []
+            for name in (variant, canonical):
+                try:
+                    forms.append(normalize_name(name, stopwords))
+                except EmptyName:
+                    raise ParseError(
+                        f"{name!r} has no name left after stripping punctuation and company "
+                        "suffixes", path=str(path), line=lineno) from None
+            key, target = forms
+            earlier = seen.setdefault(key, (target, canonical, lineno))
+            if earlier[0] != target:
+                raise ParseError(
+                    f"variant {variant!r} maps to {canonical!r} here but to {earlier[1]!r} "
+                    f"on line {earlier[2]}", path=str(path), line=lineno)
+            mapping[variant] = canonical
     return mapping
 
 

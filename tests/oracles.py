@@ -12,12 +12,14 @@ import json
 import random
 import re
 from collections import deque
+from dataclasses import dataclass, field
 from itertools import combinations
 from xml.sax.saxutils import escape, quoteattr
 
 from supplygraph.errors import SameNode, UnknownNode
 from supplygraph.files import open_output
-from supplygraph.graph import ComentionEdge, SupplyChainGraph
+from supplygraph.corpus import normalize_name
+from supplygraph.graph import SupplyChainGraph
 from supplygraph.prompting import REASONING_PREAMBLE
 
 
@@ -90,9 +92,24 @@ def adjacency(graph):
     return adj
 
 
+def _fields(graph):
+    """A graph's nodes, edges and alias table as plain values, field by field:
+    aliases, categories and provenance as sets, descriptions as a list."""
+    nodes = {
+        cid: (n.canonical_id, n.display_name, set(n.aliases), list(n.descriptions),
+              set(n.categories))
+        for cid, n in graph.nodes.items()
+    }
+    edges = {key: (e.a, e.b, set(e.provenance)) for key, e in graph.edges.items()}
+    return nodes, edges, graph.alias_table
+
+
 def graph_equal(g1, g2):
-    """Structural equality: node contents, alias table, edges with provenance."""
-    return (g1.nodes, g1.edges, g1.alias_table) == (g2.nodes, g2.edges, g2.alias_table)
+    """Structural equality: node contents, alias table, edges with provenance.
+
+    Records are compared field by field, so a ScanGraph, whose records are
+    mutable, compares with a package graph, whose records are frozen."""
+    return _fields(g1) == _fields(g2)
 
 
 def bfs_k_hop(adjacency, seed, k):
@@ -204,21 +221,79 @@ def _pair(x, y):
     return (x, y) if x <= y else (y, x)
 
 
-class ScanGraph(SupplyChainGraph):
-    """SupplyChainGraph whose edge operations scan the whole edge table.
+@dataclass
+class ScanNode:
+    canonical_id: str
+    display_name: str
+    aliases: set = field(default_factory=set)
+    descriptions: list = field(default_factory=list)
+    categories: set = field(default_factory=set)
 
-    The edge-touching methods are the versions from before the adjacency
-    index: neighbors and merge_nodes walk every edge, and sample_k_hop
-    deep-copies the kept nodes and filters every edge. Nothing here reads or
-    writes the index, so the graph's own methods can be checked against it.
+
+@dataclass
+class ScanEdge:
+    a: str
+    b: str
+    provenance: set = field(default_factory=set)
+
+
+class ScanGraph(SupplyChainGraph):
+    """SupplyChainGraph on plain mutable records, whose edge operations scan
+    the whole edge table.
+
+    Every method that writes a record is the version from before records
+    were frozen and before the adjacency index: they change ScanNode and
+    ScanEdge records in place, neighbors and merge_nodes walk every edge, and
+    sample_k_hop deep-copies the kept nodes and filters every edge. Only
+    canonicalize is the package's own, so the graph's methods can be checked
+    against these.
     """
 
     @classmethod
     def of(cls, graph):
-        """A reference graph holding the given graph's nodes, edges and aliases."""
+        """A reference graph holding copies of a graph's nodes, edges and aliases."""
         ref = cls(graph.stopwords)
-        ref.nodes, ref.edges, ref.alias_table = graph.nodes, graph.edges, graph.alias_table
+        for cid, n in graph.nodes.items():
+            ref.nodes[cid] = ScanNode(n.canonical_id, n.display_name, set(n.aliases),
+                                      list(n.descriptions), set(n.categories))
+        for key, e in graph.edges.items():
+            ref.edges[key] = ScanEdge(e.a, e.b, set(e.provenance))
+        ref.alias_table = dict(graph.alias_table)
         return ref
+
+    def _register_variant(self, raw_name, canonical_id):
+        node = self.nodes[canonical_id]
+        alias = normalize_name(raw_name)
+        node.aliases.add(alias)
+        self.alias_table[alias] = canonical_id
+        self.alias_table[normalize_name(raw_name, self.stopwords)] = canonical_id
+
+    def upsert_entity(self, raw_name, description="", article_id=""):
+        canonical_id = self.canonicalize(raw_name)
+        if canonical_id is None:
+            canonical_id = normalize_name(raw_name)
+            self.nodes[canonical_id] = ScanNode(
+                canonical_id=canonical_id,
+                display_name=raw_name.strip(),
+                aliases={canonical_id},
+            )
+        self._register_variant(raw_name, canonical_id)
+        node = self.nodes[canonical_id]
+        if description and article_id:
+            pair = (article_id, description)
+            if pair not in node.descriptions:
+                node.descriptions.append(pair)
+        return canonical_id
+
+    def apply_aliases(self, mapping):
+        for variant, canonical_raw in mapping.items():
+            target = self.canonicalize(canonical_raw)
+            if target is None:
+                target = self.upsert_entity(canonical_raw)
+            existing = self.canonicalize(variant)
+            if existing is not None and existing != target:
+                self.merge_nodes(target, existing)
+            self._register_variant(variant, target)
 
     def add_comention(self, article_id, mentioned):
         ids = sorted(set(mentioned))
@@ -230,7 +305,7 @@ class ScanGraph(SupplyChainGraph):
             key = _pair(x, y)
             edge = self.edges.get(key)
             if edge is None:
-                edge = ComentionEdge(a=key[0], b=key[1])
+                edge = ScanEdge(a=key[0], b=key[1])
                 self.edges[key] = edge
             edge.provenance.add(article_id)
             touched += 1
@@ -263,7 +338,7 @@ class ScanGraph(SupplyChainGraph):
             new_key = _pair(survivor, other)
             kept = self.edges.get(new_key)
             if kept is None:
-                self.edges[new_key] = ComentionEdge(
+                self.edges[new_key] = ScanEdge(
                     a=new_key[0], b=new_key[1], provenance=set(edge.provenance)
                 )
             else:
@@ -300,7 +375,7 @@ class ScanGraph(SupplyChainGraph):
             sub.nodes[cid] = copy.deepcopy(self.nodes[cid])
         for (a, b), edge in self.edges.items():
             if a in keep and b in keep:
-                sub.edges[(a, b)] = ComentionEdge(a=a, b=b, provenance=set(edge.provenance))
+                sub.edges[(a, b)] = ScanEdge(a=a, b=b, provenance=set(edge.provenance))
         for variant, target in self.alias_table.items():
             if target in keep:
                 sub.alias_table[variant] = target

@@ -178,7 +178,7 @@ def test_classify_entity_description_newest_first_and_truncated():
 
 def test_classify_entity_requires_descriptions():
     taxonomy = CategoryTaxonomy()
-    node = EntityNode(canonical_id="acme", display_name="Acme", aliases={"acme"})
+    node = EntityNode(canonical_id="acme", display_name="Acme", aliases=frozenset({"acme"}))
     with pytest.raises(ValueError):
         classify_entity(node, taxonomy, TapeBackend([]))
 
@@ -216,7 +216,7 @@ def test_classify_graph_skips_a_node_whose_descriptions_are_blank(gazetteer_back
     graph.upsert_entity("aecom", gazetteer["aecom"]["description"], "a-1")
     graph.upsert_entity("Acme", " ", "a-1")
     graph.upsert_entity("Acme", "\t", "a-2")
-    assert graph.nodes["acme"].descriptions == [("a-1", " "), ("a-2", "\t")]
+    assert graph.nodes["acme"].descriptions == (("a-1", " "), ("a-2", "\t"))
     taxonomy = CategoryTaxonomy()
     outcome = classify_graph(graph, taxonomy, gazetteer_backend)
     assert outcome.skipped_no_description == ["acme"]

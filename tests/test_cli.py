@@ -261,6 +261,23 @@ def test_crawl_applies_alias_file(tmp_path):
     assert "bechtel global" in graph.nodes["bechtel"].aliases
 
 
+@pytest.mark.parametrize(("text", "line", "message"), [
+    ("Ltd\tAcme\n", 1,
+     "'Ltd' has no name left after stripping punctuation and company suffixes"),
+    ("Acme Corp\tBechtel\n# comment\nACME\tAecom\n", 3,
+     "variant 'ACME' maps to 'Aecom' here but to 'Bechtel' on line 1"),
+], ids=["no-name-left", "two-canonicals"])
+def test_crawl_rejects_bad_alias_file_before_creating_out(tmp_path, capsys, text, line, message):
+    aliases = tmp_path / "aliases.tsv"
+    aliases.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert _crawl(out, aliases=aliases) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"({aliases}:{line})" in err
+    assert not out.exists()
+
+
 def test_crawl_lenient_accepts_unknown_fields(tmp_path):
     corpus_path = tmp_path / "extra.jsonl"
     record = {

@@ -12,6 +12,7 @@ from supplygraph.corpus import (
     fetch_articles,
     load_corpus,
     load_stopwords,
+    name_forms,
     normalize_name,
     preprocess_text,
 )
@@ -62,6 +63,23 @@ def test_normalize_keeps_internal_suffix_tokens(stopwords):
 
 def test_normalize_without_stopwords_keeps_suffixes():
     assert normalize_name("AECOM Ltd.") == "aecom ltd"
+
+
+def test_name_forms_are_both_normalizations(stopwords):
+    rng = random.Random(7)
+    pool = ["Acme", "ltd.", "Corp", "INC", " ", "\t", ".", ",", "co", "of", "", "Ltd. ", "x"]
+    names = ["", " ", "...", "Corp.", "Acme Corp.", " acme\tltd  ", "Co. Ltd."] + [
+        "".join(rng.choice(pool) for _ in range(rng.randint(1, 5))) for _ in range(400)]
+    for raw in names:
+        try:
+            expected = normalize_name(raw), normalize_name(raw, stopwords)
+        except EmptyName as exc:
+            expected = str(exc)
+        try:
+            got = name_forms(raw, stopwords)
+        except EmptyName as exc:
+            got = str(exc)
+        assert got == expected, raw
 
 
 def test_normalize_idempotent_fuzz(stopwords):

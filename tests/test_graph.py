@@ -4,10 +4,13 @@ import copy
 import json
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 import oracles
+from supplygraph.backends import BackendResponse
+from supplygraph.classify import CategoryTaxonomy, classify_graph
 from supplygraph.corpus import StopwordLists
 from supplygraph.errors import (
     ParseError,
@@ -83,19 +86,19 @@ def test_upsert_appends_descriptions_once():
     g.upsert_entity("Acme", "maker of anvils", "a-1")
     g.upsert_entity("Acme Inc.", "anvil specialist", "a-2")
     node = g.nodes[cid]
-    assert node.descriptions == [("a-1", "maker of anvils"), ("a-2", "anvil specialist")]
+    assert node.descriptions == (("a-1", "maker of anvils"), ("a-2", "anvil specialist"))
 
 
 def test_upsert_skips_description_without_article():
     g = _graph()
     cid = g.upsert_entity("Acme", description="floating description")
-    assert g.nodes[cid].descriptions == []
+    assert g.nodes[cid].descriptions == ()
 
 
 def test_upsert_bare_seed_has_no_descriptions():
     g = _graph()
     cid = g.upsert_entity("bechtel")
-    assert g.nodes[cid].descriptions == []
+    assert g.nodes[cid].descriptions == ()
     assert g.nodes[cid].display_name == "bechtel"
 
 
@@ -178,8 +181,8 @@ def test_neighbors_sorted():
 
 def test_merge_nodes_unions_everything():
     g = _path_graph()
-    g.nodes["alpha co"].categories.add("construction contractor")
-    g.nodes["charlie inc"].categories.add("legal counsel")
+    g.set_categories("alpha co", ["construction contractor"])
+    g.set_categories("charlie inc", ["legal counsel"])
     g.upsert_entity("Charlie Inc", "counsel to builders", "art-2")
 
     g.merge_nodes("alpha co", "charlie inc")
@@ -287,6 +290,30 @@ def test_load_alias_file_rejects_bad_lines(tmp_path):
     assert err.value.line == 1
 
 
+def test_load_alias_file_names_the_line_of_an_empty_name(tmp_path):
+    path = tmp_path / "aliases.tsv"
+    path.write_text("Acme Holdings\tAcme\nAcme\tInc.\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_alias_file(str(path))
+    assert (err.value.path, err.value.line) == (str(path), 2)
+    assert "'Inc.' has no name left" in str(err.value)
+
+
+def test_load_alias_file_rejects_a_variant_with_two_canonicals(tmp_path):
+    path = tmp_path / "aliases.tsv"
+    # The same variant under the same canonical node, spelled two ways, is fine.
+    path.write_text("Big Dig JV\tBechtel\nbig dig jv.\tBechtel Corp\nBig Dig\tAecom\n"
+                    "BIG DIG JV\tParsons\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_alias_file(str(path))
+    assert err.value.line == 4
+    assert "maps to 'Parsons' here but to 'Bechtel' on line 1" in str(err.value)
+    # Without "corp" among the suffixes, line 2 names another canonical node.
+    with pytest.raises(ParseError) as err:
+        load_alias_file(str(path), StopwordLists(frozenset()))
+    assert err.value.line == 2
+
+
 # -- k-hop sampling ----------------------------------------------------------------
 
 
@@ -349,17 +376,61 @@ def test_sample_k_hop_restricts_alias_table():
     assert sub.canonicalize("Hub Inc.") == "hub"
 
 
-def test_sample_k_hop_copies_are_independent():
+def _assert_frozen_fields(g: SupplyChainGraph) -> None:
+    for node in g.nodes.values():
+        assert type(node.aliases) is frozenset and type(node.categories) is frozenset
+        assert type(node.descriptions) is tuple
+        assert all(type(pair) is tuple for pair in node.descriptions)
+    for edge in g.edges.values():
+        assert type(edge.provenance) is frozenset
+
+
+class _AnswerYes:
+    def complete(self, request):
+        return BackendResponse(text="Yes", input_tokens=1, output_tokens=1)
+
+
+# Each writer that can change a record the sample shares with its parent.
+_MUTATORS = {
+    "upsert": lambda g: [g.upsert_entity(name, "builds bridges", "art-9")
+                         for name in ("Alpha Co Ltd.", "Bravo Ltd", "Echo Co")],
+    "comention": lambda g: [g.add_comention("art-9", ["alpha co", "bravo ltd", "charlie inc"]),
+                            g.add_comention("art-1", ["alpha co", "bravo ltd"])],
+    "merge": lambda g: g.merge_nodes("alpha co", "charlie inc"),
+    "aliases": lambda g: g.apply_aliases({"Alpha Holdings": "Alpha Co", "Bravo Ltd": "Delta Co"}),
+    "classify": lambda g: classify_graph(g, CategoryTaxonomy(), _AnswerYes()),
+}
+
+
+@pytest.mark.parametrize("mutate", list(_MUTATORS.values()), ids=list(_MUTATORS))
+def test_sample_k_hop_shares_frozen_records(tmp_path, mutate):
     g = _path_graph()
-    sub = g.sample_k_hop("alpha co", 1, 100, rng_seed=1)
-    sub.nodes["alpha co"].categories.add("legal counsel")
-    sub.nodes["alpha co"].aliases.add("alpha x")
-    sub.nodes["alpha co"].descriptions.append(("art-x", "builds bridges"))
-    sub.edges[("alpha co", "bravo ltd")].provenance.add("art-x")
-    assert g.nodes["alpha co"].categories == set()
-    assert g.nodes["alpha co"].aliases == {"alpha co"}
-    assert g.nodes["alpha co"].descriptions == []
-    assert g.edges[("alpha co", "bravo ltd")].provenance == {"art-1"}
+    for name in ("Alpha Co", "Bravo Ltd", "Charlie Inc"):
+        g.upsert_entity(name, f"{name} builds", "art-1")
+    g.set_categories("bravo ltd", ["legal counsel"])
+    sub = g.sample_k_hop("bravo ltd", 1, 100, rng_seed=1)
+    assert set(sub.nodes) == set(g.nodes) and set(sub.edges) == set(g.edges)
+    for cid, node in sub.nodes.items():
+        assert node is g.nodes[cid]
+    for key, edge in sub.edges.items():
+        assert edge is g.edges[key]
+    node, edge = sub.nodes["alpha co"], sub.edges[("alpha co", "bravo ltd")]
+    for record, name, value in ((node, "categories", frozenset({"x"})),
+                                (node, "display_name", "X"),
+                                (edge, "provenance", frozenset({"art-x"}))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, value)
+
+    save_state(sub, str(tmp_path / "before.json"))
+    mutate(g)
+    save_state(sub, str(tmp_path / "after.json"))
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    assert g.nodes != sub.nodes or g.edges != sub.edges
+    _assert_frozen_fields(g)
+    save_state(g, str(tmp_path / "graph.json"))
+    loaded = load_state(str(tmp_path / "graph.json"))
+    assert oracles.graph_equal(loaded, g)
+    _assert_frozen_fields(loaded)
 
 
 def test_sample_k_hop_errors():
@@ -459,8 +530,8 @@ def test_adjacency_index_matches_full_scan_reference(tmp_path, seed):
             sub = real.sample_k_hop(cid, hops, max_nodes, rng_seed)
             expected = ref.sample_k_hop(cid, hops, max_nodes, rng_seed)
             _assert_matches_reference(sub, expected)
-            for edge in sub.edges.values():
-                assert edge.provenance is not real.edges[(edge.a, edge.b)].provenance
+            for key, edge in sub.edges.items():
+                assert edge is real.edges[key]
 
 
 def _sampling_graph(seed: int) -> SupplyChainGraph:
@@ -470,7 +541,8 @@ def _sampling_graph(seed: int) -> SupplyChainGraph:
     g = SupplyChainGraph()
     for i, name in enumerate(rng.sample(_VARIANT_NAMES, 40)):
         cid = g.upsert_entity(name, f"desc {i}", f"art-{i % 9}")
-        g.nodes[cid].categories.add(rng.choice(("legal counsel", "engineering consulting")))
+        g.set_categories(cid, g.nodes[cid].categories | {
+            rng.choice(("legal counsel", "engineering consulting"))})
     g.apply_aliases({rng.choice(_VARIANT_NAMES): rng.choice(_VARIANT_NAMES)})
     ids = sorted(g.nodes)
     linked = ids[: len(ids) * 3 // 4]
@@ -506,13 +578,13 @@ def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
                 assert list(sub.alias_table.items()) == [
                     item for item in real.alias_table.items() if item[1] in sub.nodes
                 ]
-                for node in sub.nodes.values():
-                    node.aliases.add("mutated")
-                    node.descriptions.append(("art-x", "mutated"))
-                    node.categories.add("mutated")
-                for edge in sub.edges.values():
-                    edge.provenance.add("art-x")
-                sub.alias_table["mutated"] = cid
+                # The sample's records are its parent's; its own writes
+                # replace them in the sample alone.
+                for node_id in list(sub.nodes):
+                    sub.upsert_entity(node_id, "mutated", "art-x")
+                    sub.set_categories(node_id, ["mutated"])
+                sub.add_comention("art-x", sub.nodes)
+                sub.apply_aliases({"Mutated": cid})
     assert (real.nodes, real.edges, real.alias_table) == before
 
 
@@ -521,7 +593,7 @@ def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
 
 def test_save_load_roundtrip(tmp_path):
     g = _path_graph()
-    g.nodes["alpha co"].categories.add("construction contractor")
+    g.set_categories("alpha co", ["construction contractor"])
     g.upsert_entity("Alpha Co Ltd.", "builder of things", "art-3")
     path = tmp_path / "graph.json"
     save_state(g, str(path))
@@ -537,10 +609,11 @@ def _retarget_alpha_alias(g: SupplyChainGraph) -> None:
 @pytest.mark.parametrize(
     "change",
     [
-        lambda g: setattr(g.nodes["alpha co"], "display_name", "ALPHA CO"),
-        lambda g: g.nodes["alpha co"].descriptions.append(("art-9", "builds bridges")),
+        lambda g: g.nodes.update(
+            {"alpha co": replace(g.nodes["alpha co"], display_name="ALPHA CO")}),
+        lambda g: g.upsert_entity("Alpha Co", "builds bridges", "art-9"),
         _retarget_alpha_alias,
-        lambda g: g.edges[("alpha co", "bravo ltd")].provenance.add("art-9"),
+        lambda g: g.add_comention("art-9", ["alpha co", "bravo ltd"]),
     ],
     ids=["display name", "description", "alias target", "edge provenance"],
 )
@@ -690,15 +763,15 @@ def _awkward_graph(seed: int) -> SupplyChainGraph:
         g.nodes[cid] = EntityNode(
             cid,
             _awkward_text(rng),
-            {_awkward_text(rng) for _ in range(rng.randint(0, 3))},
-            [(_awkward_text(rng), _awkward_text(rng)) for _ in range(rng.randint(0, 3))],
-            {_awkward_text(rng) for _ in range(rng.randint(0, 3))},
+            frozenset({_awkward_text(rng) for _ in range(rng.randint(0, 3))}),
+            tuple((_awkward_text(rng), _awkward_text(rng)) for _ in range(rng.randint(0, 3))),
+            frozenset({_awkward_text(rng) for _ in range(rng.randint(0, 3))}),
         )
     ids = sorted(g.nodes)
     for _ in range(rng.randint(0, 12) if len(ids) > 1 else 0):
         a, b = sorted(rng.sample(ids, 2))
         g.edges[(a, b)] = ComentionEdge(
-            a, b, {_awkward_text(rng) for _ in range(rng.randint(1, 3))})
+            a, b, frozenset({_awkward_text(rng) for _ in range(rng.randint(1, 3))}))
     for _ in range(rng.randint(0, 6) if ids else 0):
         g.alias_table[_awkward_text(rng)] = rng.choice(ids)
     return g
@@ -750,7 +823,7 @@ def test_awkward_graphs_cover_every_character_and_empty_field():
 ], ids=["direct", "json-module"])
 def test_lone_surrogate_raises_and_leaves_no_file(tmp_path, fmt, save, export):
     g = _path_graph()
-    g.nodes["bravo ltd"].display_name = "Bravo \ud800"
+    g.nodes["bravo ltd"] = replace(g.nodes["bravo ltd"], display_name="Bravo \ud800")
     path = str(tmp_path / fmt)
     with pytest.raises(UnicodeEncodeError):
         save(g, path) if fmt == "graph.json" else export(g, fmt, path)
@@ -780,7 +853,7 @@ def test_export_empty_graph_is_valid(tmp_path):
 
 def test_export_graphml_structure(tmp_path):
     g = _path_graph()
-    g.nodes["alpha co"].categories.update({"b cat", "a cat"})
+    g.set_categories("alpha co", ["b cat", "a cat"])
     path = tmp_path / "g.graphml"
     export_graph(g, "graphml", str(path))
     ns = "{http://graphml.graphdrawing.org/xmlns}"
@@ -820,7 +893,7 @@ def test_export_graphml_of_a_reply_with_control_characters_parses(tmp_path):
     ns = "{http://graphml.graphdrawing.org/xmlns}"
     node = ET.parse(path).getroot().find(f"{ns}graph/{ns}node")
     assert node.find(f"{ns}data").text == "Acme Steel"
-    assert g.nodes["acme steel"].descriptions == [("art-1", "makes steel")]
+    assert g.nodes["acme steel"].descriptions == (("art-1", "makes steel"),)
 
 
 def test_export_dot_three_node_path(tmp_path):
