@@ -368,8 +368,6 @@ class HttpBackend:
         backoff_base_s: float = 0.5,
         in_flight: int = IN_FLIGHT,
     ):
-        if not endpoint:
-            raise ValueError("endpoint must be non-empty")
         if not endpoint.startswith(("http://", "https://")):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
         if timeout_s <= 0:

@@ -261,8 +261,11 @@ def classify_graph(
     Questions go out concurrently once calls wait on the network (see
     _ask_all); the answers and labels are built in sorted order after the
     last one, so they do not depend on timing, and a run that raises labels
-    no node.
+    no node. Raises ValueError, before asking anything, for a token budget
+    below 1.
     """
+    if token_budget < 1:
+        raise ValueError(f"token_budget must be >= 1, got {token_budget}")
     skipped: list[str] = []
     classified: list[str] = []
     questions: list[tuple[str, str, str]] = []
@@ -378,10 +381,11 @@ def downsample_balanced(
     return [dataset[i] for i in keep]
 
 
-def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) -> list[LabeledExample]:
+def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy) -> list[LabeledExample]:
     """Load a JSONL labeled dataset of (entity_id, category, gold, description).
 
-    Raises ParseError at a row that repeats an (entity_id, category) pair.
+    Raises ParseError at a row whose category is not in the taxonomy or that
+    repeats an (entity_id, category) pair.
     """
     examples: list[LabeledExample] = []
     seen: set[tuple[str, str]] = set()
@@ -394,7 +398,7 @@ def load_labeled_dataset(path: str, taxonomy: CategoryTaxonomy | None = None) ->
         if not all(isinstance(record[f], str) for f in ("entity_id", "category", "description")):
             raise ParseError("entity_id, category and description must be strings",
                              path=str(path), line=lineno)
-        if taxonomy is not None and record["category"] not in taxonomy:
+        if record["category"] not in taxonomy:
             raise ParseError(
                 f"category {record['category']!r} not in taxonomy", path=str(path), line=lineno
             )
@@ -425,8 +429,8 @@ def load_predictions(path: str) -> Answers:
     """Read predictions.jsonl back into an answer table.
 
     Raises ParseError at a row without string entity_id and category, with
-    neither a boolean prediction nor ``"undetermined": true``, or repeating
-    a pair.
+    both or neither of a boolean prediction and ``"undetermined": true``, or
+    repeating a pair.
     """
     answers: Answers = {}
     for lineno, record in read_jsonl(path):
@@ -434,12 +438,16 @@ def load_predictions(path: str) -> Answers:
             raise ParseError("prediction needs string entity_id and category",
                              path=str(path), line=lineno)
         pair = (record["entity_id"], record["category"])
-        if record.get("undetermined"):
+        if "undetermined" in record and "prediction" in record:
+            raise ParseError("row holds both a prediction and undetermined",
+                             path=str(path), line=lineno)
+        if record.get("undetermined") is True:
             answer = None
         elif isinstance(record.get("prediction"), bool):
             answer = record["prediction"]
         else:
-            raise ParseError("prediction must be boolean", path=str(path), line=lineno)
+            raise ParseError('prediction must be boolean, or "undetermined" true',
+                             path=str(path), line=lineno)
         if pair in answers:
             raise ParseError(f"repeated prediction for {pair}", path=str(path), line=lineno)
         answers[pair] = answer

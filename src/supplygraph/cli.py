@@ -23,7 +23,7 @@ from . import backends as be
 from . import classify as cl
 from . import crawler as cr
 from . import graph as gr
-from .corpus import StopwordLists, load_corpus, load_stopwords, normalize_name
+from .corpus import StopwordLists, load_corpus, load_stopwords, name_forms
 from .errors import (
     BackendUnavailable,
     CassetteWriteError,
@@ -177,7 +177,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     stopwords = load_stopwords(args.suffixes) if args.suffixes else StopwordLists.default()
     for seed in config.seeds:
         try:
-            normalize_name(seed, stopwords)
+            name_forms(seed, stopwords)
         except EmptyName:
             raise ValueError(
                 f"seed {seed!r} has no name left after stripping punctuation and company "

@@ -71,40 +71,25 @@ def load_stopwords(suffix_path: str) -> StopwordLists:
         return StopwordLists(company_suffixes=_parse_stopword_text(fh.read()))
 
 
-def normalize_name(raw: str, stopwords: StopwordLists | None = None) -> str:
-    """Normalize an entity name to its lowercase matching form.
-
-    Lowercases, trims edge punctuation and whitespace, collapses internal
-    whitespace runs, and, when ``stopwords`` is given, repeatedly drops
-    trailing corporate-suffix tokens (right to left). Tokens inside the name
-    are never removed. Raises EmptyName when nothing survives.
-    """
-    suffixes = stopwords.company_suffixes if stopwords is not None else frozenset()
-    return _strip_suffixes(_plain_name(raw), raw, suffixes)
-
-
 def name_forms(raw: str, stopwords: StopwordLists) -> tuple[str, str]:
-    """``(normalize_name(raw), normalize_name(raw, stopwords))``, normalizing
-    once: the suffix-stripped form is stripped from the plain one."""
-    plain = _plain_name(raw)
-    return plain, _strip_suffixes(plain, raw, stopwords.company_suffixes)
+    """An entity name's plain form and its matching form, both lowercase.
 
-
-def _plain_name(raw: str) -> str:
+    The plain form lowercases, collapses internal whitespace runs and trims
+    edge punctuation and whitespace. The matching form then repeatedly drops
+    trailing corporate-suffix tokens (right to left) and trims again; tokens
+    inside the name are never removed. Raises EmptyName when nothing survives.
+    """
     if not raw or not raw.strip():
         raise EmptyName("name is empty")
-    return _WS_RE.sub(" ", raw.lower()).strip(_EDGE_CHARS)
-
-
-def _strip_suffixes(name: str, raw: str, suffixes: frozenset[str]) -> str:
+    plain = name = _WS_RE.sub(" ", raw.lower()).strip(_EDGE_CHARS)
     while name:
         tokens = name.split(" ")
-        if tokens[-1] not in suffixes:
+        if tokens[-1] not in stopwords.company_suffixes:
             break
         name = " ".join(tokens[:-1]).strip(_EDGE_CHARS)
     if not name:
         raise EmptyName(f"nothing left of {raw!r} after suffix stripping")
-    return name
+    return plain, name
 
 
 def preprocess_text(body: str) -> str:
@@ -221,7 +206,7 @@ def fetch_articles(
     config: "CrawlConfig",
     fetcher: ArticleFetcher,
     failed_years: list[int],
-    stop: threading.Event | None = None,
+    stop: threading.Event,
 ) -> list[Article]:
     """Fetch up to config.per_year_min articles per year across config.year_range.
 
@@ -240,7 +225,7 @@ def fetch_articles(
     out: list[Article] = []
     seen: set[str] = set()
     for year in range(start, end + 1):
-        if stop is not None and stop.is_set():
+        if stop.is_set():
             break
         try:
             hits = _search_with_retries(fetcher, keyword, year, want)

@@ -150,6 +150,7 @@ class Crawler:
         self._cut = False  # a budget left a fetched article unapplied
         for raw_seed in self.config.seeds:
             self._enqueue(self.graph.upsert_entity(raw_seed))
+        nodes_before, edges_before = len(self.graph.nodes), len(self.graph.edges)
         # pending[i] harvests self._frontier[i], on a worker, or on this
         # thread when it is None. Keywords are applied in frontier order, so
         # any width gives the bytes of a sequential crawl.
@@ -173,6 +174,9 @@ class Crawler:
                     self._apply(self._harvest(keyword) if future is None else future.result())
             finally:
                 self._stop.set()
+        # Only _apply changes the graph in the loop, so these are its additions.
+        self._stats.nodes_created = len(self.graph.nodes) - nodes_before
+        self._stats.edges_created = len(self.graph.edges) - edges_before
         # Exhausted only if every fetched article of every enqueued keyword
         # was applied; otherwise the budget that stopped the crawl.
         reason = self._budget_reason() if self._frontier or self._cut else None
@@ -199,8 +203,7 @@ class Crawler:
 
     def _harvest(self, keyword: str) -> _Harvest:
         failed_years: list[int] = []
-        articles = fetch_articles(keyword, self.config, self.fetcher, failed_years,
-                                  stop=self._stop)
+        articles = fetch_articles(keyword, self.config, self.fetcher, failed_years, self._stop)
         harvest = _Harvest(keyword=keyword, fetch_failures=len(failed_years))
         for article in articles:
             if self._stop.is_set():
@@ -243,8 +246,6 @@ class Crawler:
             stats.parse_failures += result.parse_failures
             stats.backend_failures += result.backend_failures
             stats.entities_extracted += len(result.entities)
-            nodes_before = len(self.graph.nodes)
-            edges_before = len(self.graph.edges)
             mentioned = {harvest.keyword}
             for entity in result.entities:
                 try:
@@ -255,8 +256,6 @@ class Crawler:
                 mentioned.add(cid)
                 self._enqueue(cid)
             self.graph.add_comention(result.article_id, mentioned)
-            stats.nodes_created += len(self.graph.nodes) - nodes_before
-            stats.edges_created += len(self.graph.edges) - edges_before
         log.info(
             "crawl keyword=%s articles=%d frontier=%d nodes=%d edges=%d",
             harvest.keyword,

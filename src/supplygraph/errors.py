@@ -10,13 +10,11 @@ class SupplyGraphError(Exception):
 class ParseError(SupplyGraphError):
     """A file or response did not match its expected format."""
 
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
+    def __init__(self, message: str, path: str, line: int | None = None):
         self.path = path
         self.line = line
-        where = ""
-        if path is not None:
-            where = f" ({path}" + (f":{line}" if line is not None else "") + ")"
-        super().__init__(message + where)
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{message} ({where})")
 
 
 class EmptyName(SupplyGraphError):

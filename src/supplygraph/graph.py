@@ -20,7 +20,7 @@ from json.encoder import encode_basestring as _q
 from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
-from .corpus import StopwordLists, name_forms, normalize_name
+from .corpus import StopwordLists, name_forms
 from .errors import EmptyName, ParseError, SameNode, SchemaVersionMismatch, UnknownNode
 from .files import open_output
 
@@ -75,7 +75,7 @@ class SupplyChainGraph:
 
     def canonicalize(self, raw_name: str) -> str | None:
         """Resolve a raw name to an existing canonical id, or None if new."""
-        return self.alias_table.get(normalize_name(raw_name, self.stopwords))
+        return self.alias_table.get(name_forms(raw_name, self.stopwords)[1])
 
     def _register_variant(self, canonical_id: str, alias: str, key: str,
                           pair: tuple[str, str] | None = None) -> None:
@@ -294,15 +294,6 @@ def _json_list(items: Iterable[str], indent: str) -> str:
     return f"[\n  {indent}{body}\n{indent}]" if body else "[]"
 
 
-def _json_rows(rows: Iterable[str], indent: str) -> Iterator[str]:
-    """_json_list, yielded one rendered row at a time."""
-    sep = f"[\n  {indent}"
-    for row in rows:
-        yield sep + row
-        sep = f",\n  {indent}"
-    yield "[]" if sep.startswith("[") else f"\n{indent}]"
-
-
 def _state_chunks(graph: SupplyChainGraph) -> Iterator[str]:
     """graph.json in chunks: the bytes json.dump(state, indent=2,
     ensure_ascii=False) gives, with each string quoted by the json module's
@@ -311,7 +302,7 @@ def _state_chunks(graph: SupplyChainGraph) -> Iterator[str]:
     suffixes = _json_list(map(_q, sorted(graph.stopwords.company_suffixes)), "    ")
     yield (f'{{\n  "schema_version": {SCHEMA_VERSION:d},\n  "stopwords": {{\n'
            f'    "company_suffixes": {suffixes}\n  }},\n  "nodes": ')
-    yield from _json_rows((
+    yield _json_list((
         f'{{\n      "canonical_id": {qid[node.canonical_id]},'
         f'\n      "display_name": {_q(node.display_name)},'
         f'\n      "aliases": {_json_list(map(_q, sorted(node.aliases)), "      ")},'
@@ -322,7 +313,7 @@ def _state_chunks(graph: SupplyChainGraph) -> Iterator[str]:
         for node in _sorted_nodes(graph)
     ), "  ")
     yield ',\n  "edges": '
-    yield from _json_rows((
+    yield _json_list((
         f'{{\n      "source": {qid[edge.a]},\n      "target": {qid[edge.b]},'
         f'\n      "provenance": {_json_list(map(_q, sorted(edge.provenance)), "      ")}'
         f'\n    }}'
@@ -370,10 +361,10 @@ def load_state(path: str) -> SupplyChainGraph:
             raise ParseError(f"bad graph state JSON: {exc.msg}", path=where) from exc
     if not isinstance(state, dict) or "schema_version" not in state:
         raise ParseError("graph state missing schema_version", path=where)
-    if state["schema_version"] not in _READABLE_SCHEMAS:
-        raise SchemaVersionMismatch(
-            f"expected schema 1 or {SCHEMA_VERSION}, found {state['schema_version']}"
-        )
+    version = state["schema_version"]
+    # bool is an int, and True == 1.
+    if type(version) is not int or version not in _READABLE_SCHEMAS:
+        raise SchemaVersionMismatch(f"expected schema 1 or {SCHEMA_VERSION}, found {version!r}")
     try:
         suffixes = state["stopwords"]["company_suffixes"]
         if not _is_strings(suffixes):
@@ -432,16 +423,15 @@ def load_state(path: str) -> SupplyChainGraph:
     return graph
 
 
-def load_alias_file(path: str, stopwords: StopwordLists | None = None) -> dict[str, str]:
+def load_alias_file(path: str, stopwords: StopwordLists) -> dict[str, str]:
     """Read a TSV alias file: variant<TAB>canonical, one pair per line.
 
     Raises ParseError naming the file and line for a line that is not two
-    fields, a name with nothing left after normalization with ``stopwords``
-    (the default list if None), or a variant that an earlier line maps to a
-    different canonical name. Two variants or two canonical names are the
-    same when they normalize to the same matching form.
+    fields, a name with nothing left after normalization with ``stopwords``,
+    or a variant that an earlier line maps to a different canonical name. Two
+    variants or two canonical names are the same when they normalize to the
+    same matching form.
     """
-    stopwords = stopwords if stopwords is not None else StopwordLists.default()
     mapping: dict[str, str] = {}
     seen: dict[str, tuple[str, str, int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -456,7 +446,7 @@ def load_alias_file(path: str, stopwords: StopwordLists | None = None) -> dict[s
             forms = []
             for name in (variant, canonical):
                 try:
-                    forms.append(normalize_name(name, stopwords))
+                    forms.append(name_forms(name, stopwords)[1])
                 except EmptyName:
                     raise ParseError(
                         f"{name!r} has no name left after stripping punctuation and company "

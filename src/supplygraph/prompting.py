@@ -226,9 +226,7 @@ class ParseDiagnostics:
     lines_skipped: int = 0
 
 
-def parse_entity_list(
-    response: str, diagnostics: ParseDiagnostics | None = None
-) -> list[ExtractedEntity]:
+def parse_entity_list(response: str, diagnostics: ParseDiagnostics) -> list[ExtractedEntity]:
     """Parse a numbered "name: description" list out of a response.
 
     A line counts as an entity when it has a numeric "N." prefix or a
@@ -250,8 +248,7 @@ def parse_entity_list(
                 entities.append(ExtractedEntity(name=name, description=desc))
                 continue
         skipped += 1
-    if diagnostics is not None:
-        diagnostics.lines_skipped += skipped
+    diagnostics.lines_skipped += skipped
     if not entities and response.strip():
         raise EmptyParse(f"no entities in non-empty response ({skipped} lines skipped)")
     return entities

@@ -11,14 +11,14 @@ import copy
 import json
 import random
 import re
+import string
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from xml.sax.saxutils import escape, quoteattr
 
-from supplygraph.errors import SameNode, UnknownNode
+from supplygraph.errors import EmptyName, SameNode, UnknownNode
 from supplygraph.files import open_output
-from supplygraph.corpus import normalize_name
 from supplygraph.graph import SupplyChainGraph
 from supplygraph.prompting import REASONING_PREAMBLE
 
@@ -215,6 +215,26 @@ def extract_by_name(gazetteer, news):
     for i, (_, name) in enumerate(found, 1):
         lines.append(f"{i}. {name}: {gazetteer[name]}" if gazetteer[name] else f"{i}. {name}:")
     return "\n".join(lines)
+
+
+_EDGE_CHARS = string.punctuation + string.whitespace
+
+
+def normalize_name(raw, stopwords=None):
+    """A name's plain form, or with stopwords its matching form, by the rules
+    name_forms documents, one word at a time: lowercase, join the words with
+    single spaces, trim edge punctuation and whitespace, then drop trailing
+    company-suffix words, trimming again after each. Raises EmptyName with
+    name_forms's messages."""
+    if not raw.strip():
+        raise EmptyName("name is empty")
+    name = " ".join(raw.lower().split()).strip(_EDGE_CHARS)
+    suffixes = stopwords.company_suffixes if stopwords is not None else ()
+    while name and name.rpartition(" ")[2] in suffixes:
+        name = name.rpartition(" ")[0].strip(_EDGE_CHARS)
+    if not name:
+        raise EmptyName(f"nothing left of {raw!r} after suffix stripping")
+    return name
 
 
 def _pair(x, y):

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 import oracles
-from conftest import (
+from shared import (
     DEDUP_NEWS_PATH,
     GAZETTEER_PATH,
     LABELS_PATH,
@@ -39,6 +39,7 @@ from supplygraph.corpus import load_corpus
 from supplygraph.crawler import CrawlConfig, article_payload, run_crawl
 from supplygraph.graph import SupplyChainGraph
 from supplygraph.prompting import (
+    ParseDiagnostics,
     build_classification_prompt,
     build_extraction_prompt,
     estimate_tokens,
@@ -252,7 +253,7 @@ def test_acceptance_segmentation():
             )
             if not response.text:
                 return set()
-            return {e.name for e in parse_entity_list(response.text)}
+            return {e.name for e in parse_entity_list(response.text, ParseDiagnostics())}
 
         union = set()
         for segment in plan.segments:

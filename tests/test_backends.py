@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 import supplygraph
-from conftest import DEDUP_NEWS_PATH, NEWS_PATH
+from shared import DEDUP_NEWS_PATH, NEWS_PATH
 from supplygraph.backends import (
     BackendRequest,
     BackendResponse,
@@ -38,6 +38,7 @@ from supplygraph.errors import (
 from supplygraph.cli import _make_backend, main
 from supplygraph.crawler import article_payload
 from supplygraph.prompting import (
+    ParseDiagnostics,
     build_classification_prompt,
     build_extraction_prompt,
     parse_entity_list,
@@ -189,21 +190,21 @@ def test_scripted_backend_prefers_keyed_entry():
 def test_scripted_backend_extraction_order_is_first_occurrence(gazetteer_backend):
     news = "yesterday aecom and bechtel met with txdot officials."
     response = gazetteer_backend.complete(_extract_request(news))
-    names = [e.name for e in parse_entity_list(response.text)]
+    names = [e.name for e in parse_entity_list(response.text, ParseDiagnostics())]
     assert names == ["aecom", "bechtel", "txdot"]
 
 
 def test_scripted_backend_extraction_is_word_bounded(gazetteer_backend):
     news = "the aecoms project (not aecom itself) started."
     response = gazetteer_backend.complete(_extract_request(news))
-    names = [e.name for e in parse_entity_list(response.text)]
+    names = [e.name for e in parse_entity_list(response.text, ParseDiagnostics())]
     assert names == ["aecom"]
 
 
 def test_scripted_backend_extraction_multiword_names(gazetteer_backend):
     news = "cranes came from bragg crane service this week."
     response = gazetteer_backend.complete(_extract_request(news))
-    names = [e.name for e in parse_entity_list(response.text)]
+    names = [e.name for e in parse_entity_list(response.text, ParseDiagnostics())]
     assert names == ["bragg crane service"]
 
 
@@ -262,7 +263,8 @@ def test_scripted_backend_soundness_against_truth(gazetteer_backend, news_corpus
     for article in news_corpus:
         payload = article.title + "\n\n" + article.body
         response = gazetteer_backend.complete(_extract_request(payload.lower()))
-        names = sorted(e.name for e in parse_entity_list(response.text)) if response.text else []
+        names = (sorted(e.name for e in parse_entity_list(response.text, ParseDiagnostics()))
+                 if response.text else [])
         assert names == news_truth[article.id], article.id
 
 

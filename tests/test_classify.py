@@ -10,7 +10,7 @@ from dataclasses import asdict
 import pytest
 
 import oracles
-from conftest import LABELS_PATH, score_one_category
+from shared import LABELS_PATH, score_one_category
 from supplygraph.backends import IN_FLIGHT, BackendResponse
 from supplygraph.classify import (
     DEFAULT_CATEGORIES,
@@ -224,6 +224,23 @@ def test_classify_graph_skips_a_node_whose_descriptions_are_blank(gazetteer_back
     assert graph.nodes["aecom"].categories == {"engineering consulting"}
     assert graph.nodes["acme"].categories == set()
     assert outcome.to_report(taxonomy)["skipped_no_description"] == ["acme"]
+
+
+@pytest.mark.parametrize("token_budget", [0, -1])
+def test_classify_graph_rejects_a_budget_below_one_before_asking(token_budget):
+    graph = SupplyChainGraph()
+    graph.upsert_entity("Acme", "makes steel beams", "a1")
+    asked = []
+
+    class Recording:
+        def complete(self, request):
+            asked.append(request)
+            return BackendResponse("Yes", 1, 1)
+
+    with pytest.raises(ValueError, match="token_budget must be >= 1"):
+        classify_graph(graph, CategoryTaxonomy(), Recording(), token_budget=token_budget)
+    assert asked == []
+    assert graph.nodes["acme"].categories == set()
 
 
 class _Gazetteer:
@@ -572,10 +589,10 @@ def test_load_labeled_dataset_fixture():
 
 
 def test_labeled_dataset_roundtrip(tmp_path):
-    dataset = load_labeled_dataset(LABELS_PATH)
+    dataset = load_labeled_dataset(LABELS_PATH, CategoryTaxonomy())
     out = tmp_path / "labels.jsonl"
     write_jsonl(str(out), (asdict(ex) for ex in dataset))
-    assert load_labeled_dataset(str(out)) == dataset
+    assert load_labeled_dataset(str(out), CategoryTaxonomy()) == dataset
 
 
 def test_load_labeled_dataset_rejects_non_bool_gold(tmp_path):
@@ -583,14 +600,14 @@ def test_load_labeled_dataset_rejects_non_bool_gold(tmp_path):
     record = {"entity_id": "e", "category": "a cat", "gold": "yes", "description": "d"}
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ParseError):
-        load_labeled_dataset(str(path))
+        load_labeled_dataset(str(path), CategoryTaxonomy(categories=("a cat",)))
 
 
 def test_load_labeled_dataset_rejects_missing_field(tmp_path):
     path = tmp_path / "labels.jsonl"
     path.write_text('{"entity_id": "e", "category": "c", "gold": true}\n', encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_labeled_dataset(str(path))
+        load_labeled_dataset(str(path), CategoryTaxonomy(categories=("c",)))
     assert err.value.line == 1
 
 
@@ -601,7 +618,6 @@ def test_load_labeled_dataset_taxonomy_check(tmp_path):
     taxonomy = CategoryTaxonomy(categories=("a cat",))
     with pytest.raises(ParseError):
         load_labeled_dataset(str(path), taxonomy)
-    assert len(load_labeled_dataset(str(path))) == 1  # no taxonomy: accepted
 
 
 def test_load_labeled_dataset_rejects_repeated_pair(tmp_path):
@@ -613,7 +629,7 @@ def test_load_labeled_dataset_rejects_repeated_pair(tmp_path):
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_labeled_dataset(str(path))
+        load_labeled_dataset(str(path), CategoryTaxonomy(categories=("a cat", "b cat")))
     assert "repeated label" in str(err.value)
     assert (err.value.path, err.value.line) == (str(path), 3)
 
@@ -630,3 +646,29 @@ def test_predictions_roundtrip(tmp_path):
     loaded = load_predictions(str(path))
     assert loaded == answers
     assert list(loaded) == list(answers)
+
+
+@pytest.mark.parametrize("undetermined", ["no", "yes", 1, False, None, [True]])
+def test_load_predictions_takes_undetermined_only_when_true(tmp_path, undetermined):
+    path = tmp_path / "predictions.jsonl"
+    write_jsonl(str(path), [
+        {"entity_id": "x", "category": "a cat", "prediction": True},
+        {"entity_id": "x", "category": "b cat", "undetermined": undetermined},
+    ])
+    with pytest.raises(ParseError, match='"undetermined" true') as err:
+        load_predictions(str(path))
+    assert (err.value.path, err.value.line) == (str(path), 2)
+
+
+@pytest.mark.parametrize("undetermined", [True, False])
+@pytest.mark.parametrize("prediction", [True, False])
+def test_load_predictions_rejects_a_row_with_both_fields(tmp_path, undetermined, prediction):
+    path = tmp_path / "predictions.jsonl"
+    write_jsonl(str(path), [
+        {"entity_id": "x", "category": "a cat", "undetermined": True},
+        {"entity_id": "x", "category": "b cat", "undetermined": undetermined,
+         "prediction": prediction},
+    ])
+    with pytest.raises(ParseError, match="both a prediction and undetermined") as err:
+        load_predictions(str(path))
+    assert (err.value.path, err.value.line) == (str(path), 2)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import GAZETTEER_PATH, LABELS_PATH, NEWS_PATH
+from shared import GAZETTEER_PATH, LABELS_PATH, NEWS_PATH
 from supplygraph import cli
 from supplygraph.backends import BackendResponse, ScriptedBackend, load_script
 from supplygraph.cli import (

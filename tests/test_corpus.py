@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import random
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -13,14 +14,14 @@ from supplygraph.corpus import (
     load_corpus,
     load_stopwords,
     name_forms,
-    normalize_name,
     preprocess_text,
 )
 from supplygraph.crawler import CrawlConfig
 from supplygraph.errors import DuplicateId, EmptyName, FetchError, ParseError
 from supplygraph.files import write_jsonl
 
-from conftest import NEWS_PATH
+import oracles
+from shared import NEWS_PATH
 
 
 def _config(**kwargs) -> CrawlConfig:
@@ -29,40 +30,40 @@ def _config(**kwargs) -> CrawlConfig:
     return CrawlConfig(**defaults)
 
 
-# -- normalize_name ------------------------------------------------------
+# -- name_forms ----------------------------------------------------------
 
 
 def test_normalize_keeps_plain_names(stopwords):
-    assert normalize_name("Yates Construction", stopwords) == "yates construction"
+    assert name_forms("Yates Construction", stopwords)[1] == "yates construction"
 
 
 def test_normalize_strips_trailing_suffix(stopwords):
-    assert normalize_name("AECOM Ltd.", stopwords) == "aecom"
+    assert name_forms("AECOM Ltd.", stopwords)[1] == "aecom"
 
 
 def test_normalize_strips_suffixes_repeatedly(stopwords):
-    assert normalize_name("Acme Co., Ltd.", stopwords) == "acme"
+    assert name_forms("Acme Co., Ltd.", stopwords)[1] == "acme"
 
 
 def test_normalize_pure_suffix_is_empty(stopwords):
     with pytest.raises(EmptyName):
-        normalize_name("  Corp. ", stopwords)
+        name_forms("  Corp. ", stopwords)
 
 
 def test_normalize_blank_is_empty(stopwords):
     with pytest.raises(EmptyName):
-        normalize_name("   ", stopwords)
+        name_forms("   ", stopwords)
 
 
 def test_normalize_keeps_internal_suffix_tokens(stopwords):
     assert (
-        normalize_name("Construction Co. of America Inc.", stopwords)
+        name_forms("Construction Co. of America Inc.", stopwords)[1]
         == "construction co. of america"
     )
 
 
-def test_normalize_without_stopwords_keeps_suffixes():
-    assert normalize_name("AECOM Ltd.") == "aecom ltd"
+def test_normalize_without_stopwords_keeps_suffixes(stopwords):
+    assert name_forms("AECOM Ltd.", stopwords)[0] == "aecom ltd"
 
 
 def test_name_forms_are_both_normalizations(stopwords):
@@ -72,7 +73,7 @@ def test_name_forms_are_both_normalizations(stopwords):
         "".join(rng.choice(pool) for _ in range(rng.randint(1, 5))) for _ in range(400)]
     for raw in names:
         try:
-            expected = normalize_name(raw), normalize_name(raw, stopwords)
+            expected = oracles.normalize_name(raw), oracles.normalize_name(raw, stopwords)
         except EmptyName as exc:
             expected = str(exc)
         try:
@@ -92,10 +93,10 @@ def test_normalize_idempotent_fuzz(stopwords):
         raw = (" " * rng.randint(0, 2)).join(parts)
         raw = " " * rng.randint(0, 2) + raw + "." * rng.randint(0, 2)
         try:
-            once = normalize_name(raw, stopwords)
+            once = name_forms(raw, stopwords)[1]
         except EmptyName:
             continue
-        assert normalize_name(once, stopwords) == once
+        assert name_forms(once, stopwords)[1] == once
         assert once == once.lower()
         assert once == once.strip()
         assert "  " not in once
@@ -268,7 +269,7 @@ class FlakyFetcher:
 
 def test_fetch_articles_full_range():
     config = _config(year_range=(2018, 2023), per_year_min=10)
-    articles = fetch_articles("bechtel", config, YearlyFetcher(), [])
+    articles = fetch_articles("bechtel", config, YearlyFetcher(), [], threading.Event())
     assert len(articles) == 60
     assert all(a.retrieved_for_keyword == "bechtel" for a in articles)
     assert {a.published_year for a in articles} == set(range(2018, 2024))
@@ -282,7 +283,7 @@ def test_fetch_articles_shortfall_logged(caplog):
             return []
 
     with caplog.at_level("WARNING"):
-        articles = fetch_articles("ghost", config, EmptyFetcher(), [])
+        articles = fetch_articles("ghost", config, EmptyFetcher(), [], threading.Event())
     assert articles == []
     assert any("shortfall" in rec.message for rec in caplog.records)
 
@@ -291,7 +292,7 @@ def test_fetch_articles_retries_then_succeeds(monkeypatch):
     monkeypatch.setattr(corpus_module, "FETCH_BACKOFF_S", 0)
     fetcher = FlakyFetcher(failures=1)
     config = _config(year_range=(2020, 2020), per_year_min=1)
-    assert fetch_articles("x", config, fetcher, []) == []
+    assert fetch_articles("x", config, fetcher, [], threading.Event()) == []
     assert fetcher.calls == 2
 
 
@@ -301,7 +302,7 @@ def test_fetch_articles_records_the_failed_year_after_retries(monkeypatch, caplo
     config = _config(year_range=(2020, 2020), per_year_min=1)
     failed_years = []
     with caplog.at_level("WARNING"):
-        assert fetch_articles("x", config, fetcher, failed_years) == []
+        assert fetch_articles("x", config, fetcher, failed_years, threading.Event()) == []
     assert fetcher.calls == 3  # initial attempt plus two retries
     assert failed_years == [2020]
     assert any("keyword='x' year=2020" in rec.message for rec in caplog.records)
@@ -318,7 +319,7 @@ def test_fetch_articles_keeps_the_years_around_a_failed_one(monkeypatch):
 
     config = _config(year_range=(2019, 2021), per_year_min=2)
     failed_years = []
-    articles = fetch_articles("x", config, DownIn2020(), failed_years)
+    articles = fetch_articles("x", config, DownIn2020(), failed_years, threading.Event())
     assert [a.id for a in articles] == ["x-2019-0", "x-2019-1", "x-2021-0", "x-2021-1"]
     assert failed_years == [2020]
 
@@ -328,7 +329,7 @@ def test_fetch_articles_backs_off_before_each_retry(monkeypatch):
     monkeypatch.setattr(corpus_module.time, "sleep", sleeps.append)
     config = _config(year_range=(2020, 2020), per_year_min=1)
     failed_years = []
-    fetch_articles("x", config, FlakyFetcher(failures=100), failed_years)
+    fetch_articles("x", config, FlakyFetcher(failures=100), failed_years, threading.Event())
     assert sleeps == [0.1, 0.2]
     assert failed_years == [2020]
 
@@ -345,7 +346,7 @@ def test_fetch_articles_filters_out_of_range_years():
             ]
 
     config = _config(year_range=(2020, 2021), per_year_min=2)
-    assert fetch_articles("x", config, WrongYearFetcher(), []) == []
+    assert fetch_articles("x", config, WrongYearFetcher(), [], threading.Event()) == []
 
 
 def test_corpus_fetcher_filters_by_keyword_and_year(news_corpus):
@@ -358,4 +359,4 @@ def test_corpus_fetcher_filters_by_keyword_and_year(news_corpus):
 def test_fetch_articles_rejects_blank_keyword():
     config = _config()
     with pytest.raises(ValueError):
-        fetch_articles("  ", config, YearlyFetcher(), [])
+        fetch_articles("  ", config, YearlyFetcher(), [], threading.Event())

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 import oracles
-from conftest import GAZETTEER_PATH, NEWS_PATH, TRUTH_PATH
+from shared import GAZETTEER_PATH, NEWS_PATH, TRUTH_PATH
 from supplygraph import corpus as corpus_module
 from supplygraph.backends import RecordingBackend, ScriptedBackend, load_script
 from supplygraph.corpus import Article, Corpus
@@ -21,7 +21,7 @@ from supplygraph.crawler import (
     run_crawl,
 )
 from supplygraph.errors import CassetteWriteError, FetchError, ScriptMiss
-from supplygraph.graph import EXPORT_FORMATS, export_graph, save_state
+from supplygraph.graph import EXPORT_FORMATS, SupplyChainGraph, export_graph, save_state
 from supplygraph.prompting import ExtractedEntity, render_entity_list
 
 
@@ -164,6 +164,36 @@ def test_crawl_reprocessing_into_existing_graph_adds_nothing(
     assert {k: e.weight for k, e in graph2.edges.items()} == weights_before
     assert report2.stats.nodes_created == 0
     assert report2.stats.edges_created == 0
+
+
+# (budgets, aliases applied before the crawl, nodes_created, edges_created).
+# Neither the seed nor an alias's node counts as created by the crawl.
+_COUNT_CASES = {
+    "exhausted": ({}, {}, 11, 35),
+    "aliases": ({}, {"TxDOT Dallas": "TxDOT", "Aecom Corp": "AECOM",
+                     "The Lime Works": "National Lime Stone"}, 8, 35),
+    "node budget": ({"max_nodes": 7}, {}, 6, 9),
+    "article budget": ({"max_articles": 5}, {}, 6, 10),
+    "aliases and node budget": ({"max_nodes": 7}, {"Aecom Corp": "AECOM", "Kiewit Corp": "Kiewit"},
+                                4, 9),
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("case", list(_COUNT_CASES))
+def test_crawl_counts_the_nodes_and_edges_it_creates(news_corpus, gazetteer_backend, case,
+                                                     parallelism):
+    budgets, aliases, nodes_created, edges_created = _COUNT_CASES[case]
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         parallelism=parallelism, **budgets)
+    graph = SupplyChainGraph()
+    graph.apply_aliases(aliases)
+    nodes_before = len(graph.nodes)
+    graph, report = run_crawl(config, news_corpus, gazetteer_backend, graph)
+    assert (report.stats.nodes_created, report.stats.edges_created) == (
+        nodes_created, edges_created)
+    assert nodes_created == len(graph.nodes) - nodes_before - 1  # the seed
+    assert edges_created == len(graph.edges)
 
 
 def test_crawl_node_budget_stops_after_seed(news_corpus, gazetteer_backend):

@@ -8,7 +8,7 @@ import pytest
 from supplygraph import files as files_module
 from supplygraph import graph as gr
 from supplygraph.backends import load_script
-from supplygraph.classify import load_labeled_dataset, load_predictions
+from supplygraph.classify import CategoryTaxonomy, load_labeled_dataset, load_predictions
 from supplygraph.corpus import StopwordLists, load_corpus
 from supplygraph.errors import ParseError
 from supplygraph.files import open_output
@@ -21,6 +21,8 @@ _GOOD_ROWS = {
                            "description": "d"},
     load_predictions: {"entity_id": "acme", "category": "legal counsel", "prediction": True},
 }
+# Arguments a reader takes after the path.
+_MORE_ARGS = {load_labeled_dataset: (CategoryTaxonomy(),)}
 
 
 @pytest.mark.parametrize("reader", list(_GOOD_ROWS), ids=lambda reader: reader.__name__)
@@ -29,7 +31,7 @@ def test_jsonl_readers_report_bad_line(tmp_path, reader, bad_line):
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(_GOOD_ROWS[reader]) + "\n\n" + bad_line + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        reader(str(path))
+        reader(str(path), *_MORE_ARGS.get(reader, ()))
     assert err.value.line == 3
     assert err.value.path == str(path)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError, replace
 
@@ -28,7 +29,7 @@ from supplygraph.graph import (
     load_state,
     save_state,
 )
-from supplygraph.prompting import parse_entity_list
+from supplygraph.prompting import ParseDiagnostics, parse_entity_list
 
 
 def _graph() -> SupplyChainGraph:
@@ -270,42 +271,42 @@ def test_apply_aliases_merges_conflicting_nodes():
     assert set(g.edges) == {("aecom", "bystander")}
 
 
-def test_load_alias_file(tmp_path):
+def test_load_alias_file(tmp_path, stopwords):
     path = tmp_path / "aliases.tsv"
     path.write_text(
         "# variant\tcanonical\nAECOM Corp.\tAECOM\n\nOld Name\tNew Name\n",
         encoding="utf-8",
     )
-    assert load_alias_file(str(path)) == {
+    assert load_alias_file(str(path), stopwords) == {
         "AECOM Corp.": "AECOM",
         "Old Name": "New Name",
     }
 
 
-def test_load_alias_file_rejects_bad_lines(tmp_path):
+def test_load_alias_file_rejects_bad_lines(tmp_path, stopwords):
     path = tmp_path / "aliases.tsv"
     path.write_text("only one column\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_alias_file(str(path))
+        load_alias_file(str(path), stopwords)
     assert err.value.line == 1
 
 
-def test_load_alias_file_names_the_line_of_an_empty_name(tmp_path):
+def test_load_alias_file_names_the_line_of_an_empty_name(tmp_path, stopwords):
     path = tmp_path / "aliases.tsv"
     path.write_text("Acme Holdings\tAcme\nAcme\tInc.\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_alias_file(str(path))
+        load_alias_file(str(path), stopwords)
     assert (err.value.path, err.value.line) == (str(path), 2)
     assert "'Inc.' has no name left" in str(err.value)
 
 
-def test_load_alias_file_rejects_a_variant_with_two_canonicals(tmp_path):
+def test_load_alias_file_rejects_a_variant_with_two_canonicals(tmp_path, stopwords):
     path = tmp_path / "aliases.tsv"
     # The same variant under the same canonical node, spelled two ways, is fine.
     path.write_text("Big Dig JV\tBechtel\nbig dig jv.\tBechtel Corp\nBig Dig\tAecom\n"
                     "BIG DIG JV\tParsons\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_alias_file(str(path))
+        load_alias_file(str(path), stopwords)
     assert err.value.line == 4
     assert "maps to 'Parsons' here but to 'Bechtel' on line 1" in str(err.value)
     # Without "corp" among the suffixes, line 2 names another canonical node.
@@ -650,6 +651,17 @@ def test_load_state_schema_mismatch(tmp_path):
         load_state(str(path))
 
 
+@pytest.mark.parametrize("version", [True, 2.0, 1.0, "2"])
+def test_load_state_rejects_a_schema_version_that_is_not_an_int(tmp_path, version):
+    path = tmp_path / "graph.json"
+    save_state(_path_graph(), str(path))
+    state = json.loads(path.read_text(encoding="utf-8"))
+    state["schema_version"] = version
+    path.write_text(json.dumps(state), encoding="utf-8")
+    with pytest.raises(SchemaVersionMismatch, match=re.escape(f"found {version!r}")):
+        load_state(str(path))
+
+
 def test_load_state_reads_schema_1_and_saves_schema_2(tmp_path):
     g = _path_graph()
     v2_path = tmp_path / "v2.json"
@@ -886,7 +898,8 @@ def test_export_graphml_escapes_special_characters(tmp_path):
 
 def test_export_graphml_of_a_reply_with_control_characters_parses(tmp_path):
     g = _graph()
-    for entity in parse_entity_list("1. Acme\x01 Steel: makes\x1b steel\x7f"):
+    reply = "1. Acme\x01 Steel: makes\x1b steel\x7f"
+    for entity in parse_entity_list(reply, ParseDiagnostics()):
         g.upsert_entity(entity.name, entity.description, "art-1")
     path = tmp_path / "g.graphml"
     export_graph(g, "graphml", str(path))

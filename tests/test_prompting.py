@@ -164,7 +164,7 @@ def test_parse_entity_list_numbered():
         "2. Bechtel: engineering and construction\n"
         "3. TxDOT: state transportation agency\n"
     )
-    assert parse_entity_list(response) == [
+    assert parse_entity_list(response, ParseDiagnostics()) == [
         ExtractedEntity("AECOM", "infrastructure consulting firm"),
         ExtractedEntity("Bechtel", "engineering and construction"),
         ExtractedEntity("TxDOT", "state transportation agency"),
@@ -184,18 +184,18 @@ def test_parse_entity_list_skips_preamble():
 
 def test_parse_entity_list_unnumbered_needs_description():
     response = "AECOM: planning and design\nnoise without colon\n"
-    assert parse_entity_list(response) == [
+    assert parse_entity_list(response, ParseDiagnostics()) == [
         ExtractedEntity("AECOM", "planning and design")
     ]
 
 
 def test_parse_entity_list_numbered_empty_description_ok():
-    assert parse_entity_list("1. AECOM:") == [ExtractedEntity("AECOM", "")]
+    assert parse_entity_list("1. AECOM:", ParseDiagnostics()) == [ExtractedEntity("AECOM", "")]
 
 
 def test_parse_entity_list_unnumbered_empty_description_skipped():
     with pytest.raises(EmptyParse):
-        parse_entity_list("AECOM:\n")
+        parse_entity_list("AECOM:\n", ParseDiagnostics())
 
 
 def test_parse_entity_list_blank_lines_ignored():
@@ -219,12 +219,12 @@ def test_parse_entity_list_garbage_raises_empty_parse():
 
 
 def test_parse_entity_list_name_whitespace_trimmed():
-    entities = parse_entity_list("1.   Acme Corp  :  heavy equipment  ")
+    entities = parse_entity_list("1.   Acme Corp  :  heavy equipment  ", ParseDiagnostics())
     assert entities == [ExtractedEntity("Acme Corp", "heavy equipment")]
 
 
 def test_parse_entity_list_colon_in_description_kept():
-    entities = parse_entity_list("1. Acme: rentals: cranes and lifts")
+    entities = parse_entity_list("1. Acme: rentals: cranes and lifts", ParseDiagnostics())
     assert entities == [ExtractedEntity("Acme", "rentals: cranes and lifts")]
 
 
@@ -239,7 +239,7 @@ def test_render_parse_roundtrip_fuzz():
             desc = " ".join(rng.choice(desc_words) for _ in range(rng.randint(0, 6)))
             entities.append(ExtractedEntity(name, desc))
         rendered = render_entity_list(entities)
-        assert parse_entity_list(rendered) == entities
+        assert parse_entity_list(rendered, ParseDiagnostics()) == entities
 
 
 # -- yes/no parsing -----------------------------------------------------------
