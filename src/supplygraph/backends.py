@@ -1,13 +1,15 @@
 """Completion backends: live HTTP, scripted/gazetteer, and recording.
 
 Every backend answers a BackendRequest with a BackendResponse. A call that
-gets no answer raises BackendUnavailable; ScriptMiss is one, so callers
-catch one type. RecordingBackend wraps any backend, keeps its answers in a
-cassette and answers first from what the cassette already holds. Replaying
-a recorded cassette is a ScriptedBackend over the cassette's keyed rows
-alone, which misses on any other request. Requests are identified by a
-stable content hash over (system, user, question); the request tag never
-enters the hash, so replay does not depend on call-site labels.
+gets no answer, a scripted request with no entry and no synthesis included,
+raises BackendUnavailable, so callers catch one type. A script or cassette
+row that is malformed or repeats a key raises ParseError. RecordingBackend wraps any
+backend, keeps its answers in a cassette and answers first from what the
+cassette already holds. Replaying a recorded cassette is a ScriptedBackend
+over the cassette's keyed rows alone, which misses on any other request.
+Requests are identified by a stable content hash over (system, user,
+question); the request tag never enters the hash, so replay does not
+depend on call-site labels.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
-from .errors import (
-    BackendUnavailable,
-    CassetteWriteError,
-    DuplicateKey,
-    ParseError,
-    ScriptMiss,
-)
+from .errors import BackendUnavailable, CassetteWriteError, ParseError
 from .files import open_output, parse_jsonl, read_jsonl
 from .prompting import (
     CLASSIFICATION_USER_PREFIX,
@@ -159,8 +155,8 @@ def load_script(path: str) -> ScriptFile:
     """Load a JSONL script or cassette.
 
     Records are either {"key", "response"} pairs or one optional
-    {"gazetteer": {...}} record. Raises DuplicateKey on repeated keys and
-    ParseError on malformed records (gazetteer names must be pre-normalized).
+    {"gazetteer": {...}} record. Raises ParseError on a repeated key and on
+    malformed records (gazetteer names must be pre-normalized).
     """
     return _script_from_rows(read_jsonl(path), path)
 
@@ -179,7 +175,7 @@ def _script_from_rows(rows: Iterable[tuple[int, dict]], path: str) -> ScriptFile
         if not isinstance(record["key"], str) or not isinstance(record["response"], str):
             raise ParseError("key and response must be strings", path=str(path), line=lineno)
         if record["key"] in script.entries:
-            raise DuplicateKey(f"request key {record['key']} repeats", path=str(path), line=lineno)
+            raise ParseError(f"request key {record['key']} repeats", path=str(path), line=lineno)
         script.entries[record["key"]] = record["response"]
     return script
 
@@ -214,7 +210,7 @@ class ScriptedBackend:
         if text is None:
             text = self._synthesize(prompt)
             if text is None:
-                raise ScriptMiss(
+                raise BackendUnavailable(
                     f"no script entry for key {request_key(prompt)[:12]} and no synthesis possible"
                 )
         return _synthetic_response(prompt, text)

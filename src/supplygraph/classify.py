@@ -20,13 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .backends import IN_FLIGHT, Backend, BackendRequest
-from .errors import (
-    AmbiguousAnswer,
-    DegenerateClass,
-    EmptyInput,
-    MissingPrediction,
-    ParseError,
-)
+from .errors import AmbiguousAnswer, ParseError
 from .files import read_jsonl, write_jsonl
 from .graph import EntityNode, SupplyChainGraph
 from .prompting import build_classification_prompt, parse_yes_no, truncate_to_budget
@@ -139,7 +133,7 @@ class Metrics:
     @classmethod
     def from_counts(cls, counts: ConfusionCounts) -> "Metrics":
         if counts.total == 0:
-            raise EmptyInput("no examples to score")
+            raise ValueError("no examples to score")
         accuracy = (counts.tp + counts.tn) / counts.total
         precision = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
         recall = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
@@ -324,7 +318,7 @@ def evaluate_all(
     micro metrics come from the pooled examples.
     """
     if not dataset:
-        raise EmptyInput("dataset is empty")
+        raise ValueError("dataset is empty")
     tallies: dict[str, Counter[tuple[bool, bool]]] = {}
     undetermined = 0
     for example in dataset:
@@ -332,14 +326,14 @@ def evaluate_all(
             raise ValueError(f"category {example.category!r} not in taxonomy")
         pair = (example.entity_id, example.category)
         if pair not in answers:
-            raise MissingPrediction(f"no prediction for {pair}")
+            raise ValueError(f"no prediction for {pair}")
         answer = answers[pair]
         if answer is None:
             undetermined += 1
             continue
         tallies.setdefault(example.category, Counter())[answer, example.gold] += 1
     if not tallies:
-        raise EmptyInput("every example was undetermined")
+        raise ValueError("every example was undetermined")
     per_category = {category: _scored(tally) for category, tally in tallies.items()}
     metric_values = [metrics for _, metrics in per_category.values()]
     macro = Metrics(
@@ -367,13 +361,13 @@ def downsample_balanced(
     seeded uniform sample of equal size from the majority class.
 
     The result is a subset of the input in original order. Raises
-    DegenerateClass when the category lacks positives or negatives.
+    ValueError when the category lacks positives or negatives.
     """
     indexed = [(i, ex) for i, ex in enumerate(dataset) if ex.category == category]
     pos = [(i, ex) for i, ex in indexed if ex.gold]
     neg = [(i, ex) for i, ex in indexed if not ex.gold]
     if not pos or not neg:
-        raise DegenerateClass(f"category {category!r} needs both positives and negatives")
+        raise ValueError(f"category {category!r} needs both positives and negatives")
     minority, majority = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
     rng = random.Random(rng_seed)
     sampled = rng.sample(majority, len(minority))

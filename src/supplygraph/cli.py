@@ -28,7 +28,6 @@ from .errors import (
     BackendUnavailable,
     CassetteWriteError,
     EmptyName,
-    MissingPrediction,
     ParseError,
     SupplyGraphError,
     UnknownNode,
@@ -273,7 +272,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for example in dataset:
             node = graph.nodes.get(example.entity_id)
             if node is None:
-                raise MissingPrediction(f"entity {example.entity_id!r} not in graph state")
+                raise ValueError(f"entity {example.entity_id!r} not in graph state")
             answers[(example.entity_id, example.category)] = example.category in node.categories
     report = cl.evaluate_all(dataset, answers, taxonomy)
     os.makedirs(args.out, exist_ok=True)

@@ -1,8 +1,10 @@
 """News corpus loading, article fetching, and text/name normalization.
 
-Articles are JSON Lines records with a fixed field set. Entity names are
-normalized to a lowercase matching form; article bodies are normalized to
-lowercase single-spaced text before they are handed to a prompt.
+Articles are JSON Lines records with a fixed field set and an id no other
+record in the file uses; a record that breaks either rule is a ParseError
+naming the file and line. Entity names are normalized to a lowercase
+matching form; article bodies are normalized to lowercase single-spaced
+text before they are handed to a prompt.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import TYPE_CHECKING, Iterator, Protocol
 
-from .errors import DuplicateId, EmptyName, FetchError, ParseError
+from .errors import EmptyName, FetchError, ParseError
 from .files import read_jsonl
 
 if TYPE_CHECKING:
@@ -118,7 +120,7 @@ class Corpus:
 
     def add(self, article: Article) -> None:
         if article.id in self._by_id:
-            raise DuplicateId(article.id)
+            raise ValueError(f"article id {article.id!r} repeats")
         self.articles.append(article)
         self._by_id[article.id] = article
         self.keyword_index.setdefault(article.retrieved_for_keyword, []).append(article.id)
@@ -167,11 +169,15 @@ def load_corpus(path: str, strict: bool = True) -> Corpus:
 
     Every record must carry exactly the article fields; unknown fields are
     rejected in strict mode and ignored otherwise. Raises ParseError with the
-    offending line number, or DuplicateId on a repeated article id.
+    offending line number, a repeated article id included.
     """
     corpus = Corpus()
     for lineno, record in read_jsonl(path):
-        corpus.add(_article_from_record(record, strict, str(path), lineno))
+        article = _article_from_record(record, strict, str(path), lineno)
+        try:
+            corpus.add(article)
+        except ValueError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno) from exc
     return corpus
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A type exists here only when some caller catches it by name or it carries
+state of its own. Any other bad input or argument raises ValueError, or
+ParseError when it comes from a file, and the CLI exits 2 on either.
+"""
 
 from __future__ import annotations
 
@@ -21,10 +26,6 @@ class EmptyName(SupplyGraphError):
     """Nothing remained of an entity name after normalization."""
 
 
-class DuplicateId(SupplyGraphError):
-    """Two corpus articles share an id."""
-
-
 class FetchError(SupplyGraphError):
     """Article source failed after retries."""
 
@@ -38,19 +39,12 @@ class AmbiguousAnswer(SupplyGraphError):
 
 
 class BackendUnavailable(SupplyGraphError):
-    """Completion backend unreachable or broken after retries."""
+    """Completion backend unreachable or broken after retries, or a scripted
+    backend with no answer for a request."""
 
     def __init__(self, message: str, attempts: int = 0):
         self.attempts = attempts
         super().__init__(message)
-
-
-class ScriptMiss(BackendUnavailable):
-    """Scripted backend had no keyed entry and no way to synthesize one."""
-
-
-class DuplicateKey(ParseError):
-    """A script or cassette file contains the same request key twice."""
 
 
 class CassetteWriteError(SupplyGraphError):
@@ -64,21 +58,3 @@ class UnknownNode(SupplyGraphError):
     """A graph operation referenced a canonical id that is not present."""
 
 
-class SameNode(SupplyGraphError):
-    """merge_nodes was asked to merge a node with itself."""
-
-
-class SchemaVersionMismatch(SupplyGraphError):
-    """Persisted graph state was written by an incompatible schema."""
-
-
-class EmptyInput(SupplyGraphError):
-    """Metrics requested over zero examples."""
-
-
-class MissingPrediction(SupplyGraphError):
-    """A dataset example has no prediction."""
-
-
-class DegenerateClass(SupplyGraphError):
-    """A category has no positives or no negatives to balance."""

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import StopwordLists, name_forms
-from .errors import EmptyName, ParseError, SameNode, SchemaVersionMismatch, UnknownNode
+from .errors import EmptyName, ParseError, UnknownNode
 from .files import open_output
 
 SCHEMA_VERSION = 2
@@ -182,7 +182,7 @@ class SupplyChainGraph:
         if duplicate not in self.nodes:
             raise UnknownNode(duplicate)
         if survivor == duplicate:
-            raise SameNode(survivor)
+            raise ValueError(f"cannot merge node {survivor!r} into itself")
         surv = self.nodes[survivor]
         dup = self.nodes.pop(duplicate)
         descriptions = list(surv.descriptions)
@@ -346,25 +346,30 @@ def _is_strings(value: object) -> bool:
 def load_state(path: str) -> SupplyChainGraph:
     """Load a graph saved by save_state; round-trips to an equal graph.
 
-    Raises ParseError, naming the file, on a state save_state cannot write:
-    a node id or display name that is not a string, company suffixes, node
-    fields or edge provenance that are not lists of strings, descriptions
-    that are not [article id, description] pairs, a repeated node or edge,
-    an edge or alias that points at no node, a self-loop, or an edge without
-    provenance.
+    Raises ParseError, naming the file, on JSON that does not parse (with
+    its line), on a schema_version other than 1 or SCHEMA_VERSION, and on a
+    state save_state cannot write: a node id or display name that is not a
+    string, company suffixes, node fields or edge provenance that are not
+    lists of strings, descriptions that are not [article id, description]
+    pairs, a repeated node or edge, an edge or alias that points at no node,
+    a self-loop, or an edge without provenance.
     """
     where = str(path)
     with open(path, encoding="utf-8") as fh:
         try:
             state = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad graph state JSON: {exc.msg}", path=where) from exc
+            raise ParseError(
+                f"bad graph state JSON: {exc.msg}", path=where, line=exc.lineno
+            ) from exc
     if not isinstance(state, dict) or "schema_version" not in state:
         raise ParseError("graph state missing schema_version", path=where)
     version = state["schema_version"]
     # bool is an int, and True == 1.
     if type(version) is not int or version not in _READABLE_SCHEMAS:
-        raise SchemaVersionMismatch(f"expected schema 1 or {SCHEMA_VERSION}, found {version!r}")
+        raise ParseError(
+            f"expected schema 1 or {SCHEMA_VERSION}, found {version!r}", path=where
+        )
     try:
         suffixes = state["stopwords"]["company_suffixes"]
         if not _is_strings(suffixes):

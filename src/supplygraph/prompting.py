@@ -164,13 +164,6 @@ def _sentence_spans(text: str) -> list[str]:
     return spans
 
 
-def _word_spans(span: str) -> list[str]:
-    parts = _WORD_SPAN_RE.findall(span)
-    if not parts:
-        return [span] if span else []
-    return parts
-
-
 def segment_text(text: str, budget: int) -> SegmentPlan:
     """Split text into segments that each fit the token budget.
 
@@ -189,7 +182,7 @@ def segment_text(text: str, budget: int) -> SegmentPlan:
         if estimate_tokens(sentence) <= budget:
             units.append(sentence)
         else:
-            units.extend(_word_spans(sentence))
+            units.extend(_WORD_SPAN_RE.findall(sentence))
 
     # Every unit but the text's last ends in whitespace: a sentence span ends
     # in \s+ or at the end of the text, and a word span matches \s*\S+\s*.

@@ -13,9 +13,7 @@ from supplygraph.backends import ScriptedBackend, load_script
 from supplygraph.corpus import StopwordLists, load_corpus
 from supplygraph.crawler import CrawlConfig
 
-# test_golden.py imports GAZETTEER_PATH and LABELS_PATH from here; every
-# other module imports from shared.
-from shared import GAZETTEER_PATH, LABELS_PATH, NEWS_PATH, TRUTH_PATH  # noqa: F401
+from shared import GAZETTEER_PATH, NEWS_PATH, TRUTH_PATH
 
 
 @pytest.fixture(autouse=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from xml.sax.saxutils import escape, quoteattr
 
-from supplygraph.errors import EmptyName, SameNode, UnknownNode
+from supplygraph.errors import EmptyName, UnknownNode
 from supplygraph.files import open_output
 from supplygraph.graph import SupplyChainGraph
 from supplygraph.prompting import REASONING_PREAMBLE
@@ -342,7 +342,7 @@ class ScanGraph(SupplyChainGraph):
         if duplicate not in self.nodes:
             raise UnknownNode(duplicate)
         if survivor == duplicate:
-            raise SameNode(survivor)
+            raise ValueError(f"cannot merge node {survivor!r} into itself")
         surv = self.nodes[survivor]
         dup = self.nodes.pop(duplicate)
         surv.aliases |= dup.aliases

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -28,13 +29,7 @@ from supplygraph.backends import (
     request_key,
 )
 from supplygraph import backends as backends_module
-from supplygraph.errors import (
-    BackendUnavailable,
-    CassetteWriteError,
-    DuplicateKey,
-    ParseError,
-    ScriptMiss,
-)
+from supplygraph.errors import BackendUnavailable, CassetteWriteError, ParseError
 from supplygraph.cli import _make_backend, main
 from supplygraph.crawler import article_payload
 from supplygraph.prompting import (
@@ -119,7 +114,7 @@ def test_load_script_duplicate_key(tmp_path):
         '{"key": "k", "response": "a"}\n{"key": "k", "response": "b"}\n',
         encoding="utf-8",
     )
-    with pytest.raises(DuplicateKey):
+    with pytest.raises(ParseError, match=re.escape(f"request key k repeats ({path}:2)")):
         load_script(str(path))
 
 
@@ -244,7 +239,7 @@ def test_scripted_backend_miss_without_gazetteer():
     backend = ScriptedBackend(ScriptFile())
     request = _extract_request()
     key = request_key(request.prompt)
-    with pytest.raises(ScriptMiss, match=f"no script entry for key {key[:12]} and"):
+    with pytest.raises(BackendUnavailable, match=f"no script entry for key {key[:12]} and"):
         backend.complete(request)
 
 
@@ -342,7 +337,7 @@ def test_replay_backend_hits_and_misses(tmp_path):
     backend = _replay(cassette)
     assert backend.complete(request).text == "1. Acme: stored"
     missed = _extract_request("never recorded.")
-    with pytest.raises(ScriptMiss, match=request_key(missed.prompt)[:12]):
+    with pytest.raises(BackendUnavailable, match=request_key(missed.prompt)[:12]):
         backend.complete(missed)
 
 
@@ -353,7 +348,7 @@ def test_replay_ignores_gazetteer_rows(tmp_path, gazetteer_backend):
     cassette.write_text(json.dumps({"gazetteer": {
         "bechtel": {"description": "builds things", "categories": []},
     }}) + "\n", encoding="utf-8")
-    with pytest.raises(ScriptMiss):
+    with pytest.raises(BackendUnavailable, match="no script entry for key"):
         _replay(cassette).complete(request)
 
 

@@ -278,6 +278,18 @@ def test_crawl_rejects_bad_alias_file_before_creating_out(tmp_path, capsys, text
     assert not out.exists()
 
 
+def test_crawl_repeated_article_id_names_file_and_line(tmp_path, capsys):
+    with open(NEWS_PATH, encoding="utf-8") as fh:
+        first, second = (json.loads(fh.readline()) for _ in range(2))
+    second["id"] = first["id"]
+    corpus_path = tmp_path / "repeats.jsonl"
+    corpus_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="utf-8")
+    args = _crawl_args(tmp_path / "run")
+    args[args.index("--corpus") + 1] = str(corpus_path)
+    assert main(args) == EXIT_CONFIG
+    assert f"article id {first['id']!r} repeats ({corpus_path}:2)" in capsys.readouterr().err
+
+
 def test_crawl_lenient_accepts_unknown_fields(tmp_path):
     corpus_path = tmp_path / "extra.jsonl"
     record = {
@@ -893,6 +905,18 @@ def test_export_from_state(tmp_path, crawled_state, capsys):
     assert "exported 12 nodes, 35 edges" in capsys.readouterr().out
     rows = (out / "graph.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 12 + 35
+
+
+def test_export_of_an_unknown_schema_names_the_state_file(tmp_path, crawled_state, capsys):
+    with open(crawled_state, encoding="utf-8") as fh:
+        state = json.load(fh)
+    state["schema_version"] = 3
+    state_path = tmp_path / "graph.json"
+    state_path.write_text(json.dumps(state), encoding="utf-8")
+    code = main(["export", "--state", str(state_path), "--format", "jsonl",
+                 "--out", str(tmp_path / "exp")])
+    assert code == EXIT_CONFIG
+    assert f"expected schema 1 or 2, found 3 ({state_path})" in capsys.readouterr().err
 
 
 def test_subgraph_resolves_variant_names(tmp_path, crawled_state, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import random
+import re
 import threading
 from dataclasses import asdict
 
@@ -17,7 +18,7 @@ from supplygraph.corpus import (
     preprocess_text,
 )
 from supplygraph.crawler import CrawlConfig
-from supplygraph.errors import DuplicateId, EmptyName, FetchError, ParseError
+from supplygraph.errors import EmptyName, FetchError, ParseError
 from supplygraph.files import write_jsonl
 
 import oracles
@@ -181,7 +182,7 @@ def test_load_corpus_missing_field(tmp_path):
 def test_load_corpus_duplicate_id(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [_record(), _record(title="again")])
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ParseError, match=re.escape(f"article id 'a1' repeats ({path}:2)")):
         load_corpus(str(path))
 
 

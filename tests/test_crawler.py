@@ -20,7 +20,7 @@ from supplygraph.crawler import (
     article_payload,
     run_crawl,
 )
-from supplygraph.errors import CassetteWriteError, FetchError, ScriptMiss
+from supplygraph.errors import BackendUnavailable, CassetteWriteError, FetchError
 from supplygraph.graph import EXPORT_FORMATS, SupplyChainGraph, export_graph, save_state
 from supplygraph.prompting import ExtractedEntity, render_entity_list
 
@@ -332,7 +332,7 @@ def test_crawl_unparseable_response_counts_parse_failure(gazetteer_backend):
 
 class MissBackend:
     def complete(self, request):
-        raise ScriptMiss("no entry")
+        raise BackendUnavailable("no entry")
 
 
 def test_crawl_backend_failure_counts_and_continues():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from conftest import GAZETTEER_PATH, LABELS_PATH
+from shared import GAZETTEER_PATH, LABELS_PATH
 from test_cli import _crawl_args
 from supplygraph.cli import EXIT_OK, main
 

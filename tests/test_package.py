@@ -73,3 +73,35 @@ def test_every_definition_in_src_is_reached_outside_tests():
         and node.name not in used
     }
     assert sorted(unused) == [], f"defined in src/ but used only by tests: {sorted(unused)}"
+
+
+def test_every_error_type_is_caught_by_name_or_carries_state():
+    # A type that src/ only raises and imports makes callers react no
+    # differently from the ValueError or ParseError it could be. A use is a
+    # name outside raise statements and imports, such as an except clause or
+    # a tuple of handled types; errors.py itself only defines.
+    with open(os.path.join(ROOT, "src", "supplygraph", "errors.py"), encoding="utf-8") as fh:
+        classes = [node for node in ast.parse(fh.read()).body if isinstance(node, ast.ClassDef)]
+    named = set()
+
+    def visit(node):
+        if isinstance(node, (ast.Raise, ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    folder = os.path.join(ROOT, "src", "supplygraph")
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py") and name != "errors.py":
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()))
+    idle = sorted(
+        cls.name for cls in classes
+        if cls.name not in named
+        and not any(isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in cls.body)
+    )
+    assert idle == [], f"raised but never caught by name, and no state of their own: {idle}"
