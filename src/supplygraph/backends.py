@@ -28,8 +28,9 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
+from .corpus import preprocess_text
 from .errors import BackendUnavailable, CassetteWriteError, ParseError
-from .files import open_output, parse_jsonl, read_jsonl
+from .files import open_input, open_output, parse_jsonl, read_jsonl
 from .prompting import (
     CLASSIFICATION_USER_PREFIX,
     EXTRACTION_USER_PREFIX,
@@ -74,10 +75,13 @@ class BackendRequest:
 
 @dataclass(frozen=True)
 class BackendResponse:
+    """A backend's reply; ``latency_ms`` is its wait outside the process, the
+    call's time for HTTP and 0 for scripted answers and cassette hits."""
+
     text: str
     input_tokens: int
     output_tokens: int
-    latency_ms: int = 0
+    latency_ms: int
 
 
 # What json.dumps(..., ensure_ascii=False) builds on every call, built once;
@@ -127,7 +131,7 @@ def _parse_gazetteer(record: dict, path: str, lineno: int) -> dict[str, Gazettee
     if not isinstance(body, dict):
         raise ParseError("gazetteer must be an object", path=path, line=lineno)
     for name, entry in body.items():
-        if name != name.lower() or name != name.strip() or "  " in name or not name:
+        if not name or name != preprocess_text(name):
             raise ParseError(
                 f"gazetteer name {name!r} must be lowercase and normalized",
                 path=path, line=lineno,
@@ -268,7 +272,7 @@ def _read_cassette(path: str) -> dict[str, str]:
     gazetteer row means the file is a script, not a cassette, and is a
     ParseError like any other bad row.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
         log.warning("dropping torn last line %d of cassette %s", len(lines), path)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import random
-import time
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
@@ -21,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .backends import IN_FLIGHT, Backend, BackendRequest
 from .errors import AmbiguousAnswer, ParseError
-from .files import read_jsonl, write_jsonl
+from .files import open_input, read_jsonl, write_jsonl
 from .graph import EntityNode, SupplyChainGraph
 from .prompting import build_classification_prompt, parse_yes_no, truncate_to_budget
 
@@ -40,15 +39,6 @@ DEFAULT_CATEGORIES = (
 )
 
 DATASET_FIELDS = ("entity_id", "category", "gold", "description")
-
-# A question that took longer than this waited on something outside the
-# process: scripted and replayed answers take about 10-15 us, a call to an
-# HTTP endpoint milliseconds. The thread pool starts only after two such
-# questions in a row, since starting and joining a thread costs about 0.1 ms,
-# more than an offline answer. One is not enough: on a busy host a garbage collection or
-# the scheduler now and then stalls one offline question for milliseconds,
-# but a network wait slows every question.
-SLOW_QUESTION_S = 0.001
 
 # (entity_id, category) -> yes/no answer, or None when undetermined.
 Answers = dict[tuple[str, str], bool | None]
@@ -88,7 +78,7 @@ def load_taxonomy(path: str) -> CategoryTaxonomy:
     and with the path of a file that lists no category.
     """
     categories: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             category = line.strip()
             if not category or category.startswith("#"):
@@ -158,7 +148,7 @@ def classify_entity(
     """
     description = _description(entity, token_budget)
     return {
-        category: _ask(backend, entity.canonical_id, description, category)
+        category: _ask(backend, entity.canonical_id, description, category)[0]
         for category in taxonomy
     }
 
@@ -171,39 +161,38 @@ def _description(entity: EntityNode, token_budget: int) -> str:
     )
 
 
-def _ask(backend: Backend, cid: str, description: str, category: str) -> bool | None:
-    """One membership question, with its one retry on an ambiguous answer."""
+def _ask(backend: Backend, cid: str, description: str, category: str) -> tuple[bool | None, bool]:
+    """One question, retried once if ambiguous: its answer, and whether a reply reported a wait."""
+    waited = False
     for reasoning in (False, True):
         prompt = build_classification_prompt(cid, description, category, reasoning=reasoning)
         response = backend.complete(BackendRequest(
             prompt=prompt, request_tag=f"classify:{cid}:{category}",
         ))
+        waited = waited or response.latency_ms > 0
         try:
-            return parse_yes_no(response.text)
+            return parse_yes_no(response.text), waited
         except AmbiguousAnswer:
             continue
-    return None
+    return None, waited
 
 
 def _ask_all(backend: Backend, questions: Sequence[tuple[str, str, str]]) -> list[bool | None]:
     """Answer every (entity, description, category) question; answers by index.
 
-    The calling thread answers them in order. Once two in a row have taken
-    longer than SLOW_QUESTION_S, the rest go to a pool of IN_FLIGHT threads
-    and the caller waits. An error, interrupts included, stops the pool from
-    starting new questions. The pool starts questions in index order, so
-    every question below the first error has run, and the scan in index
-    order raises the error a sequential run meets first.
+    The calling thread answers them in order until a reply reports a wait
+    (BackendResponse.latency_ms > 0); the rest then go to a pool of IN_FLIGHT
+    threads and the caller waits. An error, interrupts included, stops the
+    pool from starting new questions. The pool starts questions in index
+    order, so every question below the first error has run, and the scan in
+    index order raises the error a sequential run meets first.
     """
     answers: list[bool | None] = []
-    slow_before = False
     for question in questions:
-        started = time.perf_counter()
-        answers.append(_ask(backend, *question))
-        slow = time.perf_counter() - started > SLOW_QUESTION_S
-        if slow and slow_before:
+        answer, waited = _ask(backend, *question)
+        answers.append(answer)
+        if waited:
             break
-        slow_before = slow
     else:
         return answers
     pool = ThreadPoolExecutor(IN_FLIGHT, thread_name_prefix="classify")
@@ -212,7 +201,7 @@ def _ask_all(backend: Backend, questions: Sequence[tuple[str, str, str]]) -> lis
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)
-    return answers + [f.result() for f in futures]
+    return answers + [f.result()[0] for f in futures]
 
 
 @dataclass
@@ -252,11 +241,11 @@ def classify_graph(
 
     Nodes with no description text, none stored or only blank ones, are
     skipped and reported. Entities answering No everywhere stay unlabeled.
-    Questions go out concurrently once calls wait on the network (see
-    _ask_all); the answers and labels are built in sorted order after the
-    last one, so they do not depend on timing, and a run that raises labels
-    no node. Raises ValueError, before asking anything, for a token budget
-    below 1.
+    Questions go out concurrently once a reply reports that the backend
+    waited (see _ask_all); the answers and labels are built in sorted order
+    after the last one, so they do not depend on timing, and a run that
+    raises labels no node. Raises ValueError, before asking anything, for a
+    token budget below 1.
     """
     if token_budget < 1:
         raise ValueError(f"token_budget must be >= 1, got {token_budget}")

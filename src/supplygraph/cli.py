@@ -32,7 +32,7 @@ from .errors import (
     SupplyGraphError,
     UnknownNode,
 )
-from .files import write_json
+from .files import read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -135,13 +135,7 @@ def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
     # CrawlConfig defaults. CrawlConfig checks every value's type and range.
     values: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"bad config JSON: {exc.msg}", path=args.config, line=exc.lineno
-                ) from exc
+        values = read_json(args.config, "config")
         if not isinstance(values, dict):
             raise ParseError("config file must hold a JSON object", path=args.config)
         unknown = sorted(set(values) - _CONFIG_KEYS)

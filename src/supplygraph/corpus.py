@@ -19,7 +19,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterator, Protocol
 
 from .errors import EmptyName, FetchError, ParseError
-from .files import read_jsonl
+from .files import open_input, read_jsonl
 
 if TYPE_CHECKING:
     from .crawler import CrawlConfig
@@ -69,7 +69,7 @@ def _parse_stopword_text(text: str) -> frozenset[str]:
 
 def load_stopwords(suffix_path: str) -> StopwordLists:
     """Load the company-suffix list from a file (one token per line, # comments)."""
-    with open(suffix_path, encoding="utf-8") as fh:
+    with open_input(suffix_path) as fh:
         return StopwordLists(company_suffixes=_parse_stopword_text(fh.read()))
 
 

@@ -1,11 +1,11 @@
-"""The package's file layer: one JSONL reader and one atomic output writer.
+"""The package's file layer: one input opener and one atomic output writer.
 
-Every JSON Lines input goes through read_jsonl, so each reports a bad line
-the same way. Every output goes through open_output, so an interrupted run
-leaves the previous file (or none) in place, never a truncated one;
-write_json and write_jsonl fix the two JSON output formats. graph.json and
-the graph exports are rendered in graph.py, in the same layout and with the
-json module's own string quoting.
+Every input goes through open_input, so each names its file when it is not
+UTF-8; read_jsonl and read_json report bad JSON at its line. Every output
+goes through open_output, so an interrupted run leaves the previous file (or
+none) in place, never a truncated one; write_json and write_jsonl fix the
+two JSON output formats. graph.json and the graph exports are rendered in
+graph.py, in the same layout and with the json module's own string quoting.
 """
 
 from __future__ import annotations
@@ -18,12 +18,32 @@ from typing import Iterable, Iterator, TextIO
 from .errors import ParseError
 
 
+@contextmanager
+def open_input(path: str) -> Iterator[TextIO]:
+    """open_output's reading counterpart: opens ``path`` as UTF-8. Bytes
+    that are not UTF-8 raise ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", path=str(path)) from exc
+
+
+def read_json(path: str, what: str) -> object:
+    """The JSON value in ``path``; bad JSON raises ParseError "bad <what> JSON" at its line."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad {what} JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
+
+
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a JSONL file.
 
     Raises ParseError with the path and line on bad JSON or a non-object row.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         yield from parse_jsonl(fh, path)
 
 

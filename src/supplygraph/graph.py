@@ -12,7 +12,6 @@ and copies only the dict entries that point at them.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -22,7 +21,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import StopwordLists, name_forms
 from .errors import EmptyName, ParseError, UnknownNode
-from .files import open_output
+from .files import open_input, open_output, read_json
 
 SCHEMA_VERSION = 2
 # Schema 1 also stored a general-stopword list, which load_state ignores.
@@ -355,13 +354,7 @@ def load_state(path: str) -> SupplyChainGraph:
     a self-loop, or an edge without provenance.
     """
     where = str(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            state = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"bad graph state JSON: {exc.msg}", path=where, line=exc.lineno
-            ) from exc
+    state = read_json(path, "graph state")
     if not isinstance(state, dict) or "schema_version" not in state:
         raise ParseError("graph state missing schema_version", path=where)
     version = state["schema_version"]
@@ -439,7 +432,7 @@ def load_alias_file(path: str, stopwords: StopwordLists) -> dict[str, str]:
     """
     mapping: dict[str, str] = {}
     seen: dict[str, tuple[str, str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -118,13 +118,17 @@ def test_load_script_duplicate_key(tmp_path):
         load_script(str(path))
 
 
-def test_load_script_rejects_unnormalized_gazetteer_name(tmp_path):
+# Extraction scans preprocessed article text, where a tab, a newline or a
+# control character is a single space, so a name holding one never matches.
+@pytest.mark.parametrize("name", ["AECOM", "acme\tco", "acme\nco", "acme\x01co"],
+                         ids=["upper", "tab", "newline", "control"])
+def test_load_script_rejects_unnormalized_gazetteer_name(tmp_path, name):
     path = tmp_path / "s.jsonl"
-    record = {"gazetteer": {"AECOM": {"description": "d", "categories": []}}}
+    record = {"gazetteer": {name: {"description": "d", "categories": []}}}
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_script(str(path))
-    assert "lowercase" in str(err.value)
+    assert f"gazetteer name {name!r} must be lowercase and normalized ({path}:1)" == str(err.value)
 
 
 @pytest.mark.parametrize("categories", [[["x"]], [1], ["ok", None]], ids=["list", "int", "none"])
@@ -361,7 +365,7 @@ class CountingBackend:
     def complete(self, request):
         self.calls += 1
         text = f"1. Acme: answer {self.calls}"
-        return BackendResponse(text=text, input_tokens=1, output_tokens=1)
+        return BackendResponse(text=text, input_tokens=1, output_tokens=1, latency_ms=0)
 
 
 def test_recording_backend_appends_and_dedups(tmp_path):
@@ -414,7 +418,8 @@ class GatedBackend:
         if n == 1:
             self.first_entered.set()
             self.release.wait(5)
-        return BackendResponse(text=f"1. Acme: answer {n}", input_tokens=1, output_tokens=1)
+        return BackendResponse(text=f"1. Acme: answer {n}", input_tokens=1, output_tokens=1,
+                               latency_ms=0)
 
 
 def test_recording_backend_same_key_race_returns_recorded_text(tmp_path):

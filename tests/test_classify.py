@@ -6,13 +6,13 @@ import re
 import sys
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 import oracles
 from shared import LABELS_PATH, score_one_category
-from supplygraph.backends import IN_FLIGHT, BackendResponse
+from supplygraph.backends import IN_FLIGHT, BackendResponse, RecordingBackend
 from supplygraph.classify import (
     DEFAULT_CATEGORIES,
     CategoryTaxonomy,
@@ -112,7 +112,7 @@ class TapeBackend:
     def complete(self, request):
         self.requests.append(request)
         text = self.tape.pop(0)
-        return BackendResponse(text=text, input_tokens=1, output_tokens=1)
+        return BackendResponse(text=text, input_tokens=1, output_tokens=1, latency_ms=0)
 
 
 def _classify_acme(taxonomy, backend, descriptions=(("a-1", "builds bridges"),), **kwargs):
@@ -230,7 +230,7 @@ def test_classify_graph_rejects_a_budget_below_one_before_asking(token_budget):
     class Recording:
         def complete(self, request):
             asked.append(request)
-            return BackendResponse("Yes", 1, 1)
+            return BackendResponse("Yes", 1, 1, 0)
 
     with pytest.raises(ValueError, match="token_budget must be >= 1"):
         classify_graph(graph, CategoryTaxonomy(), Recording(), token_budget=token_budget)
@@ -241,9 +241,10 @@ def test_classify_graph_rejects_a_budget_below_one_before_asking(token_budget):
 class _Gazetteer:
     """Gazetteer answers after ``delay_s``, made ambiguous for two categories
     ("legal counsel" without the reasoning preamble, "insurance provider"
-    always). ``fail`` maps an (entity, category) pair to an error and a
-    delay: its question raises that error after that delay. Counts the calls
-    in flight at once and lists the errors raised, in time order."""
+    always). A delayed reply reports a 1 ms wait, as an HTTP reply reports
+    its call's time. ``fail`` maps an (entity, category) pair to an error
+    and a delay: its question raises that error after that delay. Counts the
+    calls in flight at once and lists the errors raised, in time order."""
 
     def __init__(self, inner, delay_s=0.0, fail=()):
         self.inner = inner
@@ -266,12 +267,14 @@ class _Gazetteer:
                 self.raised.append(error)
                 raise error
             time.sleep(self.delay_s)
+            waited = 1 if self.delay_s else 0
             question = request.prompt.question
             if category == "insurance provider" or (
                 category == "legal counsel" and not question.startswith(REASONING_PREAMBLE)
             ):
-                return BackendResponse(text="maybe", input_tokens=1, output_tokens=1)
-            return self.inner.complete(request)
+                return BackendResponse(text="maybe", input_tokens=1, output_tokens=1,
+                                       latency_ms=waited)
+            return replace(self.inner.complete(request), latency_ms=waited)
         finally:
             with self._lock:
                 self.in_flight -= 1
@@ -316,15 +319,14 @@ def test_classify_graph_concurrent_matches_sequential(gazetteer_backend, gazette
     assert sum(answer is None for _, answer in answers) == 12  # insurance provider
 
 
-@pytest.mark.parametrize("stall", [None, ("bechtel", "legal counsel")], ids=["fast", "one-stall"])
+@pytest.mark.parametrize("delay_s", [0.0, 0.002], ids=["fast", "slow-in-process"])
 def test_classify_graph_offline_backend_starts_no_thread(gazetteer_backend, gazetteer,
-                                                        monkeypatch, stall):
-    # One question stalled past SLOW_QUESTION_S, as a busy host now and then
-    # stalls one, is not a network wait.
-    class Stalling:
+                                                        monkeypatch, delay_s):
+    # However long an answer takes, one that reports no wait, as a scripted
+    # or replayed answer does, keeps every question on the calling thread.
+    class Slow:
         def complete(self, request):
-            if request.request_tag.split(":")[1:] == list(stall or ()):
-                time.sleep(0.005)
+            time.sleep(delay_s)
             return gazetteer_backend.complete(request)
 
     def no_thread(*args, **kwargs):
@@ -332,8 +334,66 @@ def test_classify_graph_offline_backend_starts_no_thread(gazetteer_backend, gaze
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     graph = _gazetteer_graph(gazetteer)
-    classify_graph(graph, CategoryTaxonomy(), Stalling())
+    classify_graph(graph, CategoryTaxonomy(), Slow())
     assert graph.nodes["bechtel"].categories == {"construction contractor"}
+
+
+class _Waiting:
+    """Passes requests on to ``inner`` and reports a 1 ms wait on every reply,
+    taking none; keeps the thread that asked each question first."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = {}
+
+    def complete(self, request):
+        self.threads.setdefault(request.request_tag, threading.current_thread())
+        return replace(self.inner.complete(request), latency_ms=1)
+
+
+def _question_tags(graph):
+    """Each classify question's request tag, in the order classify asks them."""
+    return [f"classify:{cid}:{category}" for cid in sorted(graph.nodes)
+            if graph.nodes[cid].descriptions for category in CategoryTaxonomy()]
+
+
+def test_classify_graph_goes_concurrent_after_the_first_reported_wait(
+    gazetteer_backend, gazetteer, tmp_path
+):
+    sequential = _classified(_gazetteer_graph(gazetteer), gazetteer_backend, tmp_path,
+                             "sequential.jsonl")
+    waiting = _Waiting(gazetteer_backend)
+    graph = _gazetteer_graph(gazetteer)
+    concurrent = _classified(graph, waiting, tmp_path, "concurrent.jsonl")
+    first, *rest = _question_tags(graph)
+    assert len(rest) == 12 * 9 - 1
+    assert waiting.threads[first] is threading.main_thread()
+    assert all(waiting.threads[tag].name.startswith("classify") for tag in rest)
+    assert concurrent == sequential
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 60])
+def test_resumed_classify_goes_concurrent_at_its_first_live_answer(
+    gazetteer_backend, gazetteer, tmp_path, k
+):
+    # The cassette answers the first k questions with no wait; the k-th
+    # (counting from 0) is the first live one, and the rest go to the pool.
+    full = tmp_path / "full.jsonl"
+    sequential = _classified(_gazetteer_graph(gazetteer),
+                             RecordingBackend(gazetteer_backend, str(full)), tmp_path,
+                             "sequential.jsonl")
+    cassette = tmp_path / "cassette.jsonl"
+    cassette.write_text("".join(full.read_text(encoding="utf-8").splitlines(keepends=True)[:k]),
+                        encoding="utf-8")
+    live = _Waiting(gazetteer_backend)
+    graph = _gazetteer_graph(gazetteer)
+    resumed = _classified(graph, RecordingBackend(live, str(cassette)), tmp_path,
+                          "resumed.jsonl")
+    tags = _question_tags(graph)
+    assert sorted(live.threads) == sorted(tags[k:])
+    assert live.threads[tags[k]] is threading.main_thread()
+    assert all(live.threads[tag].name.startswith("classify") for tag in tags[k + 1:])
+    assert resumed == sequential
 
 
 @pytest.mark.parametrize("delay_s", [0.0, 0.003], ids=["sequential", "concurrent"])

@@ -5,6 +5,8 @@ import json
 import os
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -202,6 +204,23 @@ def test_crawl_config_file_and_flag_precedence(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["crawl", "--corpus", "{bad}", "--backend", f"script:{GAZETTEER_PATH}", "--seeds", "bechtel"],
+    ["crawl", "--corpus", NEWS_PATH, "--backend", f"script:{GAZETTEER_PATH}", "--config", "{bad}"],
+    ["classify", "--state", "{bad}", "--backend", f"script:{GAZETTEER_PATH}"],
+    ["export", "--state", "{bad}"],
+    ["evaluate", "--dataset", LABELS_PATH, "--predictions", LABELS_PATH, "--taxonomy", "{bad}"],
+], ids=["crawl-corpus", "crawl-config", "classify-state", "export-state", "evaluate-taxonomy"])
+def test_input_that_is_not_utf8_exits_config_naming_its_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    out = tmp_path / "out"
+    args = [arg.format(bad=bad) for arg in command] + ["--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: not UTF-8: invalid start byte ({bad})\n"
+    assert not out.exists()
+
+
 def test_crawl_requires_seeds(tmp_path, capsys):
     out = tmp_path / "run"
     code = main([
@@ -329,7 +348,8 @@ def test_crawl_export_format_flag(tmp_path):
 def _live_backend(monkeypatch, limit: int | None = None, delay_s: float = 0.0) -> SimpleNamespace:
     """Turn script: backends into live stand-ins that count their calls and
     the threads making them, raise KeyboardInterrupt on every call after the
-    first ``limit`` and take ``delay_s`` over every other."""
+    first ``limit`` and take ``delay_s`` over every other, reporting a 1 ms
+    wait when ``delay_s`` is set."""
     counter = SimpleNamespace(calls=0, threads=set())
     lock = threading.Lock()
 
@@ -341,7 +361,7 @@ def _live_backend(monkeypatch, limit: int | None = None, delay_s: float = 0.0) -
                 if limit is not None and counter.calls > limit:
                     raise KeyboardInterrupt
             time.sleep(delay_s)
-            return super().complete(request)
+            return replace(super().complete(request), latency_ms=1 if delay_s else 0)
 
     monkeypatch.setattr(cli.be, "ScriptedBackend", Live)
     return counter
@@ -505,7 +525,8 @@ def test_cassette_torn_last_line_is_dropped(tmp_path, monkeypatch, cut):
 
 
 @pytest.mark.parametrize("content, message", [
-    (open(GAZETTEER_PATH, encoding="utf-8").read(), "gazetteer row; is it a script file? ({}:1)"),
+    (Path(GAZETTEER_PATH).read_text(encoding="utf-8"),
+     "gazetteer row; is it a script file? ({}:1)"),
     ('{"key": "a", "response": "x"}\nnot json\n{"key": "b", "respo',
      "bad JSON: Expecting value ({}:2)"),
 ], ids=["script-file", "bad-line-before-last"])
@@ -850,7 +871,7 @@ class _MaybeForAecomLegalCounsel:
 
     def complete(self, request):
         if request.request_tag == "classify:aecom:legal counsel":
-            return BackendResponse(text="maybe", input_tokens=1, output_tokens=1)
+            return BackendResponse(text="maybe", input_tokens=1, output_tokens=1, latency_ms=0)
         return self.inner.complete(request)
 
 

@@ -317,7 +317,8 @@ class GarbageBackend:
     def complete(self, request):
         from supplygraph.backends import BackendResponse
 
-        return BackendResponse(text="nothing useful here", input_tokens=1, output_tokens=1)
+        return BackendResponse(text="nothing useful here", input_tokens=1, output_tokens=1,
+                               latency_ms=0)
 
 
 def test_crawl_unparseable_response_counts_parse_failure(gazetteer_backend):
@@ -359,7 +360,7 @@ class EmptyListBackend:
     def complete(self, request):
         from supplygraph.backends import BackendResponse
 
-        return BackendResponse(text="", input_tokens=1, output_tokens=0)
+        return BackendResponse(text="", input_tokens=1, output_tokens=0, latency_ms=0)
 
 
 def test_crawl_empty_extraction_still_counts_article():
@@ -435,7 +436,7 @@ def test_crawl_unusable_entity_names_are_dropped():
             text = render_entity_list(
                 [ExtractedEntity("Ltd.", "broken name"), ExtractedEntity("Acme", "real one")]
             )
-            return BackendResponse(text=text, input_tokens=1, output_tokens=1)
+            return BackendResponse(text=text, input_tokens=1, output_tokens=1, latency_ms=0)
 
     corpus = _single_article_corpus("whatever.")
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2019), per_year_min=1)

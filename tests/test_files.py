@@ -7,11 +7,16 @@ import pytest
 
 from supplygraph import files as files_module
 from supplygraph import graph as gr
-from supplygraph.backends import load_script
-from supplygraph.classify import CategoryTaxonomy, load_labeled_dataset, load_predictions
-from supplygraph.corpus import StopwordLists, load_corpus
+from supplygraph.backends import RecordingBackend, load_script
+from supplygraph.classify import (
+    CategoryTaxonomy,
+    load_labeled_dataset,
+    load_predictions,
+    load_taxonomy,
+)
+from supplygraph.corpus import StopwordLists, load_corpus, load_stopwords
 from supplygraph.errors import ParseError
-from supplygraph.files import open_output
+from supplygraph.files import open_output, read_json
 
 _GOOD_ROWS = {
     load_corpus: {"id": "a-1", "url": "u", "title": "t", "body": "acme hired delta.",
@@ -33,6 +38,28 @@ def test_jsonl_readers_report_bad_line(tmp_path, reader, bad_line):
     with pytest.raises(ParseError) as err:
         reader(str(path), *_MORE_ARGS.get(reader, ()))
     assert err.value.line == 3
+    assert err.value.path == str(path)
+
+
+@pytest.mark.parametrize("read", [
+    load_corpus,
+    load_script,
+    lambda path: load_labeled_dataset(path, CategoryTaxonomy()),
+    load_predictions,
+    lambda path: RecordingBackend(None, path),
+    load_taxonomy,
+    lambda path: gr.load_alias_file(path, StopwordLists.default()),
+    load_stopwords,
+    gr.load_state,
+    lambda path: read_json(path, "config"),
+], ids=["corpus", "script", "dataset", "predictions", "cassette", "taxonomy", "aliases",
+        "stopwords", "state", "config"])
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, read):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"acme\n\xff\n")
+    with pytest.raises(ParseError) as err:
+        read(str(path))
+    assert str(err.value) == f"not UTF-8: invalid start byte ({path})"
     assert err.value.path == str(path)
 
 

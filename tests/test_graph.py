@@ -383,7 +383,7 @@ def _assert_frozen_fields(g: SupplyChainGraph) -> None:
 
 class _AnswerYes:
     def complete(self, request):
-        return BackendResponse(text="Yes", input_tokens=1, output_tokens=1)
+        return BackendResponse(text="Yes", input_tokens=1, output_tokens=1, latency_ms=0)
 
 
 # Each writer that can change a record the sample shares with its parent.
