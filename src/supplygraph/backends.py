@@ -184,6 +184,29 @@ def _script_from_rows(rows: Iterable[tuple[int, dict]], path: str) -> ScriptFile
     return script
 
 
+def _is_word(char: str) -> bool:
+    # re's \w for str patterns.
+    return char.isalnum() or char == "_"
+
+
+def _find_bounded(news: str, name: str) -> int:
+    # Where re.search(r"\b" + re.escape(name) + r"\b", news) would match, or
+    # -1. \b holds where a word and a non-word character meet, the text's
+    # ends counting as non-word. So an occurrence matches when the character
+    # before it differs in wordness from the name's first character, and the
+    # character after it from the name's last. Occurrences are tried left to
+    # right, overlapping ones included.
+    first, last = _is_word(name[0]), _is_word(name[-1])
+    size, end = len(name), len(news)
+    i = news.find(name)
+    while i >= 0:
+        j = i + size
+        if (i > 0 and _is_word(news[i - 1])) != first and (j < end and _is_word(news[j])) != last:
+            return i
+        i = news.find(name, i + 1)
+    return -1
+
+
 class ScriptedBackend:
     """Deterministic offline backend: keyed responses, then gazetteer synthesis.
 
@@ -234,14 +257,26 @@ class ScriptedBackend:
         # the closing \b, and starts after a non-word character or at the
         # opening \b. So any match of the name holds that run as a whole \w+
         # run of the news, and only names whose first run is one can match.
+        # \w and \s share no character, so the runs of the news are the runs
+        # of its whitespace-split tokens, and an alphanumeric token is one run.
+        # Each candidate is then found by str.find, and _find_bounded checks
+        # the two \b boundaries by hand. A \b pattern per name scans in the
+        # regex engine, and compiles again on each call once the gazetteer
+        # outgrows re's pattern cache.
+        words = set()
+        for token in set(news.split()):
+            if token.isalnum():
+                words.add(token)
+            else:
+                words.update(_WORD_RE.findall(token))
         candidates = list(self._wordless)
-        for word in set(_WORD_RE.findall(news)):
+        for word in words:
             candidates.extend(self._by_first_word.get(word, ()))
         found: list[tuple[int, str]] = []
         for name in candidates:
-            m = re.search(r"\b" + re.escape(name) + r"\b", news)
-            if m:
-                found.append((m.start(), name))
+            start = _find_bounded(news, name)
+            if start >= 0:
+                found.append((start, name))
         found.sort()
         entities = [
             ExtractedEntity(name=name, description=self.script.gazetteer[name].description)

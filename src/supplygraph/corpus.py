@@ -28,7 +28,6 @@ log = logging.getLogger(__name__)
 
 ARTICLE_FIELDS = ("id", "url", "title", "body", "published_year", "retrieved_for_keyword")
 
-_WS_RE = re.compile(r"\s+")
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 _EDGE_CHARS = string.punctuation + string.whitespace
 
@@ -83,7 +82,7 @@ def name_forms(raw: str, stopwords: StopwordLists) -> tuple[str, str]:
     """
     if not raw or not raw.strip():
         raise EmptyName("name is empty")
-    plain = name = _WS_RE.sub(" ", raw.lower()).strip(_EDGE_CHARS)
+    plain = name = " ".join(raw.lower().split()).strip(_EDGE_CHARS)
     while name:
         tokens = name.split(" ")
         if tokens[-1] not in stopwords.company_suffixes:
@@ -101,8 +100,7 @@ def preprocess_text(body: str) -> str:
     """
     if not body:
         return ""
-    text = _CONTROL_RE.sub(" ", body.lower())
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(_CONTROL_RE.sub(" ", body.lower()).split())
 
 
 class Corpus:

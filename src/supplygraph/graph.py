@@ -234,6 +234,8 @@ class SupplyChainGraph:
         max_nodes - 1 members is kept alongside the seed (which always stays).
         The search goes level by level, each level the union of the last
         one's neighbour sets, and stops early at a level that adds nothing.
+        The sample holds nodes and edges only: its alias table is empty, so
+        canonicalize does not resolve names on it.
         """
         if seed not in self.nodes:
             raise UnknownNode(seed)
@@ -268,9 +270,6 @@ class SupplyChainGraph:
                 for b in sorted(later.intersection(neighbours)):
                     key = (a, b)
                     sub_edges[key] = edges[key]
-        sub.alias_table = {
-            variant: target for variant, target in self.alias_table.items() if target in keep
-        }
         return sub
 
 

@@ -23,7 +23,6 @@ _SECTION_RE = re.compile(r"^\[(system|user|question)\]$", re.MULTILINE)
 _ENTITY_LINE_RE = re.compile(r"^\s*(?P<num>\d+\.\s*)?(?P<name>[^:]+):(?P<desc>.*)$")
 _ALPHA_RE = re.compile(r"[A-Za-z]+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?:\s+|$)")
-_WORD_SPAN_RE = re.compile(r"\s*\S+\s*")
 
 
 @dataclass(frozen=True)
@@ -133,17 +132,21 @@ def estimate_tokens(text: str) -> int:
     return int(len(text.split()) * TOKEN_SAFETY_FACTOR)
 
 
+def _word_limit(budget: int) -> int:
+    """Largest word count m whose estimate int(m * TOKEN_SAFETY_FACTOR) fits
+    the budget. The estimate grows with m: start just past the float bound
+    and step down."""
+    m = max(0, int((budget + 1) / TOKEN_SAFETY_FACTOR) + 1)
+    while m > 0 and int(m * TOKEN_SAFETY_FACTOR) > budget:
+        m -= 1
+    return m
+
+
 def truncate_to_budget(text: str, budget: int) -> str:
     """Largest whitespace-token prefix of text whose estimate fits the budget."""
     if estimate_tokens(text) <= budget:
         return text
-    words = text.split()
-    # The prefix " ".join(words[:m]) estimates to int(m * TOKEN_SAFETY_FACTOR),
-    # which grows with m: start just past the float bound and step down.
-    m = max(0, min(len(words), int((budget + 1) / TOKEN_SAFETY_FACTOR) + 1))
-    while m > 0 and int(m * TOKEN_SAFETY_FACTOR) > budget:
-        m -= 1
-    return " ".join(words[:m])
+    return " ".join(text.split()[:_word_limit(budget)])
 
 
 @dataclass(frozen=True)
@@ -167,38 +170,43 @@ def _sentence_spans(text: str) -> list[str]:
 def segment_text(text: str, budget: int) -> SegmentPlan:
     """Split text into segments that each fit the token budget.
 
-    Splits at sentence boundaries first and falls back to whitespace inside a
-    sentence that alone exceeds the budget. Concatenating the segments
-    restores the input byte for byte. One word estimates to one token, so
-    every unit fits any budget of at least 1.
+    A segment holds at most limit words, the largest m whose estimate
+    int(m * TOKEN_SAFETY_FACTOR) fits the budget. Whole sentences are packed
+    in order while the segment's word count stays within limit. A sentence
+    over limit is cut after the whitespace that follows a word: the first
+    piece fills what is left of the current segment, each later piece but
+    the last holds limit words, and the last stays open for what follows.
+    Concatenating the segments restores the input byte for byte. limit is
+    at least 1 for any budget of at least 1.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not text:
         return SegmentPlan(segments=())
 
-    units: list[str] = []
-    for sentence in _sentence_spans(text):
-        if estimate_tokens(sentence) <= budget:
-            units.append(sentence)
-        else:
-            units.extend(_WORD_SPAN_RE.findall(sentence))
-
-    # Every unit but the text's last ends in whitespace: a sentence span ends
-    # in \s+ or at the end of the text, and a word span matches \s*\S+\s*.
-    # So no word is joined across a unit boundary, and the words of
-    # current + unit are the words of current plus the words of unit.
+    # Every sentence but the text's last ends in whitespace, and so does
+    # every cut piece, so no word is joined across a piece boundary and a
+    # segment's words are the words of its pieces.
+    limit = _word_limit(budget)
     segments: list[str] = []
     current: list[str] = []
     words = 0
-    for unit in units:
-        unit_words = len(unit.split())
-        if current and int((words + unit_words) * TOKEN_SAFETY_FACTOR) > budget:
+    for sentence in _sentence_spans(text):
+        n = len(sentence.split())
+        if n > limit:
+            room = limit - words
+            while n > room:
+                if room:
+                    rest = sentence.split(None, room)[room]
+                    current.append(sentence[:len(sentence) - len(rest)])
+                    sentence, n = rest, n - room
+                segments.append("".join(current))
+                current, words, room = [], 0, limit
+        elif current and words + n > limit:
             segments.append("".join(current))
-            current, words = [unit], unit_words
-        else:
-            current.append(unit)
-            words += unit_words
+            current, words = [], 0
+        current.append(sentence)
+        words += n
     if current:
         segments.append("".join(current))
     return SegmentPlan(segments=tuple(segments))

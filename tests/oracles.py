@@ -199,6 +199,12 @@ def render_by_regex(template, values, reasoning=False):
     return tuple(substitute(part, values) for part in (template.system, template.user, question))
 
 
+def search_by_regex(news, name):
+    """Start of the first word-bounded occurrence of name in news, or -1."""
+    m = re.search(r"\b" + re.escape(name) + r"\b", news)
+    return m.start() if m else -1
+
+
 def extract_by_name(gazetteer, news):
     """Numbered "name: description" list of the gazetteer names in news.
 
@@ -207,9 +213,9 @@ def extract_by_name(gazetteer, news):
     """
     found = []
     for name in gazetteer:
-        m = re.search(r"\b" + re.escape(name) + r"\b", news)
-        if m:
-            found.append((m.start(), name))
+        start = search_by_regex(news, name)
+        if start >= 0:
+            found.append((start, name))
     found.sort()
     lines = []
     for i, (_, name) in enumerate(found, 1):
@@ -235,6 +241,24 @@ def normalize_name(raw, stopwords=None):
     if not name:
         raise EmptyName(f"nothing left of {raw!r} after suffix stripping")
     return name
+
+
+_WS_RE = re.compile(r"\s+")
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+
+
+def preprocess_by_regex(body):
+    """preprocess_text as two regex substitutions: each control character to
+    a space, then each whitespace run to one space, trimmed."""
+    if not body:
+        return ""
+    return _WS_RE.sub(" ", _CONTROL_RE.sub(" ", body.lower())).strip()
+
+
+def plain_name_by_regex(raw):
+    """name_forms's plain form, each whitespace run collapsed by a regex
+    substitution, then edge punctuation and whitespace trimmed."""
+    return _WS_RE.sub(" ", raw.lower()).strip(_EDGE_CHARS)
 
 
 def _pair(x, y):
@@ -396,9 +420,6 @@ class ScanGraph(SupplyChainGraph):
         for (a, b), edge in self.edges.items():
             if a in keep and b in keep:
                 sub.edges[(a, b)] = ScanEdge(a=a, b=b, provenance=set(edge.provenance))
-        for variant, target in self.alias_table.items():
-            if target in keep:
-                sub.alias_table[variant] = target
         return sub
 
 

@@ -301,6 +301,57 @@ def test_scripted_backend_extraction_matches_per_name_search():
             descriptions, news), news
 
 
+# Names with edge punctuation, "_", digits and letters outside ASCII, and
+# news where a name's first occurrence fails its boundary check before a later
+# one passes ("acme" in "acmex acme"), or occurrences overlap ("aa" in "aaa").
+_BOUNDARY_NAMES = [
+    "acme", "aa", "a.a", "-acme-", ".net", "acme.", "(acme)", "acme_co", "_a", "x_", "3m",
+    "7-eleven", "m3", "ünited", "straße", "東京", "'s", "acme acme",
+]
+_BOUNDARY_PIECES = _BOUNDARY_NAMES + [
+    "acmex", "xacme", "aaa", "a", "x", "_", "-", ".", "(", "é", "2", "東", "\u00a0", "\u3000",
+]
+
+
+@pytest.mark.parametrize("name, news, start", [
+    ("acme", "acmex acme", 6),
+    ("acme", "xacme acme_ acme", 12),
+    ("aa", "aaa", -1),
+    ("aa", "aaa aa", 4),
+    ("a.a", "xa.a.a", 3),
+    ("-acme-", "x-acme-", -1),
+    ("-acme-", "x -acme- y x-acme-y", 12),
+    ("_a", "b_a _a", 4),
+    ("東京", "在東京 東京", 4),
+])
+def test_bounded_find_is_the_word_bounded_regex_search(name, news, start):
+    assert backends_module._find_bounded(news, name) == start
+    assert oracles.search_by_regex(news, name) == start
+
+
+def test_bounded_find_matches_regex_search_fuzz():
+    rng = random.Random(12)
+    for _ in range(3000):
+        news = "".join(rng.choice(_BOUNDARY_PIECES + [" ", ""]) for _ in range(rng.randint(1, 10)))
+        name = rng.choice(_BOUNDARY_NAMES)
+        assert backends_module._find_bounded(news, name) == oracles.search_by_regex(news, name), (
+            name, news)
+
+
+def test_scripted_backend_extraction_matches_per_name_search_on_boundary_names():
+    rng = random.Random(13)
+    descriptions = {name: f"about {name}" for name in _BOUNDARY_NAMES}
+    backend = _scripted(descriptions)
+    for _ in range(600):
+        pieces = [rng.choice(_BOUNDARY_PIECES) for _ in range(rng.randint(1, 12))]
+        news = pieces[0] + "".join(rng.choice([" ", "", ", ", "-", "\n", "\u2003"]) + p
+                                   for p in pieces[1:])
+        if not news.strip():
+            continue
+        assert backend.complete(_extract_request(news)).text == oracles.extract_by_name(
+            descriptions, news), news
+
+
 def test_scripted_backend_extraction_matches_per_name_search_on_fixtures(gazetteer):
     fixture_descriptions = {name: entry["description"] for name, entry in gazetteer.items()}
     tricky_descriptions = {name: f"about {name}" for name in _TRICKY_NAMES}

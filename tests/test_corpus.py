@@ -3,6 +3,7 @@ from __future__ import annotations
 import filecmp
 import random
 import re
+import sys
 import threading
 from dataclasses import asdict
 
@@ -11,6 +12,7 @@ import pytest
 from supplygraph import corpus as corpus_module
 from supplygraph.corpus import (
     Article,
+    StopwordLists,
     fetch_articles,
     load_corpus,
     load_stopwords,
@@ -122,6 +124,53 @@ def test_preprocess_keeps_sentence_boundaries():
 
 def test_preprocess_drops_control_characters():
     assert preprocess_text("a\x00b\x07c") == "a b c"
+
+
+# -- the character classes the text fast paths rest on --------------------
+
+
+def test_re_space_and_word_classes_are_the_str_predicates():
+    r"""preprocess_text and name_forms collapse whitespace with str.split, and
+    the scripted backend checks word boundaries with str.isalnum: each gives
+    the regex's bytes only while re's \s is str.isspace, re's \w is
+    str.isalnum or "_", and no character is in both."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = {c for c in every if c.isspace()}
+    word = {c for c in every if c.isalnum() or c == "_"}
+    assert set(re.findall(r"\s", every)) == spaces
+    assert set(re.findall(r"\w", every)) == word
+    assert not spaces & word
+
+
+# Every C0 control, DEL, the Unicode whitespace outside ASCII, and two
+# characters that look blank but are not whitespace (U+200B, U+FEFF).
+_BLANKS = [chr(c) for c in range(0x20)] + [
+    "\x7f", "\x85", "\xa0", "\u1680", "\u2000", "\u2007", "\u200a", "\u200b", "\u2028",
+    "\u2029", "\u202f", "\u205f", "\u3000", "\ufeff",
+]
+
+
+def _blank_strings(seed):
+    rng = random.Random(seed)
+    pool = _BLANKS + [" ", "Acme", "LTD.", "Straße", "É", "3m", ".", ",", "-", "x"]
+    for _ in range(3000):
+        yield "".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+
+
+def test_preprocess_matches_regex_reference_on_controls_and_unicode_whitespace():
+    for raw in _blank_strings(31):
+        assert preprocess_text(raw) == oracles.preprocess_by_regex(raw), repr(raw)
+
+
+def test_plain_name_matches_regex_reference_on_controls_and_unicode_whitespace():
+    no_suffixes = StopwordLists(company_suffixes=frozenset())
+    for raw in _blank_strings(32):
+        expected = oracles.plain_name_by_regex(raw)
+        if expected:
+            assert name_forms(raw, no_suffixes) == (expected, expected), repr(raw)
+        else:
+            with pytest.raises(EmptyName):
+                name_forms(raw, no_suffixes)
 
 
 # -- stopword lists -------------------------------------------------------

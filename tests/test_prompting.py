@@ -149,8 +149,42 @@ def _edge_cases():
         yield "  " + body.replace(" ", "\u00a0", 50) + " ", 400
 
 
+def _word_limit(budget):
+    return max(m for m in range(budget + 2) if int(m * 1.3) <= budget)
+
+
+def _count_cases():
+    # Cuts by word count: budgets of 1 to 3 words, sentences of limit - 1,
+    # limit and limit + 1 words, a run-on sentence after a partly filled
+    # segment, whitespace-only texts, and Unicode whitespace between words.
+    rng = random.Random(79)
+    spaces = [" ", "  ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u3000", " \u2029 "]
+    words = ["alpha", "b", "12.5", "x:y", "é", "co.", "東京"]
+
+    def sentence(n):
+        body = [rng.choice(words) for _ in range(n)]
+        return "".join(w + rng.choice(spaces) for w in body[:-1]) + body[-1] + rng.choice(".!?")
+
+    for budget in (1, 2, 3, 4, 5, 9, 14):
+        limit = _word_limit(budget)
+        sizes = sorted({1, max(1, limit - 1), limit, limit + 1, 2 * limit + 1})
+        for first in range(limit + 1):
+            for second in sizes:
+                yield sentence(first) + " " + sentence(second) if first else sentence(second), budget
+        for _ in range(40):
+            text = "".join(sentence(rng.choice(sizes)) + rng.choice(spaces)
+                           for _ in range(rng.randint(1, 5)))
+            if rng.random() < 0.3:
+                text = rng.choice(spaces) + text
+            if rng.random() < 0.3:
+                text = text.rstrip()
+            yield text, budget
+        for blank in (" ", "\t\n", "\u3000\u2003", "\x1c\x1d", "  \x85 "):
+            yield blank, budget
+
+
 def test_segment_text_matches_reestimating_reference():
-    for text, budget in [*_fuzz_cases(), *_edge_cases()]:
+    for text, budget in [*_fuzz_cases(), *_edge_cases(), *_count_cases()]:
         assert segment_text(text, budget).segments == oracles.segment_by_reestimate(text, budget), (
             text, budget)
 
