@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crawl.add_argument("--max-nodes", type=int, dest="max_nodes")
     p_crawl.add_argument("--max-articles", type=int, dest="max_articles")
     p_crawl.add_argument("--parallelism", type=int,
-                         help="keywords fetched and extracted at once (default 1)")
+                         help="keyword searches and article extractions run at once (default 1)")
     p_crawl.add_argument("--config", help="JSON config file (flags take precedence)")
     p_crawl.add_argument("--aliases", help="TSV alias file: variant<TAB>canonical")
     p_crawl.add_argument("--suffixes", help="company-suffix stopword file")

@@ -12,12 +12,14 @@ import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .backends import Backend, BackendRequest
-from .corpus import ArticleFetcher, fetch_articles, preprocess_text
+from .corpus import Article, ArticleFetcher, fetch_articles, preprocess_text
 from .errors import BackendUnavailable, EmptyName, EmptyParse
+from .files import check_text
 from .graph import SupplyChainGraph
 from .prompting import (
     ExtractedEntity,
@@ -55,6 +57,9 @@ class CrawlConfig:
             raise ValueError("seeds must be a non-empty list of non-empty names")
         if not isinstance(self.industry, str) or not self.industry.strip():
             raise ValueError("industry must be a non-empty string")
+        for seed in self.seeds:
+            check_text(seed, "seeds")
+        check_text(self.industry, "industry")
         if not isinstance(self.year_range, (list, tuple)) or len(self.year_range) != 2:
             raise ValueError("year_range must be [start, end]")
         self.year_range = tuple(self.year_range)
@@ -125,8 +130,31 @@ class _ArticleResult:
 @dataclass
 class _Harvest:
     keyword: str
-    articles: list[_ArticleResult] = field(default_factory=list)
-    fetch_failures: int = 0  # years whose search failed after its retries
+    articles: list[_ArticleResult]
+    fetch_failures: int  # years whose search failed after its retries
+
+
+@dataclass
+class _Opened:
+    """A frontier keyword whose search has been submitted."""
+
+    keyword: str
+    search: Future[list[Article]]
+    failed_years: list[int]
+    # One _extract per fetched article, in fetch order, once the search returns.
+    articles: list[Future[_ArticleResult]] | None = None
+
+    def done(self, unfinished: set[Future]) -> bool:
+        """Whether the search returned and no article is left in ``unfinished``."""
+        return self.articles is not None and unfinished.isdisjoint(self.articles)
+
+    def harvest(self) -> _Harvest:
+        """The keyword's results in fetch order. Raises the search's
+        exception, or else the first failed article's, as a sequential
+        crawl meets them."""
+        self.search.result()
+        articles = [f.result() for f in self.articles]
+        return _Harvest(self.keyword, articles, len(self.failed_years))
 
 
 class Crawler:
@@ -151,29 +179,39 @@ class Crawler:
         for raw_seed in self.config.seeds:
             self._enqueue(self.graph.upsert_entity(raw_seed))
         nodes_before, edges_before = len(self.graph.nodes), len(self.graph.edges)
-        # pending[i] harvests self._frontier[i], on a worker, or on this
-        # thread when it is None. Keywords are applied in frontier order, so
-        # any width gives the bytes of a sequential crawl.
-        pending: deque[Future[_Harvest] | None] = deque()
-        # Set once the loop ends, by a stop or an error: harvests still in
-        # flight will be discarded, so they stop fetching and calling the
-        # backend.
+        # Above width 1, opened[i] is self._frontier[i], its search submitted
+        # to the pool. Workers run the searches and then the extractions;
+        # this thread opens keywords, waits and applies them in frontier
+        # order, so any width gives the bytes of a sequential crawl.
+        opened: deque[_Opened] = deque()
+        self._unfinished: set[Future] = set()
+        # Set once the loop ends, by a stop or an error: work still in flight
+        # will be discarded, so it stops fetching and calling the backend.
         self._stop = threading.Event()
         width = self.config.parallelism
-        # The pool starts a thread per submit, up to width, so a width-1
-        # crawl starts none: every harvest runs on this thread.
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            try:
-                while self._frontier and not self._budget_reason():
-                    if not pending:
-                        pending.append(None)  # no worker holds the head
-                    while len(pending) < min(width, len(self._frontier)):
-                        pending.append(pool.submit(self._harvest, self._frontier[len(pending)]))
-                    keyword = self._frontier.popleft()
-                    future = pending.popleft()
-                    self._apply(self._harvest(keyword) if future is None else future.result())
-            finally:
-                self._stop.set()
+        self._pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
+        try:
+            while self._frontier and not self._budget_reason():
+                if self._pool is None:
+                    # Width 1 starts no thread: the head is searched and
+                    # extracted here, when it is applied.
+                    keyword = self._frontier[0]
+                    failed_years: list[int] = []
+                    articles = fetch_articles(keyword, self.config, self.fetcher, failed_years,
+                                              self._stop)
+                    harvest = _Harvest(keyword, [self._extract(a) for a in articles],
+                                       len(failed_years))
+                else:
+                    self._top_up(opened)
+                    while not opened[0].done(self._unfinished):
+                        self._await_any(opened)
+                    harvest = opened.popleft().harvest()
+                self._frontier.popleft()
+                self._apply(harvest)
+        finally:
+            self._stop.set()
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
         # Only _apply changes the graph in the loop, so these are its additions.
         self._stats.nodes_created = len(self.graph.nodes) - nodes_before
         self._stats.edges_created = len(self.graph.edges) - edges_before
@@ -201,24 +239,50 @@ class Crawler:
             return TERMINATION_ARTICLE_BUDGET
         return None
 
-    def _harvest(self, keyword: str) -> _Harvest:
-        failed_years: list[int] = []
-        articles = fetch_articles(keyword, self.config, self.fetcher, failed_years, self._stop)
-        harvest = _Harvest(keyword=keyword, fetch_failures=len(failed_years))
-        for article in articles:
-            if self._stop.is_set():
-                break
-            harvest.articles.append(self._extract(article.id, article.title, article.body))
-        return harvest
+    def _submit(self, fn: Callable, *args) -> Future:
+        future = self._pool.submit(fn, *args)
+        self._unfinished.add(future)
+        return future
 
-    def _extract(self, article_id: str, title: str, body: str) -> _ArticleResult:
-        payload = article_payload(title, body)
+    def _top_up(self, opened: deque[_Opened]) -> None:
+        """Open the next frontier keywords while fewer than parallelism
+        submitted items are unfinished."""
+        width = self.config.parallelism
+        while len(opened) < len(self._frontier) and len(self._unfinished) < width:
+            keyword = self._frontier[len(opened)]
+            failed_years: list[int] = []
+            search = self._submit(fetch_articles, keyword, self.config, self.fetcher,
+                                  failed_years, self._stop)
+            opened.append(_Opened(keyword, search, failed_years))
+
+    def _await_any(self, opened: deque[_Opened]) -> None:
+        """Wait until a submitted item finishes, submit the articles of each
+        search that returned, and top up. If the head is now done it is
+        applied first instead, since it may use up the budget."""
+        done, _ = wait(self._unfinished, return_when=FIRST_COMPLETED)
+        self._unfinished -= done
+        for entry in opened:
+            if entry.articles is None and entry.search in done:
+                self._submit_articles(entry)
+        if not opened[0].done(self._unfinished):
+            self._top_up(opened)
+
+    def _submit_articles(self, entry: _Opened) -> None:
+        """Submit one extraction per article of a returned search, in fetch order."""
+        articles = [] if entry.search.exception() else entry.search.result()
+        entry.articles = [self._submit(self._extract, article) for article in articles]
+
+    def _extract(self, article: Article) -> _ArticleResult:
+        article_id = article.id
+        payload = article_payload(article.title, article.body)
         entities: list[ExtractedEntity] = []
         parse_failures = 0
         backend_failures = 0
         diagnostics = ParseDiagnostics()
         plan = segment_text(payload, self.config.token_budget)
         for i, segment in enumerate(plan.segments):
+            if self._stop.is_set():
+                break
             request = BackendRequest(
                 prompt=build_extraction_prompt(segment, self.config.industry),
                 request_tag=f"extract:{article_id}:{i}",

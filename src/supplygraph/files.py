@@ -6,16 +6,33 @@ goes through open_output, so an interrupted run leaves the previous file (or
 none) in place, never a truncated one; write_json and write_jsonl fix the
 two JSON output formats. graph.json and the graph exports are rendered in
 graph.py, in the same layout and with the json module's own string quoting.
+check_text rejects the characters that no output can hold.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager, suppress
 from typing import Iterable, Iterator, TextIO
 
 from .errors import ParseError
+
+
+# Lone surrogates, which UTF-8 cannot encode, and the characters XML 1.0
+# forbids: C0 controls other than tab, LF and CR, and U+FFFE and U+FFFF.
+_BAD_TEXT_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def check_text(value: str, where: str) -> None:
+    """Raise ValueError naming ``where`` if ``value`` holds a character that
+    the outputs cannot hold."""
+    bad = _BAD_TEXT_RE.search(value)
+    if bad:
+        raise ValueError(
+            f"{where}: {value!r} holds U+{ord(bad.group()):04X}, which UTF-8 or XML 1.0 cannot hold"
+        )
 
 
 @contextmanager

@@ -246,6 +246,22 @@ def test_crawl_seed_with_no_name_left_exits_config_before_work(tmp_path, monkeyp
     assert live.calls == 0
 
 
+# A seed the outputs cannot hold: a C0 control, which XML 1.0 forbids in
+# graph.graphml, and U+DCFF, the lone surrogate argv decodes the byte 0xff to.
+@pytest.mark.parametrize("seeds, code_point", [("acme\x01 corp,bechtel", "U+0001"),
+                                               ("bechtel,acme\udcff", "U+DCFF")])
+def test_crawl_seed_the_outputs_cannot_hold_exits_config_before_work(tmp_path, monkeypatch,
+                                                                     capsys, seeds, code_point):
+    live = _live_backend(monkeypatch)
+    out = tmp_path / "run"
+    assert _crawl(out, seeds=seeds) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: seeds: ")
+    assert code_point in err
+    assert not out.exists()
+    assert live.calls == 0
+
+
 def test_crawl_missing_corpus_file(tmp_path):
     code = main([
         "crawl",

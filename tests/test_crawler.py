@@ -22,7 +22,7 @@ from supplygraph.crawler import (
 )
 from supplygraph.errors import BackendUnavailable, CassetteWriteError, FetchError
 from supplygraph.graph import EXPORT_FORMATS, SupplyChainGraph, export_graph, save_state
-from supplygraph.prompting import ExtractedEntity, render_entity_list
+from supplygraph.prompting import ExtractedEntity, render_entity_list, segment_text
 
 
 # -- config validation ---------------------------------------------------------
@@ -56,6 +56,9 @@ def test_crawl_config_defaults():
         {"seeds": ["x"], "max_nodes": [3]},
         {"seeds": ["x"], "max_articles": True},
         {"seeds": ["x"], "per_year_min": 1.5},
+        {"seeds": ["acme\x01 corp"]},
+        {"seeds": ["x", "acme\udcff"]},
+        {"seeds": ["x"], "industry": "rail\ufffe"},
     ],
 )
 def test_crawl_config_rejects(kwargs):
@@ -495,31 +498,56 @@ def test_parallel_crawl_matches_sequential_bytes(tmp_path, monkeypatch, news_cor
 
 
 def test_harvest_in_flight_stops_calling_backend_once_crawl_stops(news_corpus, gazetteer_backend):
-    # A budget of 4 articles runs out on txdot, the second keyword, while
-    # "national lime stone" is harvested beside it. That harvest's first
-    # extraction call is held until the crawl has decided to stop; the
-    # harvest then skips its other two articles, whose results nothing reads.
+    # A budget of 4 articles runs out on txdot, the second keyword, while the
+    # articles of "national lime stone" are extracted beside it. Its
+    # two-segment first article and its second article are held at their
+    # first call until the crawl has decided to stop, so both workers are
+    # busy then and its third article is still queued. The fetcher holds
+    # that keyword's search until txdot's articles run, so they are queued
+    # first.
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
-                         max_articles=4, parallelism=2)
+                         max_articles=4, parallelism=2, token_budget=20)
+    (first,) = news_corpus.search("national lime stone", 2019, 1)
+    assert len(segment_text(article_payload(first.title, first.body), 20).segments) > 1
+    held = {"extract:national-lime-stone-0:0", "extract:national-lime-stone-1:0"}
     held_call_arrived = threading.Event()
+    txdot_extracting = threading.Event()
 
     class HoldingBackend(RecordingScripted):
         def complete(self, request):
-            if request.request_tag == "extract:national-lime-stone-0:0":
+            if request.request_tag in held:
                 held_call_arrived.set()
                 crawler._stop.wait(5)
+            elif request.request_tag == "extract:txdot-0:0":
+                txdot_extracting.set()
             elif request.request_tag == "extract:txdot-2:0":
-                # the stop decision waits for txdot, so the held call comes first
+                # the stop decision waits for txdot, so a held call comes first
                 assert held_call_arrived.wait(5)
             return super().complete(request)
 
+    class TxdotFirst:
+        def search(self, keyword, year, limit):
+            if keyword == "national lime stone":
+                assert txdot_extracting.wait(5)
+            return news_corpus.search(keyword, year, limit)
+
     backend = HoldingBackend(load_script(GAZETTEER_PATH))
-    crawler = Crawler(config, news_corpus, backend)
+    crawler = Crawler(config, TxdotFirst(), backend)
+    started = []
+    extract = crawler._extract
+
+    def noting_extract(article):
+        started.append(article.id)
+        return extract(article)
+
+    crawler._extract = noting_extract
     graph, report = crawler.run()
     assert report.termination_reason == TERMINATION_ARTICLE_BUDGET
     tags = [r.request_tag for r in backend.requests]
-    assert [t for t in tags if "national-lime-stone" in t] == ["extract:national-lime-stone-0:0"]
-    assert len(tags) == 3 + 3 + 1
+    # No further segment of a held article, and the queued one was cancelled.
+    assert "extract:national-lime-stone-0:0" in tags
+    assert {t for t in tags if "national-lime-stone" in t} <= held
+    assert "national-lime-stone-2" not in started
     sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
                               gazetteer_backend)
     assert oracles.graph_equal(graph, sequential)
@@ -527,8 +555,9 @@ def test_harvest_in_flight_stops_calling_backend_once_crawl_stops(news_corpus, g
 
 def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazetteer_backend):
     # As above, the budget runs out on txdot while "national lime stone" is
-    # harvested beside it. That harvest's first search (2019) is held until
-    # the crawl has decided to stop; it then searches no further year.
+    # opened beside it. That keyword's first search (2019) is held until the
+    # crawl has decided to stop; it then searches no further year, and none
+    # of its articles is submitted.
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
                          max_articles=4, parallelism=2)
     held_search_arrived = threading.Event()
@@ -545,11 +574,47 @@ def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazettee
                 assert held_search_arrived.wait(5)
             return news_corpus.search(keyword, year, limit)
 
-    crawler = Crawler(config, HoldingFetcher(), gazetteer_backend)
+    backend = RecordingScripted(load_script(GAZETTEER_PATH))
+    crawler = Crawler(config, HoldingFetcher(), backend)
+    submitted = []
+    submit = crawler._submit
+
+    def noting_submit(fn, *args):
+        submitted.append(args[0])  # a keyword to search, or an article to extract
+        return submit(fn, *args)
+
+    crawler._submit = noting_submit
     graph, report = crawler.run()
     assert report.termination_reason == TERMINATION_ARTICLE_BUDGET
     assert [s for s in searches if s[0] == "national lime stone"] == [("national lime stone", 2019)]
     assert len(searches) == 3 + 3 + 1
+    assert "national lime stone" in submitted
+    # txdot, once done, is applied before anything else opens, so its budget
+    # stop leaves the next keyword unopened.
+    assert "aecom" not in submitted
+    assert not [a for a in submitted if isinstance(a, Article)
+                and a.retrieved_for_keyword == "national lime stone"]
+    assert not [r for r in backend.requests if "national-lime-stone" in r.request_tag]
+    sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
+                              gazetteer_backend)
+    assert oracles.graph_equal(graph, sequential)
+
+
+def test_width_two_crawl_extracts_one_keywords_articles_side_by_side(news_corpus,
+                                                                     gazetteer_backend):
+    # A one-seed crawl: two of bechtel's three articles must be extracted at
+    # once, or the barrier's timeout breaks it and the crawl raises.
+    barrier = threading.Barrier(2, timeout=5)
+
+    class Meeting(ScriptedBackend):
+        def complete(self, request):
+            if request.request_tag in ("extract:bechtel-0:0", "extract:bechtel-1:0"):
+                barrier.wait()
+            return super().complete(request)
+
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         parallelism=2)
+    graph, _ = run_crawl(config, news_corpus, Meeting(load_script(GAZETTEER_PATH)))
     sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
                               gazetteer_backend)
     assert oracles.graph_equal(graph, sequential)
@@ -583,10 +648,10 @@ def test_width_one_crawl_searches_on_the_calling_thread(monkeypatch, news_corpus
 
 
 def test_width_four_crawl_keeps_four_searches_in_flight(news_corpus, gazetteer_backend):
-    # bechtel's articles enqueue these four; then the head, txdot, is
-    # harvested on this thread and the next three on workers. Their 2019
-    # searches all wait at the barrier, which a timeout breaks (raising
-    # BrokenBarrierError out of the crawl) unless four arrive.
+    # bechtel's articles enqueue these four, and the crawl opens all four on
+    # its four workers. Their 2019 searches all wait at the barrier, which a
+    # timeout breaks (raising BrokenBarrierError out of the crawl) unless
+    # four arrive.
     together = {"txdot", "national lime stone", "aecom", "bragg crane service"}
     barrier = threading.Barrier(len(together), timeout=5)
     met = []
@@ -601,7 +666,7 @@ def test_width_four_crawl_keeps_four_searches_in_flight(news_corpus, gazetteer_b
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
                          parallelism=4)
     graph, _ = run_crawl(config, Meeting(), gazetteer_backend)
-    assert len(set(met)) == 4 and threading.current_thread() in met
+    assert len(set(met)) == 4
     sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
                               gazetteer_backend)
     assert oracles.graph_equal(graph, sequential)
@@ -610,9 +675,9 @@ def test_width_four_crawl_keeps_four_searches_in_flight(news_corpus, gazetteer_b
 @pytest.mark.parametrize("parallelism,keyword,inline", [
     (1, "bechtel", True),
     (1, "aecom", True),
-    (4, "bechtel", True),  # the first head; nothing else is in flight
-    (4, "txdot", True),  # the head, with three harvests in the pool
-    (4, "aecom", False),  # harvested by a worker while txdot runs here
+    (4, "bechtel", False),  # every search of a wider crawl runs on a worker
+    (4, "txdot", False),
+    (4, "aecom", False),
 ])
 def test_fetcher_error_leaves_run_and_no_thread(news_corpus, gazetteer_backend,
                                                parallelism, keyword, inline):

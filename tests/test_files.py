@@ -16,7 +16,7 @@ from supplygraph.classify import (
 )
 from supplygraph.corpus import StopwordLists, load_corpus, load_stopwords
 from supplygraph.errors import ParseError
-from supplygraph.files import open_output, read_json
+from supplygraph.files import check_text, open_output, read_json
 
 _GOOD_ROWS = {
     load_corpus: {"id": "a-1", "url": "u", "title": "t", "body": "acme hired delta.",
@@ -123,3 +123,14 @@ def test_open_output_replaces_only_on_success(tmp_path):
             raise KeyboardInterrupt
     assert path.read_text(encoding="utf-8") == "first\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.parametrize("value", ["a\x00", "a\x08b", "\x0b", "\x0c", "\x0e", "\x1f",
+                                   "\ud800", "x\udfff", "\ufffe", "\uffff"])
+def test_check_text_rejects_lone_surrogates_and_what_xml_forbids(value):
+    with pytest.raises(ValueError, match=r"^seeds: .* holds U\+[0-9A-F]{4}"):
+        check_text(value, "seeds")
+
+
+def test_check_text_accepts_what_xml_allows():
+    check_text("tab\tlf\ncr\r del\x7f nbsp\xa0 \ufffd \U0001f600 東京", "seeds")
