@@ -12,10 +12,13 @@ and copies only the dict entries that point at them.
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring as _q
+from operator import itemgetter, lt
 from typing import Iterable, Iterator
 from xml.sax.saxutils import escape, quoteattr
 
@@ -23,9 +26,10 @@ from .corpus import StopwordLists, name_forms
 from .errors import EmptyName, ParseError, UnknownNode
 from .files import open_input, open_output, read_json
 
-SCHEMA_VERSION = 2
-# Schema 1 also stored a general-stopword list, which load_state ignores.
-_READABLE_SCHEMAS = (1, SCHEMA_VERSION)
+SCHEMA_VERSION = 3
+# Schemas 1 and 2 stored objects and an alias table, and schema 1 also a
+# general-stopword list; load_state converts them to rows and ignores both.
+_READABLE_SCHEMAS = (1, 2, SCHEMA_VERSION)
 
 
 @dataclass(slots=True, frozen=True)
@@ -174,7 +178,7 @@ class SupplyChainGraph:
 
         Aliases, descriptions, and categories are unioned; edges are
         re-pointed with provenance unions; a resulting survivor-survivor
-        self-loop is dropped; the alias table is re-targeted.
+        self-loop is dropped; the duplicate's variants resolve to the survivor.
         """
         if survivor not in self.nodes:
             raise UnknownNode(survivor)
@@ -203,9 +207,9 @@ class SupplyChainGraph:
                 self._add_edge(*new_key, edge.provenance)
             elif not edge.provenance <= kept.provenance:
                 self.edges[new_key] = ComentionEdge(*new_key, kept.provenance | edge.provenance)
-        for variant, target in list(self.alias_table.items()):
-            if target == duplicate:
-                self.alias_table[variant] = survivor
+        table, stopwords = self.alias_table, self.stopwords
+        for alias in dup.aliases:
+            table[alias] = table[name_forms(alias, stopwords)[1]] = survivor
 
     # -- aliases from operators ---------------------------------------------
 
@@ -285,55 +289,32 @@ def _sorted_edges(graph: SupplyChainGraph) -> list[ComentionEdge]:
     return [graph.edges[k] for k in sorted(graph.edges)]
 
 
-def _json_list(items: Iterable[str], indent: str) -> str:
-    """A JSON array of rendered items, laid out as json.dump(indent=2) lays
-    out an array whose line starts at ``indent``."""
-    body = f",\n  {indent}".join(items)
-    return f"[\n  {indent}{body}\n{indent}]" if body else "[]"
-
-
-def _state_chunks(graph: SupplyChainGraph) -> Iterator[str]:
-    """graph.json in chunks: the bytes json.dump(state, indent=2,
-    ensure_ascii=False) gives, with each string quoted by the json module's
-    own C quoter."""
-    qid = {cid: _q(cid) for cid in graph.nodes}
-    suffixes = _json_list(map(_q, sorted(graph.stopwords.company_suffixes)), "    ")
-    yield (f'{{\n  "schema_version": {SCHEMA_VERSION:d},\n  "stopwords": {{\n'
-           f'    "company_suffixes": {suffixes}\n  }},\n  "nodes": ')
-    yield _json_list((
-        f'{{\n      "canonical_id": {qid[node.canonical_id]},'
-        f'\n      "display_name": {_q(node.display_name)},'
-        f'\n      "aliases": {_json_list(map(_q, sorted(node.aliases)), "      ")},'
-        f'\n      "descriptions": '
-        f'{_json_list((_json_list(map(_q, p), "        ") for p in node.descriptions), "      ")},'
-        f'\n      "categories": {_json_list(map(_q, sorted(node.categories)), "      ")}'
-        f'\n    }}'
-        for node in _sorted_nodes(graph)
-    ), "  ")
-    yield ',\n  "edges": '
-    yield _json_list((
-        f'{{\n      "source": {qid[edge.a]},\n      "target": {qid[edge.b]},'
-        f'\n      "provenance": {_json_list(map(_q, sorted(edge.provenance)), "      ")}'
-        f'\n    }}'
-        for edge in _sorted_edges(graph)
-    ), "  ")
-    table = graph.alias_table
-    body = ",\n    ".join(f"{_q(k)}: {_q(table[k])}" for k in sorted(table))
-    yield f',\n  "alias_table": {{\n    {body}\n  }}\n}}\n' if body else ',\n  "alias_table": {}\n}\n'
+# save_state's document is built afresh, so nothing in it can contain itself.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
 
 def save_state(graph: SupplyChainGraph, path: str) -> None:
-    """Write the full graph as versioned JSON with deterministic ordering."""
+    """Write graph.json, schema 3: one compact JSON document of rows, nodes
+    [id, display_name, aliases, descriptions, categories] in id order and
+    edges [a, b, provenance] in (a, b) order, with a < b and every list
+    sorted but descriptions. The alias table derives from aliases; it is not
+    stored."""
+    state = {
+        "schema_version": SCHEMA_VERSION,
+        "company_suffixes": sorted(graph.stopwords.company_suffixes),
+        "nodes": [(node.canonical_id, node.display_name, sorted(node.aliases),
+                   node.descriptions, sorted(node.categories)) for node in _sorted_nodes(graph)],
+        "edges": [(edge.a, edge.b, sorted(edge.provenance)) for edge in _sorted_edges(graph)],
+    }
     with open_output(path) as fh:
-        fh.writelines(_state_chunks(graph))
+        fh.write(_ENCODER.encode(state) + "\n")
 
 
 def _is_strings(value: object) -> bool:
     if not isinstance(value, list):
         return False
     # str.join raises TypeError at the first item that is not a str. It runs
-    # in C, several times faster than a generator of isinstance checks, and
-    # load_state checks every edge's provenance with it.
+    # in C, several times faster than a generator of isinstance checks.
     try:
         "".join(value)
     except TypeError:
@@ -341,16 +322,81 @@ def _is_strings(value: object) -> bool:
     return True
 
 
-def load_state(path: str) -> SupplyChainGraph:
-    """Load a graph saved by save_state; round-trips to an equal graph.
+def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
+                   where: str) -> SupplyChainGraph:
+    """The graph that schema 3 rows hold. Edge checks run over all edges at
+    once; only when one fails are the edges walked, to name the first bad one."""
+    if not _is_strings(suffixes):
+        raise ParseError("company_suffixes must be a list of strings", path=where)
+    graph = SupplyChainGraph(StopwordLists(frozenset(suffixes)))
+    nodes, table = graph.nodes, graph.alias_table
+    for cid, name, aliases, descriptions, categories in node_rows:
+        if not _is_strings([cid, name]):
+            raise ParseError(f"node {cid!r} canonical_id and display_name must be strings",
+                             path=where)
+        if cid in nodes:
+            raise ParseError(f"node {cid!r} repeats", path=where)
+        for field, value in (("aliases", aliases), ("categories", categories)):
+            if not _is_strings(value):
+                raise ParseError(f"node {cid!r} {field} must be a list of strings", path=where)
+        if not isinstance(descriptions, list) or not all(
+            _is_strings(p) and len(p) == 2 for p in descriptions
+        ):
+            raise ParseError(f"node {cid!r} descriptions must be [article id, description] pairs",
+                             path=where)
+        nodes[cid] = EntityNode(cid, name, frozenset(aliases), tuple(map(tuple, descriptions)),
+                                frozenset(categories))
+        for alias in aliases:
+            try:
+                key = name_forms(alias, graph.stopwords)[1]
+            except EmptyName:
+                raise ParseError(f"node {cid!r} alias {alias!r} has no name left after "
+                                 "normalization", path=where) from None
+            table[alias] = table[key] = cid
 
-    Raises ParseError, naming the file, on JSON that does not parse (with
-    its line), on a schema_version other than 1 or SCHEMA_VERSION, and on a
-    state save_state cannot write: a node id or display name that is not a
-    string, company suffixes, node fields or edge provenance that are not
-    lists of strings, descriptions that are not [article id, description]
-    pairs, a repeated node or edge, an edge or alias that points at no node,
-    a self-loop, or an edge without provenance.
+    if set(map(len, edge_rows)) - {3}:
+        raise ParseError("edge rows must be [a, b, provenance]", path=where)
+    a_ids, b_ids, provenances = zip(*edge_rows) if edge_rows else ((), (), ())
+    keys = list(zip(a_ids, b_ids))
+    if not nodes.keys() >= set(a_ids).union(b_ids):
+        key, end = next((k, end) for k in keys for end in k if end not in nodes)
+        raise ParseError(f"edge {key} ends at unknown node {end!r}", path=where)
+    if not all(map(lt, a_ids, b_ids)):
+        key = next((a, b) for a, b in keys if a >= b)
+        what = "is a self-loop" if key[0] == key[1] else "ends are not in sorted order"
+        raise ParseError(f"edge {key} {what}", path=where)
+    if not (set(map(type, provenances)) <= {list}
+            and _is_strings(list(chain.from_iterable(provenances)))):
+        key = next(k for k, p in zip(keys, provenances) if not _is_strings(p))
+        raise ParseError(f"edge {key} provenance must be a list of strings", path=where)
+    if not all(provenances):
+        raise ParseError(f"edge {keys[provenances.index([])]} has no provenance", path=where)
+    if len(set(keys)) != len(keys):
+        key = next(k for k, count in Counter(keys).items() if count > 1)
+        raise ParseError(f"edge {key} repeats", path=where)
+    # The neighbour index is unbuilt, so edges are stored directly.
+    graph.edges.update(zip(keys, map(ComentionEdge, a_ids, b_ids, map(frozenset, provenances))))
+    return graph
+
+
+def _rows_of_records(state: dict) -> tuple[object, list, list]:
+    """Schema 1 or 2's records as schema 3 rows, ignoring the stored alias table."""
+    node = itemgetter("canonical_id", "display_name", "aliases", "descriptions", "categories")
+    edges = [(*_pair(rec["source"], rec["target"]), rec["provenance"]) for rec in state["edges"]]
+    return state["stopwords"]["company_suffixes"], list(map(node, state["nodes"])), edges
+
+
+def load_state(path: str) -> SupplyChainGraph:
+    """Load a graph saved by save_state, or in schema 1 or 2; round-trips to
+    an equal graph. Each alias of a node, and its matching form, resolve to it.
+
+    Raises ParseError, naming the file, on JSON that does not parse (with its
+    line), on any other schema_version, and on a state save_state cannot
+    write: a node id or display name that is not a string, company suffixes,
+    node fields or provenance that are not lists of strings, descriptions
+    that are not [article id, description] pairs, a repeated node or edge, an
+    edge to no node, a self-loop, ends out of order, no provenance, or an
+    alias with no name left after normalization.
     """
     where = str(path)
     state = read_json(path, "graph state")
@@ -360,64 +406,16 @@ def load_state(path: str) -> SupplyChainGraph:
     # bool is an int, and True == 1.
     if type(version) is not int or version not in _READABLE_SCHEMAS:
         raise ParseError(
-            f"expected schema 1 or {SCHEMA_VERSION}, found {version!r}", path=where
+            f"expected schema 1, 2 or {SCHEMA_VERSION}, found {version!r}", path=where
         )
     try:
-        suffixes = state["stopwords"]["company_suffixes"]
-        if not _is_strings(suffixes):
-            raise ParseError("stopwords company_suffixes must be a list of strings", path=where)
-        graph = SupplyChainGraph(StopwordLists(frozenset(suffixes)))
-        nodes = graph.nodes
-        for rec in state["nodes"]:
-            cid = rec["canonical_id"]
-            if not isinstance(cid, str) or not isinstance(rec["display_name"], str):
-                raise ParseError(f"node {cid!r} canonical_id and display_name must be strings",
-                                 path=where)
-            if cid in nodes:
-                raise ParseError(f"node {cid!r} repeats", path=where)
-            for name in ("aliases", "categories"):
-                if not _is_strings(rec[name]):
-                    raise ParseError(f"node {cid!r} {name} must be a list of strings", path=where)
-            descriptions = rec["descriptions"]
-            if not isinstance(descriptions, list) or not all(
-                _is_strings(p) and len(p) == 2 for p in descriptions
-            ):
-                raise ParseError(
-                    f"node {cid!r} descriptions must be [article id, description] pairs",
-                    path=where,
-                )
-            nodes[cid] = EntityNode(cid, rec["display_name"], frozenset(rec["aliases"]),
-                                    tuple(map(tuple, descriptions)), frozenset(rec["categories"]))
-        # The neighbour index is unbuilt, so edges are stored directly.
-        edges = graph.edges
-        for rec in state["edges"]:
-            key = _pair(rec["source"], rec["target"])
-            a, b = key
-            if a not in nodes:
-                raise ParseError(f"edge {key} ends at unknown node {a!r}", path=where)
-            if b not in nodes:
-                raise ParseError(f"edge {key} ends at unknown node {b!r}", path=where)
-            if a == b:
-                raise ParseError(f"edge {key} is a self-loop", path=where)
-            provenance = rec["provenance"]
-            if not _is_strings(provenance):
-                raise ParseError(f"edge {key} provenance must be a list of strings", path=where)
-            if not provenance:
-                raise ParseError(f"edge {key} has no provenance", path=where)
-            if key in edges:
-                raise ParseError(f"edge {key} repeats", path=where)
-            edges[key] = ComentionEdge(a, b, frozenset(provenance))
-        alias_table = state["alias_table"]
-        if not isinstance(alias_table, dict):
-            raise ParseError("graph state alias_table must be an object", path=where)
-        for variant, target in alias_table.items():
-            if target not in nodes:
-                raise ParseError(f"alias {variant!r} points to unknown node {target!r}",
-                                 path=where)
-        graph.alias_table = dict(alias_table)
-    except (KeyError, TypeError) as exc:
+        if version == SCHEMA_VERSION:
+            rows = state["company_suffixes"], state["nodes"], state["edges"]
+        else:
+            rows = _rows_of_records(state)
+        return _graph_of_rows(*rows, where)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"graph state malformed: {exc}", path=where) from exc
-    return graph
 
 
 def load_alias_file(path: str, stopwords: StopwordLists) -> dict[str, str]:
@@ -527,4 +525,4 @@ def export_graph(graph: SupplyChainGraph, fmt: str, path: str) -> None:
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
     with open_output(path) as fh:
-        fh.writelines(_RENDERERS[fmt](graph))
+        fh.write("".join(_RENDERERS[fmt](graph)))

@@ -427,31 +427,30 @@ class ScanGraph(SupplyChainGraph):
 
 
 def save_state_json(graph, path):
-    """graph.json as json.dump(indent=2) streams it, through the atomic writer."""
+    """graph.json as json.dumps writes the schema 3 rows, through the atomic writer."""
     state = {
-        "schema_version": 2,
-        "stopwords": {
-            "company_suffixes": sorted(graph.stopwords.company_suffixes),
-        },
+        "schema_version": 3,
+        "company_suffixes": sorted(graph.stopwords.company_suffixes),
         "nodes": [
-            {
-                "canonical_id": node.canonical_id,
-                "display_name": node.display_name,
-                "aliases": sorted(node.aliases),
-                "descriptions": [list(p) for p in node.descriptions],
-                "categories": sorted(node.categories),
-            }
+            [node.canonical_id, node.display_name, sorted(node.aliases),
+             [list(p) for p in node.descriptions], sorted(node.categories)]
             for _, node in sorted(graph.nodes.items())
         ],
-        "edges": [
-            {"source": a, "target": b, "provenance": sorted(edge.provenance)}
-            for (a, b), edge in sorted(graph.edges.items())
-        ],
-        "alias_table": {k: graph.alias_table[k] for k in sorted(graph.alias_table)},
+        "edges": [[a, b, sorted(edge.provenance)] for (a, b), edge in sorted(graph.edges.items())],
     }
     with open_output(path) as fh:
-        json.dump(state, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(state, ensure_ascii=False, separators=(",", ":")) + "\n")
+
+
+def rebuilt_alias_table(graph):
+    """The alias table as load_state rebuilds it: every alias of every node,
+    and the alias's matching form, resolve to the node."""
+    table = {}
+    for cid, node in sorted(graph.nodes.items()):
+        for alias in sorted(node.aliases):
+            table[alias] = cid
+            table[normalize_name(alias, graph.stopwords)] = cid
+    return table
 
 
 def _sorted_nodes(graph):

@@ -16,14 +16,14 @@ from test_cli import _crawl_args
 from supplygraph.cli import EXIT_OK, main
 
 GOLDEN = {
-    "crawl/graph.json": "cac9c373e1a2d1484a94c0d8bc4859845ec08dc76e854268e0c95b95c275fe6b",
+    "crawl/graph.json": "06d36f8ae60eb67085d23d07355fdc3b84483b95d0132f1e12e294d576c03a12",
     "crawl/graph.graphml": "9ce4f7c0319ff845a6156cf6da23aa3868a18bec648742c07d8f385f3bcd36c7",
     "crawl/crawl_report.json": "8a4e4d7f149c35a17b2b91e7c00c5ee276643c486a5af9c5b6fbb950f15f2a40",
-    "record/graph.json": "ccfd7739bccdae7182dce6bcde9c032e769985beef95280f49d1e117f77777fb",
+    "record/graph.json": "3760b2ebf998c992076daf0ffecc3d33f4cae575177ed6a77e060d4d6b2a0a33",
     "record/graph.graphml": "1bfedfb77d45a5ee6ebbc7ab0fd4419d169ef3be5210103f8346da9bb71f40a7",
     "record/crawl_report.json": "7553a1a825719da3debdc107c140a9d54149edaae40b9b4563b544ac93fbd4ec",
     "record/cassette.jsonl": "4cbba40c848af87d0a41b67a6a8dc1ae0cfc64312420bf95ea1d53aff9a425cc",
-    "classify/graph.json": "f5cf2cd00500405afc997da0da7221db12a85d2984a05c88d2e80b40dcccb3ea",
+    "classify/graph.json": "81d8fa3a1ec8b9ef2ce59cff3700de0721d46e6b5c66937959bb0b88857498e2",
     "classify/classification_report.json":
         "0e73df46638b24c921488100751a505488ff51ed03d1dc5d5a8904ae1cbff2b5",
     "classify/predictions.jsonl":

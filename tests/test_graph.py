@@ -13,7 +13,7 @@ import oracles
 from supplygraph.backends import BackendResponse
 from supplygraph.classify import CategoryTaxonomy, classify_graph
 from supplygraph.corpus import StopwordLists
-from supplygraph.errors import ParseError, UnknownNode
+from supplygraph.errors import EmptyName, ParseError, UnknownNode
 from supplygraph.graph import (
     EXPORT_FORMATS,
     ComentionEdge,
@@ -646,23 +646,58 @@ def test_load_state_rejects_a_schema_version_that_is_not_an_int(tmp_path, versio
         load_state(str(path))
 
 
-def test_load_state_reads_schema_1_and_saves_schema_2(tmp_path):
+def _schema_2_state(g: SupplyChainGraph) -> dict:
+    """graph.json as schema 2 stored it: records as objects, and the alias table."""
+    return {
+        "schema_version": 2,
+        "stopwords": {"company_suffixes": sorted(g.stopwords.company_suffixes)},
+        "nodes": [{"canonical_id": n.canonical_id, "display_name": n.display_name,
+                   "aliases": sorted(n.aliases), "descriptions": [list(p) for p in n.descriptions],
+                   "categories": sorted(n.categories)} for _, n in sorted(g.nodes.items())],
+        "edges": [{"source": a, "target": b, "provenance": sorted(e.provenance)}
+                  for (a, b), e in sorted(g.edges.items())],
+        "alias_table": dict(sorted(g.alias_table.items())),
+    }
+
+
+def test_load_state_reads_schemas_1_and_2_and_saves_schema_3(tmp_path):
     g = _path_graph()
-    v2_path = tmp_path / "v2.json"
-    save_state(g, str(v2_path))
-    state = json.loads(v2_path.read_text(encoding="utf-8"))
-    assert state["schema_version"] == 2
-    assert set(state["stopwords"]) == {"company_suffixes"}
-    # schema 1 also stored a general-stopword list
-    state["schema_version"] = 1
-    state["stopwords"]["general_stopwords"] = ["the", "of"]
-    v1_path = tmp_path / "v1.json"
-    v1_path.write_text(json.dumps(state, indent=2), encoding="utf-8")
-    loaded = load_state(str(v1_path))
-    assert oracles.graph_equal(loaded, g)
-    resaved = tmp_path / "resaved.json"
-    save_state(loaded, str(resaved))
-    assert resaved.read_bytes() == v2_path.read_bytes()
+    g.upsert_entity("Alpha Co Ltd.", "builder of things", "art-3")
+    v3_path = tmp_path / "v3.json"
+    save_state(g, str(v3_path))
+    state = json.loads(v3_path.read_text(encoding="utf-8"))
+    assert list(state) == ["schema_version", "company_suffixes", "nodes", "edges"]
+    assert state["schema_version"] == 3
+
+    v2 = _schema_2_state(g)
+    # A stored alias table is ignored: the loaded one is rebuilt from the aliases.
+    v2["alias_table"] = {"stray": "ghost"}
+    # Schema 2 accepted an edge's ends in either order.
+    edge = v2["edges"][0]
+    edge["source"], edge["target"] = edge["target"], edge["source"]
+    # Schema 1 also stored a general-stopword list.
+    v1 = copy.deepcopy(v2)
+    v1["schema_version"] = 1
+    v1["stopwords"]["general_stopwords"] = ["the", "of"]
+    for version, old in ((2, v2), (1, v1)):
+        old_path = tmp_path / f"v{version}.json"
+        old_path.write_text(json.dumps(old, indent=2), encoding="utf-8")
+        loaded = load_state(str(old_path))
+        assert oracles.graph_equal(loaded, g)
+        resaved = tmp_path / "resaved.json"
+        save_state(loaded, str(resaved))
+        assert resaved.read_bytes() == v3_path.read_bytes()
+
+
+def test_load_state_of_schema_2_names_a_bad_record(tmp_path):
+    v2 = _schema_2_state(_path_graph())
+    v2["edges"].append(dict(v2["edges"][0], source=v2["edges"][0]["target"],
+                            target=v2["edges"][0]["source"]))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(v2), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(
+            f"edge ('alpha co', 'bravo ltd') repeats ({path})")):
+        load_state(str(path))
 
 
 def test_load_state_bad_json(tmp_path):
@@ -692,42 +727,59 @@ def test_load_state_malformed_nodes(tmp_path):
         load_state(str(path))
 
 
+def _set(table: str, row: int, item: int, value: object):
+    """A change that sets one item of one row of the state's nodes or edges."""
+    def change(state: dict) -> None:
+        state[table][row][item] = value
+    return change
+
+
+def _swap_ends(state: dict) -> None:
+    row = state["edges"][1]
+    row[0], row[1] = row[1], row[0]
+
+
+# Each change makes the rows of _path_graph's graph.json hold a graph that
+# save_state cannot write. Its nodes are alpha co, bravo ltd and charlie inc,
+# and its edges alpha co - bravo ltd (art-1) and bravo ltd - charlie inc (art-2).
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda s: s["edges"][0].update(target="ghost"), "unknown node 'ghost'"),
-        (lambda s: s["edges"][0].update(provenance=[]), "no provenance"),
-        (lambda s: s["edges"][0].update(target=s["edges"][0]["source"]), "self-loop"),
-        (lambda s: s["alias_table"].update(stray="ghost"), "unknown node 'ghost'"),
-        (lambda s: s.update(alias_table=[["a", "b", "c"]]), "alias_table must be an object"),
-        (lambda s: s["nodes"].append(dict(s["nodes"][0])), "node 'alpha co' repeats"),
-        (lambda s: s["nodes"][0].update(aliases="abc"), "aliases must be a list of strings"),
-        (lambda s: s["nodes"][0].update(categories="legal counsel"),
-         "categories must be a list of strings"),
-        (lambda s: s["nodes"][0].update(descriptions=["xy"]), "[article id, description] pairs"),
-        (lambda s: s["nodes"][0].update(descriptions=[["d", "art-1", "extra"]]),
-         "[article id, description] pairs"),
-        (lambda s: s["edges"][0].update(provenance="art-1"),
-         "provenance must be a list of strings"),
-        (lambda s: s["edges"][0].update(provenance=["art-1", 2]),
-         "provenance must be a list of strings"),
-        (lambda s: s["stopwords"].update(company_suffixes="inc"),
-         "company_suffixes must be a list of strings"),
-        (lambda s: s["nodes"][0].update(display_name=5),
-         "canonical_id and display_name must be strings"),
-        (lambda s: s["nodes"].append(dict(s["nodes"][0], canonical_id=7)),
-         "canonical_id and display_name must be strings"),
-        (lambda s: s["edges"].append(dict(s["edges"][0], provenance=["art-9"])),
+        (_set("edges", 0, 1, "ghost"), "edge ('alpha co', 'ghost') ends at unknown node 'ghost'"),
+        (_set("edges", 0, 2, []), "edge ('alpha co', 'bravo ltd') has no provenance"),
+        (_set("edges", 0, 1, "alpha co"), "edge ('alpha co', 'alpha co') is a self-loop"),
+        (lambda s: s["nodes"].append(list(s["nodes"][0])), "node 'alpha co' repeats"),
+        (_set("nodes", 0, 2, "abc"), "node 'alpha co' aliases must be a list of strings"),
+        (_set("nodes", 1, 4, "legal counsel"),
+         "node 'bravo ltd' categories must be a list of strings"),
+        (_set("nodes", 0, 3, ["xy"]),
+         "node 'alpha co' descriptions must be [article id, description] pairs"),
+        (_set("nodes", 0, 3, [["d", "art-1", "extra"]]),
+         "node 'alpha co' descriptions must be [article id, description] pairs"),
+        (_set("edges", 1, 2, "art-1"),
+         "edge ('bravo ltd', 'charlie inc') provenance must be a list of strings"),
+        (_set("edges", 0, 2, ["art-1", 2]),
+         "edge ('alpha co', 'bravo ltd') provenance must be a list of strings"),
+        (lambda s: s.update(company_suffixes="inc"), "company_suffixes must be a list of strings"),
+        (_set("nodes", 0, 1, 5), "node 'alpha co' canonical_id and display_name must be strings"),
+        (lambda s: s["nodes"].append([7, *s["nodes"][0][1:]]),
+         "node 7 canonical_id and display_name must be strings"),
+        (lambda s: s["edges"].append([*s["edges"][0][:2], ["art-9"]]),
          "edge ('alpha co', 'bravo ltd') repeats"),
-        (lambda s: s["edges"].append(dict(s["edges"][0], source=s["edges"][0]["target"],
-                                          target=s["edges"][0]["source"])),
-         "edge ('alpha co', 'bravo ltd') repeats"),
+        (lambda s: s["edges"].append([s["edges"][0][1], s["edges"][0][0], ["art-9"]]),
+         "edge ('bravo ltd', 'alpha co') ends are not in sorted order"),
+        (_swap_ends, "edge ('charlie inc', 'bravo ltd') ends are not in sorted order"),
+        (lambda s: s["nodes"][2][2].append("Inc."),
+         "node 'charlie inc' alias 'Inc.' has no name left"),
+        (lambda s: s["nodes"][1].pop(), "not enough values to unpack (expected 5, got 4)"),
+        (lambda s: s["edges"][0].append("art-9"), "edge rows must be [a, b, provenance]"),
     ],
-    ids=["edge-end", "empty-provenance", "self-loop", "alias-target", "alias-table-list",
+    ids=["edge-end", "empty-provenance", "self-loop",
          "repeated-node", "aliases-string", "categories-string", "description-string",
          "description-triple", "provenance-string", "provenance-number", "suffixes-string",
          "display-name-number", "edgeless-id-number", "repeated-edge",
-         "repeated-edge-swapped"],
+         "repeated-edge-swapped", "edge-order", "alias-without-name", "node-row-width",
+         "edge-row-width"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
@@ -752,9 +804,19 @@ def _awkward_text(rng: random.Random, min_len: int = 0) -> str:
     return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(min_len, 6)))
 
 
+def _names_something(alias: str, stopwords: StopwordLists) -> bool:
+    try:
+        oracles.normalize_name(alias, stopwords)
+    except EmptyName:
+        return False
+    return True
+
+
 def _awkward_graph(seed: int) -> SupplyChainGraph:
     """A graph load_state accepts, built field by field so that every string,
-    ids included, is drawn from _AWKWARD; any list or table may be empty."""
+    ids included, is drawn from _AWKWARD; any list may be empty. Aliases are
+    kept only if something of them is left after normalization, and the
+    alias table is the one load_state rebuilds."""
     rng = random.Random(seed)
     g = SupplyChainGraph(StopwordLists(frozenset(
         _awkward_text(rng, 1) for _ in range(rng.choice((0, 1, 4))))))
@@ -763,7 +825,8 @@ def _awkward_graph(seed: int) -> SupplyChainGraph:
         g.nodes[cid] = EntityNode(
             cid,
             _awkward_text(rng),
-            frozenset({_awkward_text(rng) for _ in range(rng.randint(0, 3))}),
+            frozenset(alias for alias in (_awkward_text(rng) for _ in range(rng.randint(0, 3)))
+                      if _names_something(alias, g.stopwords)),
             tuple((_awkward_text(rng), _awkward_text(rng)) for _ in range(rng.randint(0, 3))),
             frozenset({_awkward_text(rng) for _ in range(rng.randint(0, 3))}),
         )
@@ -772,8 +835,7 @@ def _awkward_graph(seed: int) -> SupplyChainGraph:
         a, b = sorted(rng.sample(ids, 2))
         g.edges[(a, b)] = ComentionEdge(
             a, b, frozenset({_awkward_text(rng) for _ in range(rng.randint(1, 3))}))
-    for _ in range(rng.randint(0, 6) if ids else 0):
-        g.alias_table[_awkward_text(rng)] = rng.choice(ids)
+    g.alias_table = oracles.rebuilt_alias_table(g)
     return g
 
 
@@ -801,7 +863,7 @@ def test_awkward_graphs_cover_every_character_and_empty_field():
     graphs = [_awkward_graph(seed) for seed in range(1, 40)]
     strings = set()
     for g in graphs:
-        strings |= g.stopwords.company_suffixes | set(g.alias_table)
+        strings |= g.stopwords.company_suffixes
         for node in g.nodes.values():
             strings |= {node.canonical_id, node.display_name} | node.aliases | node.categories
             strings.update(text for pair in node.descriptions for text in pair)
@@ -813,7 +875,6 @@ def test_awkward_graphs_cover_every_character_and_empty_field():
         assert any(not getattr(node, name) for node in nodes)
         assert any(getattr(node, name) for node in nodes)
     assert any(node.display_name == "" for node in nodes)
-    assert any(not g.alias_table and g.nodes for g in graphs)
     assert any(not g.stopwords.company_suffixes for g in graphs)
 
 
@@ -963,3 +1024,59 @@ def test_random_merges_conserve_provenance():
         for (a, b), edge in g.edges.items():
             assert a in g.nodes and b in g.nodes
             assert a < b
+
+
+# Names whose matching forms collide in several ways: bases that end in a
+# suffix word themselves, stacked suffixes, case and punctuation variants.
+_SUFFIXED_NAMES = [
+    base + suffix
+    for base in ("Acme", "Acme Co", "ACME Group", "Bolt Works", "Bolt Works Inc", "Crane",
+                 "Delta Ltd", "Delta", "Echo Partners", "Forge Corp", "Gamma Company")
+    for suffix in ("", " Ltd.", " Inc", " Co. Ltd", ", LLC", " CORP.", " group plc")
+]
+
+
+def test_alias_table_is_the_one_rebuilt_from_node_aliases(tmp_path):
+    """graph.json stores no alias table. Seeded runs of upserts, operator
+    aliases and merges over suffixed names must leave the live table equal to
+    the one load_state rebuilds from the node aliases."""
+    path = str(tmp_path / "graph.json")
+    merges = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = SupplyChainGraph()
+        for _ in range(rng.randint(1, 30)):
+            op, before = rng.random(), len(g.nodes)
+            if op < 0.55:
+                g.upsert_entity(rng.choice(_SUFFIXED_NAMES))
+            elif op < 0.8:
+                g.apply_aliases({rng.choice(_SUFFIXED_NAMES): rng.choice(_SUFFIXED_NAMES)})
+            elif before >= 2:
+                g.merge_nodes(*rng.sample(sorted(g.nodes), 2))
+            merges += len(g.nodes) < before
+        assert g.alias_table == oracles.rebuilt_alias_table(g), seed
+        save_state(g, path)
+        assert oracles.graph_equal(load_state(path), g), seed
+    assert merges > 300
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_nodes_retargets_the_alias_table_as_a_full_scan_does(seed):
+    """merge_nodes re-points only the duplicate's aliases and their matching
+    forms; oracles.ScanGraph re-points every table entry that names the
+    duplicate. Merging down to one node, both must hold the same graph."""
+    rng, names = random.Random(seed), _SUFFIXED_NAMES + _VARIANT_NAMES
+    g = SupplyChainGraph()
+    for i, name in enumerate(rng.sample(names, 60)):
+        g.upsert_entity(name, f"desc {i}", f"art-{i % 5}")
+    g.apply_aliases({rng.choice(names): rng.choice(names) for _ in range(6)})
+    ids = sorted(g.nodes)
+    for step in range(20):
+        g.add_comention(f"art-{step}", rng.sample(ids, 3))
+    ref = oracles.ScanGraph.of(g)
+    assert len(g.nodes) > 10
+    while len(g.nodes) > 1:
+        survivor, duplicate = rng.sample(sorted(g.nodes), 2)
+        g.merge_nodes(survivor, duplicate)
+        ref.merge_nodes(survivor, duplicate)
+        assert oracles.graph_equal(g, ref)
