@@ -128,17 +128,9 @@ class _ArticleResult:
 
 
 @dataclass
-class _Harvest:
-    keyword: str
-    articles: list[_ArticleResult]
-    fetch_failures: int  # years whose search failed after its retries
-
-
-@dataclass
 class _Opened:
     """A frontier keyword whose search has been submitted."""
 
-    keyword: str
     search: Future[list[Article]]
     failed_years: list[int]
     # One _extract per fetched article, in fetch order, once the search returns.
@@ -148,13 +140,12 @@ class _Opened:
         """Whether the search returned and no article is left in ``unfinished``."""
         return self.articles is not None and unfinished.isdisjoint(self.articles)
 
-    def harvest(self) -> _Harvest:
-        """The keyword's results in fetch order. Raises the search's
+    def results(self) -> list[_ArticleResult]:
+        """The keyword's article results in fetch order. Raises the search's
         exception, or else the first failed article's, as a sequential
         crawl meets them."""
         self.search.result()
-        articles = [f.result() for f in self.articles]
-        return _Harvest(self.keyword, articles, len(self.failed_years))
+        return [f.result() for f in self.articles]
 
 
 class Crawler:
@@ -192,22 +183,22 @@ class Crawler:
         self._pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
         try:
             while self._frontier and not self._budget_reason():
+                keyword = self._frontier[0]
                 if self._pool is None:
                     # Width 1 starts no thread: the head is searched and
                     # extracted here, when it is applied.
-                    keyword = self._frontier[0]
                     failed_years: list[int] = []
                     articles = fetch_articles(keyword, self.config, self.fetcher, failed_years,
                                               self._stop)
-                    harvest = _Harvest(keyword, [self._extract(a) for a in articles],
-                                       len(failed_years))
+                    results = [self._extract(a) for a in articles]
                 else:
                     self._top_up(opened)
                     while not opened[0].done(self._unfinished):
                         self._await_any(opened)
-                    harvest = opened.popleft().harvest()
+                    entry = opened.popleft()
+                    failed_years, results = entry.failed_years, entry.results()
                 self._frontier.popleft()
-                self._apply(harvest)
+                self._apply(keyword, results, len(failed_years))
         finally:
             self._stop.set()
             if self._pool is not None:
@@ -253,7 +244,7 @@ class Crawler:
             failed_years: list[int] = []
             search = self._submit(fetch_articles, keyword, self.config, self.fetcher,
                                   failed_years, self._stop)
-            opened.append(_Opened(keyword, search, failed_years))
+            opened.append(_Opened(search, failed_years))
 
     def _await_any(self, opened: deque[_Opened]) -> None:
         """Wait until a submitted item finishes, submit the articles of each
@@ -299,10 +290,12 @@ class Crawler:
                 parse_failures += 1
         return _ArticleResult(article_id, entities, parse_failures, backend_failures)
 
-    def _apply(self, harvest: _Harvest) -> None:
+    def _apply(self, keyword: str, results: list[_ArticleResult], fetch_failures: int) -> None:
+        """Apply a keyword's article results in fetch order until a budget is
+        used up. fetch_failures: years whose search failed after its retries."""
         stats = self._stats
-        stats.fetch_failures += harvest.fetch_failures
-        for result in harvest.articles:
+        stats.fetch_failures += fetch_failures
+        for result in results:
             if self._budget_reason():
                 self._cut = True
                 break
@@ -310,7 +303,7 @@ class Crawler:
             stats.parse_failures += result.parse_failures
             stats.backend_failures += result.backend_failures
             stats.entities_extracted += len(result.entities)
-            mentioned = {harvest.keyword}
+            mentioned = {keyword}
             for entity in result.entities:
                 try:
                     cid = self.graph.upsert_entity(entity.name, entity.description, result.article_id)
@@ -322,8 +315,8 @@ class Crawler:
             self.graph.add_comention(result.article_id, mentioned)
         log.info(
             "crawl keyword=%s articles=%d frontier=%d nodes=%d edges=%d",
-            harvest.keyword,
-            len(harvest.articles),
+            keyword,
+            len(results),
             len(self._frontier),
             len(self.graph.nodes),
             len(self.graph.edges),

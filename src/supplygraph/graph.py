@@ -1,9 +1,13 @@
 """Entity graph: canonicalized nodes, co-mention edges, sampling, and export.
 
 Nodes are keyed by a canonical id (the first-seen variant, lowercased and
-whitespace/punctuation-trimmed). The alias table additionally indexes every
-variant's suffix-stripped form, so "AECOM", "Aecom Ltd." and "AECOM Corp."
-resolve to one node while the stored aliases keep the three variants apart.
+whitespace/punctuation-trimmed). The alias table maps each variant's
+matching form (the lowercased name without trailing company suffixes) to its
+node, so "AECOM", "Aecom Ltd." and "AECOM Corp." resolve to one node while the
+stored aliases keep the three variants apart.
+
+The neighbour index is a cache of the edges: a sample or a merge builds it
+when it is missing, and any edit that adds or removes an edge drops it.
 
 Node and edge records are immutable. The graph's methods change a record by
 storing a new one in its place, so a k-hop sample shares its parent's records
@@ -58,33 +62,37 @@ def _pair(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
 
-def _link(adj: dict[str, set[str]], a: str, b: str) -> None:
-    adj.setdefault(a, set()).add(b)
-    adj.setdefault(b, set()).add(a)
-
-
 class SupplyChainGraph:
     def __init__(self, stopwords: StopwordLists | None = None):
         self.stopwords = stopwords if stopwords is not None else StopwordLists.default()
         self.nodes: dict[str, EntityNode] = {}
         self.edges: dict[tuple[str, str], ComentionEdge] = {}
         self.alias_table: dict[str, str] = {}
-        # Neighbours of every node with an edge: None until the first read
-        # builds it from edges, then kept in step with them. Derived state,
-        # so save_state never reads it.
+        # Neighbours of every node with an edge: None until a read builds it
+        # from edges, and None again after any edit that adds or removes an
+        # edge. Derived state, so save_state never reads it.
         self._adj: dict[str, set[str]] | None = None
 
     # -- canonicalization -------------------------------------------------
 
     def canonicalize(self, raw_name: str) -> str | None:
         """Resolve a raw name to an existing canonical id, or None if new."""
-        return self.alias_table.get(name_forms(raw_name, self.stopwords)[1])
+        return self._resolve(*name_forms(raw_name, self.stopwords))
+
+    def _resolve(self, alias: str, key: str) -> str | None:
+        """The node a name's matching form (key) is indexed under, else the
+        node whose id is its plain form (alias). A k-hop sample indexes no
+        names, so on a sample names resolve by node id only."""
+        canonical_id = self.alias_table.get(key)
+        if canonical_id is None and alias in self.nodes:
+            return alias
+        return canonical_id
 
     def _register_variant(self, canonical_id: str, alias: str, key: str,
                           pair: tuple[str, str] | None = None) -> None:
-        """Index a variant's plain form (alias) and matching form (key) under
-        a node, adding the alias and the description pair to the node. The
-        record is replaced only if one of them is new to it."""
+        """Index a variant's matching form (key) under a node, adding its
+        plain form (alias) and the description pair to the node. The record
+        is replaced only if one of them is new to it."""
         node = self.nodes[canonical_id]
         aliases, descriptions = node.aliases, node.descriptions
         if alias not in aliases:
@@ -94,7 +102,7 @@ class SupplyChainGraph:
         if aliases is not node.aliases or descriptions is not node.descriptions:
             self.nodes[canonical_id] = EntityNode(
                 node.canonical_id, node.display_name, aliases, descriptions, node.categories)
-        self.alias_table[alias] = self.alias_table[key] = canonical_id
+        self.alias_table[key] = canonical_id
 
     def upsert_entity(self, raw_name: str, description: str = "", article_id: str = "") -> str:
         """Insert or update the entity behind a raw name; returns its canonical id.
@@ -105,13 +113,13 @@ class SupplyChainGraph:
         """
         alias, key = name_forms(raw_name, self.stopwords)
         pair = (article_id, description) if description and article_id else None
-        canonical_id = self.alias_table.get(key)
+        canonical_id = self._resolve(alias, key)
         if canonical_id is not None:
             self._register_variant(canonical_id, alias, key, pair)
             return canonical_id
         self.nodes[alias] = EntityNode(
             alias, raw_name.strip(), frozenset((alias,)), (pair,) if pair else ())
-        self.alias_table[alias] = self.alias_table[key] = alias
+        self.alias_table[key] = alias
         return alias
 
     def set_categories(self, canonical_id: str, categories: Iterable[str]) -> None:
@@ -142,27 +150,23 @@ class SupplyChainGraph:
         for key in combinations(ids, 2):
             edge = edges.get(key)
             if edge is None:
-                self._add_edge(*key, article)
+                edges[key] = ComentionEdge(*key, article)
+                self._adj = None
             elif article_id not in edge.provenance:
                 edges[key] = ComentionEdge(*key, edge.provenance | article)
         return len(ids) * (len(ids) - 1) // 2
 
-    def _add_edge(self, a: str, b: str, provenance: frozenset[str]) -> None:
-        """Store a new edge under its ordered key (a <= b), indexing it if the
-        index is built."""
-        self.edges[(a, b)] = ComentionEdge(a, b, provenance)
-        if self._adj is not None:
-            _link(self._adj, a, b)
-
     def _adjacency(self) -> dict[str, set[str]]:
-        """The neighbour index, built from edges on first use.
+        """The neighbour index, built from edges on the first read after an
+        edge was added or removed.
 
         Built aside and then published, so a concurrent reader never sees
         it half-built."""
         if self._adj is None:
             adj: dict[str, set[str]] = {}
             for a, b in self.edges:
-                _link(adj, a, b)
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
             self._adj = adj
         return self._adj
 
@@ -195,21 +199,20 @@ class SupplyChainGraph:
         self.nodes[survivor] = EntityNode(
             surv.canonical_id, surv.display_name, surv.aliases | dup.aliases,
             tuple(descriptions), surv.categories | dup.categories)
-        adj = self._adjacency()
-        for other in sorted(adj.pop(duplicate, ())):
+        for other in sorted(self._adjacency().get(duplicate, ())):
             edge = self.edges.pop(_pair(duplicate, other))
-            adj[other].discard(duplicate)
+            self._adj = None
             if other == survivor:
                 continue  # self-loop after merge is dropped
             new_key = _pair(survivor, other)
             kept = self.edges.get(new_key)
             if kept is None:
-                self._add_edge(*new_key, edge.provenance)
+                self.edges[new_key] = ComentionEdge(*new_key, edge.provenance)
             elif not edge.provenance <= kept.provenance:
                 self.edges[new_key] = ComentionEdge(*new_key, kept.provenance | edge.provenance)
         table, stopwords = self.alias_table, self.stopwords
         for alias in dup.aliases:
-            table[alias] = table[name_forms(alias, stopwords)[1]] = survivor
+            table[name_forms(alias, stopwords)[1]] = survivor
 
     # -- aliases from operators ---------------------------------------------
 
@@ -224,7 +227,7 @@ class SupplyChainGraph:
             if target is None:
                 target = self.upsert_entity(canonical_raw)
             alias, key = name_forms(variant, self.stopwords)
-            existing = self.alias_table.get(key)
+            existing = self._resolve(alias, key)
             if existing is not None and existing != target:
                 self.merge_nodes(target, existing)
             self._register_variant(target, alias, key)
@@ -239,7 +242,7 @@ class SupplyChainGraph:
         The search goes level by level, each level the union of the last
         one's neighbour sets, and stops early at a level that adds nothing.
         The sample holds nodes and edges only: its alias table is empty, so
-        canonicalize does not resolve names on it.
+        names resolve on it by node id only.
         """
         if seed not in self.nodes:
             raise UnknownNode(seed)
@@ -352,7 +355,9 @@ def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
             except EmptyName:
                 raise ParseError(f"node {cid!r} alias {alias!r} has no name left after "
                                  "normalization", path=where) from None
-            table[alias] = table[key] = cid
+            if table.setdefault(key, cid) != cid:
+                raise ParseError(f"node {cid!r} alias {alias!r} matches the same name as an "
+                                 f"alias of node {table[key]!r}", path=where)
 
     if set(map(len, edge_rows)) - {3}:
         raise ParseError("edge rows must be [a, b, provenance]", path=where)
@@ -374,7 +379,6 @@ def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
     if len(set(keys)) != len(keys):
         key = next(k for k, count in Counter(keys).items() if count > 1)
         raise ParseError(f"edge {key} repeats", path=where)
-    # The neighbour index is unbuilt, so edges are stored directly.
     graph.edges.update(zip(keys, map(ComentionEdge, a_ids, b_ids, map(frozenset, provenances))))
     return graph
 
@@ -388,15 +392,16 @@ def _rows_of_records(state: dict) -> tuple[object, list, list]:
 
 def load_state(path: str) -> SupplyChainGraph:
     """Load a graph saved by save_state, or in schema 1 or 2; round-trips to
-    an equal graph. Each alias of a node, and its matching form, resolve to it.
+    an equal graph. Each alias of a node resolves to it by its matching form.
 
     Raises ParseError, naming the file, on JSON that does not parse (with its
     line), on any other schema_version, and on a state save_state cannot
     write: a node id or display name that is not a string, company suffixes,
     node fields or provenance that are not lists of strings, descriptions
     that are not [article id, description] pairs, a repeated node or edge, an
-    edge to no node, a self-loop, ends out of order, no provenance, or an
-    alias with no name left after normalization.
+    edge to no node, a self-loop, ends out of order, no provenance, an alias
+    with no name left after normalization, or aliases of two nodes with one
+    matching form.
     """
     where = str(path)
     state = read_json(path, "graph state")

@@ -309,7 +309,6 @@ class ScanGraph(SupplyChainGraph):
         node = self.nodes[canonical_id]
         alias = normalize_name(raw_name)
         node.aliases.add(alias)
-        self.alias_table[alias] = canonical_id
         self.alias_table[normalize_name(raw_name, self.stopwords)] = canonical_id
 
     def upsert_entity(self, raw_name, description="", article_id=""):
@@ -443,12 +442,11 @@ def save_state_json(graph, path):
 
 
 def rebuilt_alias_table(graph):
-    """The alias table as load_state rebuilds it: every alias of every node,
-    and the alias's matching form, resolve to the node."""
+    """The alias table as load_state rebuilds it: the matching form of every
+    alias of every node resolves to the node."""
     table = {}
     for cid, node in sorted(graph.nodes.items()):
         for alias in sorted(node.aliases):
-            table[alias] = cid
             table[normalize_name(alias, graph.stopwords)] = cid
     return table
 

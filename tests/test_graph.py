@@ -63,6 +63,16 @@ def test_upsert_variants_collapse_to_one_node():
     assert g.nodes["aecom"].aliases == {"aecom", "aecom ltd", "aecom corp"}
 
 
+def test_alias_table_holds_matching_forms_only():
+    g = _graph()
+    g.upsert_entity("Acme")
+    g.upsert_entity("Acme Ltd.")
+    assert g.nodes["acme"].aliases == {"acme", "acme ltd"}
+    assert "acme ltd" not in g.alias_table
+    assert g.alias_table == {"acme": "acme"}
+    assert g.canonicalize("ACME LTD") == "acme"
+
+
 def test_first_seen_variant_fixes_the_canonical_id():
     g = _graph()
     cid = g.upsert_entity("Parsons Corp.")
@@ -421,6 +431,23 @@ def test_sample_k_hop_shares_frozen_records(tmp_path, mutate):
     _assert_frozen_fields(loaded)
 
 
+def test_upsert_on_a_sample_resolves_by_node_id():
+    """A sample's alias table is empty, so a name resolves on it to the node
+    whose id is its plain form, and upserting it keeps that node's record."""
+    g = _graph()
+    g.upsert_entity("Acme", "makes rockets", "art-1")
+    g.set_categories("acme", ["manufacturer"])
+    g.upsert_entity("Bolt Works")
+    g.add_comention("art-1", ["acme", "bolt works"])
+    sub = g.sample_k_hop("acme", 1, 10, 0)
+    assert sub.canonicalize("ACME") == "acme" and sub.canonicalize("Acme Ltd.") is None
+    assert sub.upsert_entity("Acme", "second", "art-2") == "acme"
+    assert sub.nodes["acme"].descriptions == (("art-1", "makes rockets"), ("art-2", "second"))
+    assert sub.nodes["acme"].categories == {"manufacturer"}
+    assert sub.canonicalize("Acme Ltd.") == "acme"
+    assert g.nodes["acme"].descriptions == (("art-1", "makes rockets"),)
+
+
 def test_sample_k_hop_errors():
     g = _path_graph()
     with pytest.raises(UnknownNode):
@@ -465,8 +492,8 @@ _VARIANT_NAMES = [
 
 def _assert_matches_reference(real, ref):
     assert oracles.graph_equal(real, ref)
-    # neighbors and a one-hop sample both read the live neighbour index, so
-    # this checks that the index keeps up with every write and merge.
+    # neighbors and a one-hop sample both read the neighbour index, so this
+    # checks that every write and merge that changes an edge drops it.
     for cid in sorted(ref.nodes):
         assert real.neighbors(cid) == ref.neighbors(cid), cid
         one_hop = real.sample_k_hop(cid, 1, len(real.nodes), 0).nodes
@@ -475,8 +502,9 @@ def _assert_matches_reference(real, ref):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_adjacency_index_matches_full_scan_reference(tmp_path, seed):
-    """The index is built on the first read, so reads come after a random
-    number of writes: some writes find it built, some find it absent."""
+    """The index is built on a read, and every write that adds or removes
+    an edge drops it; reads come after a random number of writes, some of
+    which leave the edges as they were."""
     rng, read_rng = random.Random(seed), random.Random(f"reads {seed}")
     real, ref = SupplyChainGraph(), oracles.ScanGraph()
     for step in range(150):
@@ -771,6 +799,9 @@ def _swap_ends(state: dict) -> None:
         (_swap_ends, "edge ('charlie inc', 'bravo ltd') ends are not in sorted order"),
         (lambda s: s["nodes"][2][2].append("Inc."),
          "node 'charlie inc' alias 'Inc.' has no name left"),
+        (lambda s: s["nodes"][0][2].append("bravo"),
+         "node 'bravo ltd' alias 'bravo ltd' matches the same name as an alias of node "
+         "'alpha co'"),
         (lambda s: s["nodes"][1].pop(), "not enough values to unpack (expected 5, got 4)"),
         (lambda s: s["edges"][0].append("art-9"), "edge rows must be [a, b, provenance]"),
     ],
@@ -778,8 +809,8 @@ def _swap_ends(state: dict) -> None:
          "repeated-node", "aliases-string", "categories-string", "description-string",
          "description-triple", "provenance-string", "provenance-number", "suffixes-string",
          "display-name-number", "edgeless-id-number", "repeated-edge",
-         "repeated-edge-swapped", "edge-order", "alias-without-name", "node-row-width",
-         "edge-row-width"],
+         "repeated-edge-swapped", "edge-order", "alias-without-name", "alias-of-two-nodes",
+         "node-row-width", "edge-row-width"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
@@ -804,29 +835,31 @@ def _awkward_text(rng: random.Random, min_len: int = 0) -> str:
     return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(min_len, 6)))
 
 
-def _names_something(alias: str, stopwords: StopwordLists) -> bool:
+def _matching_form(alias: str, stopwords: StopwordLists) -> str | None:
     try:
-        oracles.normalize_name(alias, stopwords)
+        return oracles.normalize_name(alias, stopwords)
     except EmptyName:
-        return False
-    return True
+        return None
 
 
 def _awkward_graph(seed: int) -> SupplyChainGraph:
     """A graph load_state accepts, built field by field so that every string,
-    ids included, is drawn from _AWKWARD; any list may be empty. Aliases are
-    kept only if something of them is left after normalization, and the
-    alias table is the one load_state rebuilds."""
+    ids included, is drawn from _AWKWARD; any list may be empty. An alias is
+    kept only if something of it is left after normalization and no earlier
+    node claims its matching form, and the alias table is the one load_state
+    rebuilds."""
     rng = random.Random(seed)
     g = SupplyChainGraph(StopwordLists(frozenset(
         _awkward_text(rng, 1) for _ in range(rng.choice((0, 1, 4))))))
+    claimed: dict[str, str] = {}  # matching form -> the node whose alias has it
     for _ in range(rng.randint(0, 8)):
         cid = _awkward_text(rng, 1)
         g.nodes[cid] = EntityNode(
             cid,
             _awkward_text(rng),
             frozenset(alias for alias in (_awkward_text(rng) for _ in range(rng.randint(0, 3)))
-                      if _names_something(alias, g.stopwords)),
+                      if (key := _matching_form(alias, g.stopwords)) is not None
+                      and claimed.setdefault(key, cid) == cid),
             tuple((_awkward_text(rng), _awkward_text(rng)) for _ in range(rng.randint(0, 3))),
             frozenset({_awkward_text(rng) for _ in range(rng.randint(0, 3))}),
         )
