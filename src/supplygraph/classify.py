@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .backends import IN_FLIGHT, Backend, BackendRequest
 from .errors import AmbiguousAnswer, ParseError
-from .files import open_input, read_jsonl, write_jsonl
+from .files import check_text, open_input, read_jsonl, write_jsonl
 from .graph import EntityNode, SupplyChainGraph
 from .prompting import build_classification_prompt, parse_yes_no, truncate_to_budget
 
@@ -67,6 +67,7 @@ class CategoryTaxonomy:
 def _check_category(category: str, earlier: Sequence[str]) -> None:
     if not category or category != category.strip() or category != category.lower():
         raise ValueError(f"category {category!r} must be lowercase and trimmed")
+    check_text(category, "category")
     if category in earlier:
         raise ValueError(f"duplicate category {category!r}")
 
@@ -74,8 +75,9 @@ def _check_category(category: str, earlier: Sequence[str]) -> None:
 def load_taxonomy(path: str) -> CategoryTaxonomy:
     """Read one category per line, skipping blank lines and ``#`` comments.
 
-    Raises ParseError with the path and line of a bad or duplicate category,
-    and with the path of a file that lists no category.
+    Raises ParseError with the path and line of a bad or duplicate category
+    (one that is not lowercase and trimmed, or holds a character the outputs
+    cannot hold), and with the path of a file that lists no category.
     """
     categories: list[str] = []
     with open_input(path) as fh:

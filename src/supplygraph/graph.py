@@ -7,7 +7,10 @@ node, so "AECOM", "Aecom Ltd." and "AECOM Corp." resolve to one node while the
 stored aliases keep the three variants apart.
 
 The neighbour index is a cache of the edges: a sample or a merge builds it
-when it is missing, and any edit that adds or removes an edge drops it.
+when it is missing, and any edit that adds or removes an edge drops it. It
+numbers the nodes in id order, so a k-hop sample searches, picks and sorts
+small integers, and it holds edge keys, so the sample reads each kept
+edge's record from the graph.
 
 Node and edge records are immutable. The graph's methods change a record by
 storing a new one in its place, so a k-hop sample shares its parent's records
@@ -20,7 +23,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from json.encoder import encode_basestring as _q
 from operator import itemgetter, lt
 from typing import Iterable, Iterator
@@ -28,7 +31,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import StopwordLists, name_forms
 from .errors import EmptyName, ParseError, UnknownNode
-from .files import open_input, open_output, read_json
+from .files import check_text, open_input, open_output, read_json
 
 SCHEMA_VERSION = 3
 # Schemas 1 and 2 stored objects and an alias table, and schema 1 also a
@@ -58,6 +61,12 @@ class ComentionEdge:
         return len(self.provenance)
 
 
+# The neighbour index (ids, rank, near): the ids of the nodes with an edge,
+# sorted; each id's position in ids; and for each rank, the rank of each
+# neighbour mapped to the key of the edge between them.
+_Index = tuple[list[str], dict[str, int], list[dict[int, tuple[str, str]]]]
+
+
 def _pair(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
@@ -68,10 +77,11 @@ class SupplyChainGraph:
         self.nodes: dict[str, EntityNode] = {}
         self.edges: dict[tuple[str, str], ComentionEdge] = {}
         self.alias_table: dict[str, str] = {}
-        # Neighbours of every node with an edge: None until a read builds it
-        # from edges, and None again after any edit that adds or removes an
-        # edge. Derived state, so save_state never reads it.
-        self._adj: dict[str, set[str]] | None = None
+        # The neighbour index: None until a read builds it from edges, and
+        # None again after any edit that adds or removes an edge. It holds
+        # edge keys, not records, so an edit that only grows an edge's
+        # provenance keeps it. Derived state, so save_state never reads it.
+        self._adj: _Index | None = None
 
     # -- canonicalization -------------------------------------------------
 
@@ -156,24 +166,32 @@ class SupplyChainGraph:
                 edges[key] = ComentionEdge(*key, edge.provenance | article)
         return len(ids) * (len(ids) - 1) // 2
 
-    def _adjacency(self) -> dict[str, set[str]]:
+    def _adjacency(self) -> _Index:
         """The neighbour index, built from edges on the first read after an
         edge was added or removed.
 
         Built aside and then published, so a concurrent reader never sees
         it half-built."""
         if self._adj is None:
-            adj: dict[str, set[str]] = {}
-            for a, b in self.edges:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-            self._adj = adj
+            ids = sorted(set(chain.from_iterable(self.edges)))
+            rank = {cid: r for r, cid in enumerate(ids)}
+            near: list[dict[int, tuple[str, str]]] = [{} for _ in ids]
+            for key in self.edges:
+                a, b = rank[key[0]], rank[key[1]]
+                near[a][b] = near[b][a] = key
+            self._adj = ids, rank, near
         return self._adj
+
+    def _neighbours(self, canonical_id: str) -> list[str]:
+        """Ids of the nodes that share an edge with canonical_id, sorted."""
+        ids, rank, near = self._adjacency()
+        r = rank.get(canonical_id)
+        return [] if r is None else [ids[n] for n in sorted(near[r])]
 
     def neighbors(self, canonical_id: str) -> list[str]:
         if canonical_id not in self.nodes:
             raise UnknownNode(canonical_id)
-        return sorted(self._adjacency().get(canonical_id, ()))
+        return self._neighbours(canonical_id)
 
     # -- merging -----------------------------------------------------------
 
@@ -199,7 +217,7 @@ class SupplyChainGraph:
         self.nodes[survivor] = EntityNode(
             surv.canonical_id, surv.display_name, surv.aliases | dup.aliases,
             tuple(descriptions), surv.categories | dup.categories)
-        for other in sorted(self._adjacency().get(duplicate, ())):
+        for other in self._neighbours(duplicate):
             edge = self.edges.pop(_pair(duplicate, other))
             self._adj = None
             if other == survivor:
@@ -251,32 +269,37 @@ class SupplyChainGraph:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        adj = self._adjacency()
-        reached, frontier = {seed}, {seed}
+        sub = SupplyChainGraph(self.stopwords)
+        ids, rank, near = self._adjacency()
+        start = rank.get(seed)
+        if start is None:
+            sub.nodes[seed] = self.nodes[seed]
+            return sub
+        # The search, the pick and the edge copy run on ranks. Ranks sort as
+        # ids do, so the seeded pick draws from the same list.
+        reached, frontier = {start}, {start}
         for _ in range(k):
-            frontier = set().union(*map(adj.get, frontier, repeat(()))) - reached
+            frontier = set().union(*map(near.__getitem__, frontier)) - reached
             if not frontier:
                 break
             reached |= frontier
         keep = reached
         if len(reached) > max_nodes:
-            keep = set(random.Random(rng_seed).sample(sorted(reached - {seed}), max_nodes - 1))
-            keep.add(seed)
+            keep = set(random.Random(rng_seed).sample(sorted(reached - {start}), max_nodes - 1))
+            keep.add(start)
 
-        ids, nodes, edges = sorted(keep), self.nodes, self.edges
-        sub = SupplyChainGraph(self.stopwords)
+        ranks, nodes, edges = sorted(keep), self.nodes, self.edges
         # The records are immutable, so the subgraph shares them.
-        sub.nodes = {cid: nodes[cid] for cid in ids}
+        sub.nodes = {ids[r]: nodes[ids[r]] for r in ranks}
         # Each kept edge is taken once, from its smaller end: later holds
-        # the kept ids after a. So the subgraph's edge table is in key order.
+        # the kept ranks after a. So the subgraph's edge table is in key order.
         sub_edges, later = sub.edges, set(keep)
-        for a in ids:
+        for a in ranks:
             later.remove(a)
-            neighbours = adj.get(a)
-            if neighbours:
-                for b in sorted(later.intersection(neighbours)):
-                    key = (a, b)
-                    sub_edges[key] = edges[key]
+            keys = near[a]
+            for b in sorted(keys.keys() & later):
+                key = keys[b]
+                sub_edges[key] = edges[key]
         return sub
 
 
@@ -427,10 +450,11 @@ def load_alias_file(path: str, stopwords: StopwordLists) -> dict[str, str]:
     """Read a TSV alias file: variant<TAB>canonical, one pair per line.
 
     Raises ParseError naming the file and line for a line that is not two
-    fields, a name with nothing left after normalization with ``stopwords``,
-    or a variant that an earlier line maps to a different canonical name. Two
-    variants or two canonical names are the same when they normalize to the
-    same matching form.
+    fields, a name holding a character the outputs cannot hold, a name with
+    nothing left after normalization with ``stopwords``, or a variant that an
+    earlier line maps to a different canonical name. Two variants or two
+    canonical names are the same when they normalize to the same matching
+    form.
     """
     mapping: dict[str, str] = {}
     seen: dict[str, tuple[str, str, int]] = {}
@@ -446,7 +470,10 @@ def load_alias_file(path: str, stopwords: StopwordLists) -> dict[str, str]:
             forms = []
             for name in (variant, canonical):
                 try:
+                    check_text(name, "alias name")
                     forms.append(name_forms(name, stopwords)[1])
+                except ValueError as exc:
+                    raise ParseError(str(exc), path=str(path), line=lineno) from None
                 except EmptyName:
                     raise ParseError(
                         f"{name!r} has no name left after stripping punctuation and company "

@@ -45,7 +45,8 @@ def test_default_taxonomy_has_nine_categories():
 
 @pytest.mark.parametrize(
     "categories",
-    [(), ("Dup", "dup"), ("ok", "ok"), ("Upper Case",), (" padded ",), ("",)],
+    [(), ("Dup", "dup"), ("ok", "ok"), ("Upper Case",), (" padded ",), ("",),
+     ("material\x01 supplier",), ("legal\ud800 counsel",)],
 )
 def test_taxonomy_rejects_bad_categories(categories):
     with pytest.raises(ValueError):

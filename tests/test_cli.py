@@ -301,7 +301,9 @@ def test_crawl_applies_alias_file(tmp_path):
      "'Ltd' has no name left after stripping punctuation and company suffixes"),
     ("Acme Corp\tBechtel\n# comment\nACME\tAecom\n", 3,
      "variant 'ACME' maps to 'Aecom' here but to 'Bechtel' on line 1"),
-], ids=["no-name-left", "two-canonicals"])
+    ("Bechtel Global\tBechtel\nAcme Ltd\tAcme\x02 Builders\n", 2,
+     "'Acme\\x02 Builders' holds U+0002"),
+], ids=["no-name-left", "two-canonicals", "control-character"])
 def test_crawl_rejects_bad_alias_file_before_creating_out(tmp_path, capsys, text, line, message):
     aliases = tmp_path / "aliases.tsv"
     aliases.write_text(text, encoding="utf-8")
@@ -620,21 +622,24 @@ def test_classify_taxonomy_file(tmp_path, crawled_state):
         (["legal counsel", "Upper Case"], ":2)"),
         (["legal counsel", "# comment", "legal counsel"], ":3)"),
         (["# only a comment", ""], ")"),
+        (["legal counsel", "material\x01 supplier"], ":2)"),
     ],
-    ids=["bad category", "duplicate", "no categories"],
+    ids=["bad category", "duplicate", "no categories", "control character"],
 )
 def test_classify_bad_taxonomy_names_file_and_line(tmp_path, crawled_state, capsys, lines, where):
     taxonomy_path = tmp_path / "taxonomy.txt"
     taxonomy_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "cls"
     code = main([
         "classify",
         "--state", crawled_state,
         "--backend", f"script:{GAZETTEER_PATH}",
-        "--out", str(tmp_path / "cls"),
+        "--out", str(out),
         "--taxonomy", str(taxonomy_path),
     ])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.strip().endswith(f"({taxonomy_path}{where}")
+    assert not out.exists()
 
 
 def test_classify_replay_miss_exits_backend(tmp_path, crawled_state):

@@ -305,6 +305,17 @@ def test_load_alias_file_names_the_line_of_an_empty_name(tmp_path, stopwords):
     assert "'Inc.' has no name left" in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["Acme Ltd\tAcme\x02 Builders\n", "Acme\ufffe Ltd\tAcme\n"],
+                         ids=["canonical-control", "variant-noncharacter"])
+def test_load_alias_file_rejects_a_name_the_outputs_cannot_hold(tmp_path, stopwords, line):
+    path = tmp_path / "aliases.tsv"
+    path.write_text("Acme Holdings\tAcme\n" + line, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_alias_file(str(path), stopwords)
+    assert (err.value.path, err.value.line) == (str(path), 2)
+    assert "which UTF-8 or XML 1.0 cannot hold" in str(err.value)
+
+
 def test_load_alias_file_rejects_a_variant_with_two_canonicals(tmp_path, stopwords):
     path = tmp_path / "aliases.tsv"
     # The same variant under the same canonical node, spelled two ways, is fine.
@@ -599,6 +610,59 @@ def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
                 sub.add_comention("art-x", sub.nodes)
                 sub.apply_aliases({"Mutated": cid})
     assert (real.nodes, real.edges, real.alias_table) == before
+
+
+# Ids whose sorted order is not the order they are added in: uppercase sorts
+# before lowercase, digits before letters, a space before both, and
+# non-ASCII after all of them.
+_AWKWARD_IDS = ["zeta", "Zeta", "10 bolts", "9 bolts", "über", "Ünal", "a b", "a", "ab", "A",
+                "é", "e", "中", "ß", " lead", "_x", "-", "Z z", "zz", "z"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_k_hop_on_awkward_ids_matches_full_scan_reference(seed):
+    rng = random.Random(f"awkward {seed}")
+    g = SupplyChainGraph()
+    for cid in rng.sample(_AWKWARD_IDS, len(_AWKWARD_IDS)):
+        g.nodes[cid] = EntityNode(cid, cid, frozenset((cid,)))
+    assert list(g.nodes) != sorted(g.nodes)
+    linked = rng.sample(_AWKWARD_IDS, len(_AWKWARD_IDS) - 2)
+    for step in range(30):
+        g.add_comention(f"art-{step % 7}", rng.sample(linked, rng.randint(2, 3)))
+    ref = oracles.ScanGraph.of(g)
+    for cid in _AWKWARD_IDS:
+        for hops in (1, 2, 3):
+            for max_nodes in (rng.randint(1, 6), len(_AWKWARD_IDS)):
+                rng_seed = rng.randrange(1 << 30)
+                sub = g.sample_k_hop(cid, hops, max_nodes, rng_seed)
+                assert oracles.graph_equal(sub, ref.sample_k_hop(cid, hops, max_nodes, rng_seed))
+                assert list(sub.nodes) == sorted(sub.nodes)
+                assert list(sub.edges) == sorted(sub.edges)
+                assert g.neighbors(cid) == ref.neighbors(cid)
+
+
+def test_provenance_only_update_keeps_the_index_and_samples_the_new_record():
+    g = _path_graph()
+    g.sample_k_hop("alpha co", 2, 10, rng_seed=1)
+    index = g._adj
+    assert index is not None
+    key = ("alpha co", "bravo ltd")
+    g.add_comention("art-9", ["alpha co", "bravo ltd"])  # no new edge
+    assert g._adj is index
+    sub = g.sample_k_hop("alpha co", 2, 10, rng_seed=1)
+    assert sub.edges[key] is g.edges[key]
+    assert sub.edges[key].provenance == {"art-1", "art-9"}
+    g.add_comention("art-9", ["alpha co", "charlie inc"])  # a new edge
+    assert g._adj is None
+
+
+def test_sample_k_hop_of_a_node_without_edges_is_that_node_alone():
+    g = _path_graph()
+    g.upsert_entity("Delta Co", "builds roads", "art-3")
+    sub = g.sample_k_hop("delta co", 3, 10, rng_seed=1)
+    assert list(sub.nodes) == ["delta co"] and not sub.edges
+    assert sub.nodes["delta co"] is g.nodes["delta co"]
+    assert g.neighbors("delta co") == []
 
 
 # -- persistence ---------------------------------------------------------------------
