@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .backends import IN_FLIGHT, Backend, BackendRequest
 from .errors import AmbiguousAnswer, ParseError
-from .files import check_text, open_input, read_jsonl, write_jsonl
+from .files import check_int, check_text, open_input, read_jsonl, write_jsonl
 from .graph import EntityNode, SupplyChainGraph
 from .prompting import build_classification_prompt, parse_yes_no, truncate_to_budget
 
@@ -352,8 +352,9 @@ def downsample_balanced(
     seeded uniform sample of equal size from the majority class.
 
     The result is a subset of the input in original order. Raises
-    ValueError when the category lacks positives or negatives.
+    ValueError for an rng_seed that is not an int or a category short of a class.
     """
+    check_int("rng_seed", rng_seed)
     indexed = [(i, ex) for i, ex in enumerate(dataset) if ex.category == category]
     pos = [(i, ex) for i, ex in indexed if ex.gold]
     neg = [(i, ex) for i, ex in indexed if not ex.gold]

@@ -19,7 +19,7 @@ from typing import Callable
 from .backends import Backend, BackendRequest
 from .corpus import Article, ArticleFetcher, fetch_articles, preprocess_text
 from .errors import BackendUnavailable, EmptyName, EmptyParse
-from .files import check_text
+from .files import check_int, check_text
 from .graph import SupplyChainGraph
 from .prompting import (
     ExtractedEntity,
@@ -66,8 +66,7 @@ class CrawlConfig:
         numbers = {name: getattr(self, name) for name in _INT_FIELDS}
         numbers["year_range start"], numbers["year_range end"] = self.year_range
         for name, value in numbers.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_int(name, value)
         start, end = self.year_range
         if start > end:
             raise ValueError("year_range start must not exceed end")

@@ -6,7 +6,8 @@ goes through open_output, so an interrupted run leaves the previous file (or
 none) in place, never a truncated one; write_json and write_jsonl fix the
 two JSON output formats. graph.json and the graph exports are rendered in
 graph.py, in the same layout and with the json module's own string quoting.
-check_text rejects the characters that no output can hold.
+check_text rejects the characters that no output can hold, and check_int a
+count or seed that is not an int.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def check_text(value: str, where: str) -> None:
         raise ValueError(
             f"{where}: {value!r} holds U+{ord(bad.group()):04X}, which UTF-8 or XML 1.0 cannot hold"
         )
+
+
+def check_int(name: str, value: object) -> None:
+    """Raise ValueError naming ``name`` if ``value`` is not an int, or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @contextmanager

@@ -13,8 +13,8 @@ small integers, and it holds edge keys, so the sample reads each kept
 edge's record from the graph.
 
 Node and edge records are immutable. The graph's methods change a record by
-storing a new one in its place, so a k-hop sample shares its parent's records
-and copies only the dict entries that point at them.
+storing a new one in its place, so a k-hop sample, a read-only Subgraph,
+shares its parent's records and copies only the dict entries for them.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from json.encoder import encode_basestring as _q
 from operator import itemgetter, lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import StopwordLists, name_forms
 from .errors import EmptyName, ParseError, UnknownNode
-from .files import check_text, open_input, open_output, read_json
+from .files import check_int, check_text, open_input, open_output, read_json
 
 SCHEMA_VERSION = 3
 # Schemas 1 and 2 stored objects and an alias table, and schema 1 also a
@@ -61,6 +61,13 @@ class ComentionEdge:
         return len(self.provenance)
 
 
+class Subgraph(NamedTuple):
+    """A k-hop sample: its nodes and the edges among them; the exports take it as a graph."""
+
+    nodes: dict[str, EntityNode]
+    edges: dict[tuple[str, str], ComentionEdge]
+
+
 # The neighbour index (ids, rank, near): the ids of the nodes with an edge,
 # sorted; each id's position in ids; and for each rank, the rank of each
 # neighbour mapped to the key of the edge between them.
@@ -87,16 +94,7 @@ class SupplyChainGraph:
 
     def canonicalize(self, raw_name: str) -> str | None:
         """Resolve a raw name to an existing canonical id, or None if new."""
-        return self._resolve(*name_forms(raw_name, self.stopwords))
-
-    def _resolve(self, alias: str, key: str) -> str | None:
-        """The node a name's matching form (key) is indexed under, else the
-        node whose id is its plain form (alias). A k-hop sample indexes no
-        names, so on a sample names resolve by node id only."""
-        canonical_id = self.alias_table.get(key)
-        if canonical_id is None and alias in self.nodes:
-            return alias
-        return canonical_id
+        return self.alias_table.get(name_forms(raw_name, self.stopwords)[1])
 
     def _register_variant(self, canonical_id: str, alias: str, key: str,
                           pair: tuple[str, str] | None = None) -> None:
@@ -117,20 +115,17 @@ class SupplyChainGraph:
     def upsert_entity(self, raw_name: str, description: str = "", article_id: str = "") -> str:
         """Insert or update the entity behind a raw name; returns its canonical id.
 
-        A known variant adds the raw form as an alias and appends the
-        (article_id, description) pair; an unseen name creates a node. Empty
-        descriptions or article ids append nothing.
+        The name's node (its matching form's, else the one whose id is its plain
+        form, else a new one) gains the raw form as an alias and the (article_id,
+        description) pair; empty descriptions or article ids append nothing.
         """
         alias, key = name_forms(raw_name, self.stopwords)
-        pair = (article_id, description) if description and article_id else None
-        canonical_id = self._resolve(alias, key)
-        if canonical_id is not None:
-            self._register_variant(canonical_id, alias, key, pair)
-            return canonical_id
-        self.nodes[alias] = EntityNode(
-            alias, raw_name.strip(), frozenset((alias,)), (pair,) if pair else ())
-        self.alias_table[key] = alias
-        return alias
+        canonical_id = self.alias_table.get(key, alias)
+        if canonical_id not in self.nodes:
+            self.nodes[canonical_id] = EntityNode(canonical_id, raw_name.strip())
+        self._register_variant(canonical_id, alias, key,
+                               (article_id, description) if description and article_id else None)
+        return canonical_id
 
     def set_categories(self, canonical_id: str, categories: Iterable[str]) -> None:
         """Label a node with exactly these categories."""
@@ -245,36 +240,34 @@ class SupplyChainGraph:
             if target is None:
                 target = self.upsert_entity(canonical_raw)
             alias, key = name_forms(variant, self.stopwords)
-            existing = self._resolve(alias, key)
+            existing = self.alias_table.get(key)
             if existing is not None and existing != target:
                 self.merge_nodes(target, existing)
             self._register_variant(target, alias, key)
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_k_hop(self, seed: str, k: int, max_nodes: int, rng_seed: int) -> "SupplyChainGraph":
+    def sample_k_hop(self, seed: str, k: int, max_nodes: int, rng_seed: int) -> Subgraph:
         """Induced subgraph of the k-hop neighborhood around a seed node.
 
         When the neighborhood exceeds max_nodes, a uniform seeded sample of
         max_nodes - 1 members is kept alongside the seed (which always stays).
         The search goes level by level, each level the union of the last
         one's neighbour sets, and stops early at a level that adds nothing.
-        The sample holds nodes and edges only: its alias table is empty, so
-        names resolve on it by node id only.
+        The sample is a read-only Subgraph: its own nodes and edges dicts,
+        in id and key order, holding the graph's records.
         """
         if seed not in self.nodes:
             raise UnknownNode(seed)
         for name, value in (("k", k), ("max_nodes", max_nodes)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_int(name, value)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        sub = SupplyChainGraph(self.stopwords)
+        check_int("rng_seed", rng_seed)
         ids, rank, near = self._adjacency()
         start = rank.get(seed)
         if start is None:
-            sub.nodes[seed] = self.nodes[seed]
-            return sub
+            return Subgraph({seed: self.nodes[seed]}, {})
         # The search, the pick and the edge copy run on ranks. Ranks sort as
         # ids do, so the seeded pick draws from the same list.
         reached, frontier = {start}, {start}
@@ -289,29 +282,28 @@ class SupplyChainGraph:
             keep.add(start)
 
         ranks, nodes, edges = sorted(keep), self.nodes, self.edges
-        # The records are immutable, so the subgraph shares them.
-        sub.nodes = {ids[r]: nodes[ids[r]] for r in ranks}
         # Each kept edge is taken once, from its smaller end: later holds
         # the kept ranks after a. So the subgraph's edge table is in key order.
-        sub_edges, later = sub.edges, set(keep)
+        sub_edges, later = {}, set(keep)
         for a in ranks:
             later.remove(a)
             keys = near[a]
             for b in sorted(keys.keys() & later):
                 key = keys[b]
                 sub_edges[key] = edges[key]
-        return sub
+        # The records are immutable, so the subgraph shares them.
+        return Subgraph({ids[r]: nodes[ids[r]] for r in ranks}, sub_edges)
 
 
 # -- persistence -------------------------------------------------------------
 
 
 # Every writer orders records through these two: sorting keys beats sorting items.
-def _sorted_nodes(graph: SupplyChainGraph) -> list[EntityNode]:
+def _sorted_nodes(graph: SupplyChainGraph | Subgraph) -> list[EntityNode]:
     return [graph.nodes[cid] for cid in sorted(graph.nodes)]
 
 
-def _sorted_edges(graph: SupplyChainGraph) -> list[ComentionEdge]:
+def _sorted_edges(graph: SupplyChainGraph | Subgraph) -> list[ComentionEdge]:
     return [graph.edges[k] for k in sorted(graph.edges)]
 
 
@@ -491,7 +483,7 @@ def load_alias_file(path: str, stopwords: StopwordLists) -> dict[str, str]:
 # -- exports -----------------------------------------------------------------
 
 
-def _to_graphml(graph: SupplyChainGraph) -> Iterator[str]:
+def _to_graphml(graph: SupplyChainGraph | Subgraph) -> Iterator[str]:
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
@@ -517,7 +509,7 @@ def _dot_quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _to_dot(graph: SupplyChainGraph) -> Iterator[str]:
+def _to_dot(graph: SupplyChainGraph | Subgraph) -> Iterator[str]:
     yield "graph supply_chain {\n"
     qid = {cid: _dot_quote(cid) for cid in graph.nodes}
     for node in _sorted_nodes(graph):
@@ -530,7 +522,7 @@ def _to_dot(graph: SupplyChainGraph) -> Iterator[str]:
     yield "}\n"
 
 
-def _to_jsonl(graph: SupplyChainGraph) -> Iterator[str]:
+def _to_jsonl(graph: SupplyChainGraph | Subgraph) -> Iterator[str]:
     """One row per node, then per edge: the bytes of json.dumps(row,
     ensure_ascii=False), with each string quoted by the json module's C
     quoter."""
@@ -548,8 +540,8 @@ _RENDERERS = {"graphml": _to_graphml, "dot": _to_dot, "jsonl": _to_jsonl}
 EXPORT_FORMATS = tuple(_RENDERERS)
 
 
-def export_graph(graph: SupplyChainGraph, fmt: str, path: str) -> None:
-    """Write the graph in one of graphml/dot/jsonl, byte-deterministically.
+def export_graph(graph: SupplyChainGraph | Subgraph, fmt: str, path: str) -> None:
+    """Write a graph or a sample in one of graphml/dot/jsonl, byte-deterministically.
 
     Nodes are ordered by canonical id and edges by their ordered endpoint
     pair; an empty graph still yields a valid document.

@@ -19,7 +19,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 from supplygraph.errors import EmptyName, UnknownNode
 from supplygraph.files import open_output
-from supplygraph.graph import SupplyChainGraph
+from supplygraph.graph import Subgraph, SupplyChainGraph
 from supplygraph.prompting import REASONING_PREAMBLE
 
 
@@ -93,23 +93,30 @@ def adjacency(graph):
 
 
 def _fields(graph):
-    """A graph's nodes, edges and alias table as plain values, field by field:
-    aliases, categories and provenance as sets, descriptions as a list."""
+    """A graph's or a sample's nodes and edges as plain values, field by
+    field: aliases, categories and provenance as sets, descriptions as a list."""
     nodes = {
         cid: (n.canonical_id, n.display_name, set(n.aliases), list(n.descriptions),
               set(n.categories))
         for cid, n in graph.nodes.items()
     }
     edges = {key: (e.a, e.b, set(e.provenance)) for key, e in graph.edges.items()}
-    return nodes, edges, graph.alias_table
+    return nodes, edges
+
+
+def sample_equal(s1, s2):
+    """Equality of two samples, or a sample and a graph, on nodes and edges.
+
+    Records are compared field by field, so a ScanGraph's sample, whose
+    records are mutable, compares with a package sample, whose records are
+    frozen."""
+    return _fields(s1) == _fields(s2)
 
 
 def graph_equal(g1, g2):
-    """Structural equality: node contents, alias table, edges with provenance.
-
-    Records are compared field by field, so a ScanGraph, whose records are
-    mutable, compares with a package graph, whose records are frozen."""
-    return _fields(g1) == _fields(g2)
+    """Structural equality: node contents, alias table, edges with provenance,
+    records compared field by field as sample_equal compares them."""
+    return sample_equal(g1, g2) and g1.alias_table == g2.alias_table
 
 
 def bfs_k_hop(adjacency, seed, k):
@@ -288,7 +295,8 @@ class ScanGraph(SupplyChainGraph):
     Every method that writes a record is the version from before records
     were frozen and before the adjacency index: they change ScanNode and
     ScanEdge records in place, neighbors and merge_nodes walk every edge, and
-    sample_k_hop deep-copies the kept nodes and filters every edge. Only
+    sample_k_hop deep-copies the kept nodes and filters every edge into a
+    Subgraph. Only
     canonicalize is the package's own, so the graph's methods can be checked
     against these.
     """
@@ -413,13 +421,11 @@ class ScanGraph(SupplyChainGraph):
         else:
             keep = set(candidates)
         keep.add(seed)
-        sub = ScanGraph(self.stopwords)
-        for cid in sorted(keep):
-            sub.nodes[cid] = copy.deepcopy(self.nodes[cid])
-        for (a, b), edge in self.edges.items():
-            if a in keep and b in keep:
-                sub.edges[(a, b)] = ScanEdge(a=a, b=b, provenance=set(edge.provenance))
-        return sub
+        return Subgraph(
+            {cid: copy.deepcopy(self.nodes[cid]) for cid in sorted(keep)},
+            {(a, b): ScanEdge(a=a, b=b, provenance=set(edge.provenance))
+             for (a, b), edge in self.edges.items() if a in keep and b in keep},
+        )
 
 
 # -- persistence and exports: the json-module writers ---------------------------------

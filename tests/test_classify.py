@@ -633,6 +633,24 @@ def test_downsample_degenerate_class():
         downsample_balanced(all_positive, "missing cat", rng_seed=1)
 
 
+def _capped_sample(rng_seed):
+    g = SupplyChainGraph()
+    leaves = [g.upsert_entity(f"leaf {i}") for i in range(6)]
+    g.add_comention("art-1", leaves)
+    return g.sample_k_hop("leaf 0", 1, 3, rng_seed)
+
+
+# rng_seed=None would seed from the OS, so the draw would differ run to run.
+@pytest.mark.parametrize("rng_seed", [None, 1.5, "7", True], ids=["none", "float", "str", "bool"])
+@pytest.mark.parametrize("draw", [_capped_sample,
+                                  lambda rng_seed: downsample_balanced(_skewed(), "a cat", rng_seed)],
+                         ids=["sample_k_hop", "downsample_balanced"])
+def test_seeded_draws_reject_an_rng_seed_that_is_not_an_int(draw, rng_seed):
+    with pytest.raises(ValueError) as excinfo:
+        draw(rng_seed)
+    assert str(excinfo.value) == f"rng_seed must be an integer, got {rng_seed!r}"
+
+
 # -- dataset io -------------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from supplygraph.graph import (
     EXPORT_FORMATS,
     ComentionEdge,
     EntityNode,
+    Subgraph,
     SupplyChainGraph,
     export_graph,
     load_alias_file,
@@ -106,6 +107,30 @@ def test_upsert_bare_seed_has_no_descriptions():
     cid = g.upsert_entity("bechtel")
     assert g.nodes[cid].descriptions == ()
     assert g.nodes[cid].display_name == "bechtel"
+
+
+def _acme_without_its_id(tmp_path) -> SupplyChainGraph:
+    """A hand-written state whose node acme leaves its own id out of its aliases."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({
+        "schema_version": 3, "company_suffixes": ["ltd"], "edges": [],
+        "nodes": [["acme", "Acme", [], [["art-1", "makes rockets"]], ["manufacturer"]]],
+    }))
+    return load_state(str(path))
+
+
+def test_upsert_never_replaces_a_record(tmp_path):
+    g = _acme_without_its_id(tmp_path)
+    assert g.upsert_entity("Acme", "d2", "art-2") == "acme"
+    assert g.nodes["acme"] == EntityNode(
+        "acme", "Acme", frozenset({"acme"}), (("art-1", "makes rockets"), ("art-2", "d2")),
+        frozenset({"manufacturer"}))
+    assert g.canonicalize("Acme") == "acme"
+
+
+def test_names_resolve_through_the_alias_table_alone(tmp_path):
+    g = _acme_without_its_id(tmp_path)
+    assert g.canonicalize("Acme") is None and g.canonicalize("acme") is None
 
 
 # -- co-mention edges ----------------------------------------------------------
@@ -369,7 +394,7 @@ def test_sample_k_hop_is_seed_reproducible():
     first = g.sample_k_hop("hub", 1, 10, rng_seed=5)
     second = g.sample_k_hop("hub", 1, 10, rng_seed=5)
     different = g.sample_k_hop("hub", 1, 10, rng_seed=6)
-    assert oracles.graph_equal(first, second)
+    assert oracles.sample_equal(first, second)
     assert set(first.nodes) != set(different.nodes)
 
 
@@ -418,6 +443,7 @@ def test_sample_k_hop_shares_frozen_records(tmp_path, mutate):
         g.upsert_entity(name, f"{name} builds", "art-1")
     g.set_categories("bravo ltd", ["legal counsel"])
     sub = g.sample_k_hop("bravo ltd", 1, 100, rng_seed=1)
+    assert type(sub) is Subgraph
     assert set(sub.nodes) == set(g.nodes) and set(sub.edges) == set(g.edges)
     for cid, node in sub.nodes.items():
         assert node is g.nodes[cid]
@@ -430,33 +456,21 @@ def test_sample_k_hop_shares_frozen_records(tmp_path, mutate):
         with pytest.raises(FrozenInstanceError):
             setattr(record, name, value)
 
-    save_state(sub, str(tmp_path / "before.json"))
+    def exported():
+        for fmt in EXPORT_FORMATS:
+            export_graph(sub, fmt, str(tmp_path / f"sample.{fmt}"))
+        return [(tmp_path / f"sample.{fmt}").read_bytes() for fmt in EXPORT_FORMATS]
+
+    before, nodes, edges = exported(), dict(sub.nodes), dict(sub.edges)
     mutate(g)
-    save_state(sub, str(tmp_path / "after.json"))
-    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    assert exported() == before
+    assert sub.nodes == nodes and sub.edges == edges
     assert g.nodes != sub.nodes or g.edges != sub.edges
     _assert_frozen_fields(g)
     save_state(g, str(tmp_path / "graph.json"))
     loaded = load_state(str(tmp_path / "graph.json"))
     assert oracles.graph_equal(loaded, g)
     _assert_frozen_fields(loaded)
-
-
-def test_upsert_on_a_sample_resolves_by_node_id():
-    """A sample's alias table is empty, so a name resolves on it to the node
-    whose id is its plain form, and upserting it keeps that node's record."""
-    g = _graph()
-    g.upsert_entity("Acme", "makes rockets", "art-1")
-    g.set_categories("acme", ["manufacturer"])
-    g.upsert_entity("Bolt Works")
-    g.add_comention("art-1", ["acme", "bolt works"])
-    sub = g.sample_k_hop("acme", 1, 10, 0)
-    assert sub.canonicalize("ACME") == "acme" and sub.canonicalize("Acme Ltd.") is None
-    assert sub.upsert_entity("Acme", "second", "art-2") == "acme"
-    assert sub.nodes["acme"].descriptions == (("art-1", "makes rockets"), ("art-2", "second"))
-    assert sub.nodes["acme"].categories == {"manufacturer"}
-    assert sub.canonicalize("Acme Ltd.") == "acme"
-    assert g.nodes["acme"].descriptions == (("art-1", "makes rockets"),)
 
 
 def test_sample_k_hop_errors():
@@ -556,7 +570,7 @@ def test_adjacency_index_matches_full_scan_reference(tmp_path, seed):
             max_nodes, rng_seed = rng.randint(1, 8), rng.randrange(1 << 30)
             sub = real.sample_k_hop(cid, hops, max_nodes, rng_seed)
             expected = ref.sample_k_hop(cid, hops, max_nodes, rng_seed)
-            _assert_matches_reference(sub, expected)
+            assert oracles.sample_equal(sub, expected)
             for key, edge in sub.edges.items():
                 assert edge is real.edges[key]
 
@@ -592,7 +606,7 @@ def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
                 rng_seed = rng.randrange(1 << 30)
                 sub = real.sample_k_hop(cid, hops, max_nodes, rng_seed)
                 expected = ref.sample_k_hop(cid, hops, max_nodes, rng_seed)
-                _assert_matches_reference(sub, expected)
+                assert oracles.sample_equal(sub, expected)
                 if max_nodes > len(real.nodes):
                     # No path is longer than the node count, and bfs_k_hop
                     # walks every one of its k levels.
@@ -602,13 +616,16 @@ def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
                     assert list(sub.nodes) == [cid] and not sub.edges
                 assert list(sub.nodes) == sorted(sub.nodes)
                 assert list(sub.edges) == sorted(sub.edges)
-                # The sample's records are its parent's; its own writes
-                # replace them in the sample alone.
-                for node_id in list(sub.nodes):
-                    sub.upsert_entity(node_id, "mutated", "art-x")
-                    sub.set_categories(node_id, ["mutated"])
-                sub.add_comention("art-x", sub.nodes)
-                sub.apply_aliases({"Mutated": cid})
+                # The sample's dicts are its own: writing to them leaves the
+                # parent as it was, and the sample cannot be pointed elsewhere.
+                for node_id, node in list(sub.nodes.items()):
+                    sub.nodes[node_id] = replace(node, categories=frozenset({"mutated"}))
+                sub.nodes["mutated"] = EntityNode("mutated", "Mutated")
+                for key, edge in list(sub.edges.items()):
+                    sub.edges[key] = replace(edge, provenance=edge.provenance | {"art-x"})
+                sub.edges[(cid, "mutated")] = ComentionEdge(cid, "mutated", frozenset({"art-x"}))
+                with pytest.raises(AttributeError):
+                    sub.nodes = real.nodes
     assert (real.nodes, real.edges, real.alias_table) == before
 
 
@@ -635,7 +652,7 @@ def test_sample_k_hop_on_awkward_ids_matches_full_scan_reference(seed):
             for max_nodes in (rng.randint(1, 6), len(_AWKWARD_IDS)):
                 rng_seed = rng.randrange(1 << 30)
                 sub = g.sample_k_hop(cid, hops, max_nodes, rng_seed)
-                assert oracles.graph_equal(sub, ref.sample_k_hop(cid, hops, max_nodes, rng_seed))
+                assert oracles.sample_equal(sub, ref.sample_k_hop(cid, hops, max_nodes, rng_seed))
                 assert list(sub.nodes) == sorted(sub.nodes)
                 assert list(sub.edges) == sorted(sub.edges)
                 assert g.neighbors(cid) == ref.neighbors(cid)
