@@ -4,6 +4,9 @@ Each keyword popped from the frontier fetches its articles, runs the
 extraction prompt over every (segmented) article, upserts the parsed
 entities, records clique co-mention edges, and enqueues unseen entities as
 new keywords. Per-article failures are tallied and skipped, never fatal.
+At parallelism N > 1 the first N frontier keywords are open, each a pool
+task that searches and then submits its articles' extractions; no later
+keyword is searched until the head keyword is applied.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from .backends import Backend, BackendRequest
 from .corpus import Article, ArticleFetcher, fetch_articles, preprocess_text
@@ -126,27 +128,6 @@ class _ArticleResult:
     backend_failures: int
 
 
-@dataclass
-class _Opened:
-    """A frontier keyword whose search has been submitted."""
-
-    search: Future[list[Article]]
-    failed_years: list[int]
-    # One _extract per fetched article, in fetch order, once the search returns.
-    articles: list[Future[_ArticleResult]] | None = None
-
-    def done(self, unfinished: set[Future]) -> bool:
-        """Whether the search returned and no article is left in ``unfinished``."""
-        return self.articles is not None and unfinished.isdisjoint(self.articles)
-
-    def results(self) -> list[_ArticleResult]:
-        """The keyword's article results in fetch order. Raises the search's
-        exception, or else the first failed article's, as a sequential
-        crawl meets them."""
-        self.search.result()
-        return [f.result() for f in self.articles]
-
-
 class Crawler:
     def __init__(
         self,
@@ -169,12 +150,10 @@ class Crawler:
         for raw_seed in self.config.seeds:
             self._enqueue(self.graph.upsert_entity(raw_seed))
         nodes_before, edges_before = len(self.graph.nodes), len(self.graph.edges)
-        # Above width 1, opened[i] is self._frontier[i], its search submitted
-        # to the pool. Workers run the searches and then the extractions;
-        # this thread opens keywords, waits and applies them in frontier
-        # order, so any width gives the bytes of a sequential crawl.
-        opened: deque[_Opened] = deque()
-        self._unfinished: set[Future] = set()
+        # Above width 1, opened[i] is the _harvest of self._frontier[i]. This
+        # thread applies keywords in frontier order, so any width gives the
+        # bytes of a sequential crawl.
+        opened: deque[Future] = deque()
         # Set once the loop ends, by a stop or an error: work still in flight
         # will be discarded, so it stops fetching and calling the backend.
         self._stop = threading.Event()
@@ -191,11 +170,12 @@ class Crawler:
                                               self._stop)
                     results = [self._extract(a) for a in articles]
                 else:
-                    self._top_up(opened)
-                    while not opened[0].done(self._unfinished):
-                        self._await_any(opened)
-                    entry = opened.popleft()
-                    failed_years, results = entry.failed_years, entry.results()
+                    while len(opened) < min(width, len(self._frontier)):
+                        opened.append(self._pool.submit(self._harvest, self._frontier[len(opened)]))
+                    # The head's search error, then its first failed article,
+                    # surface here, where a sequential crawl meets them.
+                    failed_years, extractions = opened.popleft().result()
+                    results = [f.result() for f in extractions]
                 self._frontier.popleft()
                 self._apply(keyword, results, len(failed_years))
         finally:
@@ -229,38 +209,17 @@ class Crawler:
             return TERMINATION_ARTICLE_BUDGET
         return None
 
-    def _submit(self, fn: Callable, *args) -> Future:
-        future = self._pool.submit(fn, *args)
-        self._unfinished.add(future)
-        return future
-
-    def _top_up(self, opened: deque[_Opened]) -> None:
-        """Open the next frontier keywords while fewer than parallelism
-        submitted items are unfinished."""
-        width = self.config.parallelism
-        while len(opened) < len(self._frontier) and len(self._unfinished) < width:
-            keyword = self._frontier[len(opened)]
-            failed_years: list[int] = []
-            search = self._submit(fetch_articles, keyword, self.config, self.fetcher,
-                                  failed_years, self._stop)
-            opened.append(_Opened(search, failed_years))
-
-    def _await_any(self, opened: deque[_Opened]) -> None:
-        """Wait until a submitted item finishes, submit the articles of each
-        search that returned, and top up. If the head is now done it is
-        applied first instead, since it may use up the budget."""
-        done, _ = wait(self._unfinished, return_when=FIRST_COMPLETED)
-        self._unfinished -= done
-        for entry in opened:
-            if entry.articles is None and entry.search in done:
-                self._submit_articles(entry)
-        if not opened[0].done(self._unfinished):
-            self._top_up(opened)
-
-    def _submit_articles(self, entry: _Opened) -> None:
-        """Submit one extraction per article of a returned search, in fetch order."""
-        articles = [] if entry.search.exception() else entry.search.result()
-        entry.articles = [self._submit(self._extract, article) for article in articles]
+    def _harvest(self, keyword: str) -> tuple[list[int], list[Future[_ArticleResult]]]:
+        """Search a keyword, then submit one _extract per article in fetch
+        order (none once the crawl has stopped); returns the failed years and
+        the extractions. It never waits on a future, so it cannot deadlock the
+        pool, and a submit that loses the race with shutdown raises into this
+        harvest's future, which nobody reads."""
+        failed_years: list[int] = []
+        articles = fetch_articles(keyword, self.config, self.fetcher, failed_years, self._stop)
+        if self._stop.is_set():
+            return failed_years, []
+        return failed_years, [self._pool.submit(self._extract, a) for a in articles]
 
     def _extract(self, article: Article) -> _ArticleResult:
         article_id = article.id

@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
+import types
 
 import pytest
 
 import oracles
 from shared import GAZETTEER_PATH, NEWS_PATH, TRUTH_PATH
 from supplygraph import corpus as corpus_module
+from supplygraph import crawler as crawler_module
 from supplygraph.backends import RecordingBackend, ScriptedBackend, load_script
 from supplygraph.corpus import Article, Corpus
 from supplygraph.crawler import (
@@ -553,15 +555,25 @@ def test_harvest_in_flight_stops_calling_backend_once_crawl_stops(news_corpus, g
     assert oracles.graph_equal(graph, sequential)
 
 
-def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazetteer_backend):
+def test_harvest_in_flight_stops_fetching_once_crawl_stops(monkeypatch, news_corpus,
+                                                          gazetteer_backend):
     # As above, the budget runs out on txdot while "national lime stone" is
     # opened beside it. That keyword's first search (2019) is held until the
-    # crawl has decided to stop; it then searches no further year, and none
-    # of its articles is submitted.
+    # crawl has decided to stop, and the pool is shut down only once its
+    # harvest has returned. It searches no further year, and none of its
+    # articles reaches _extract, though a worker is idle to take them.
     config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
                          max_articles=4, parallelism=2)
     held_search_arrived = threading.Event()
+    harvest_returned = threading.Event()
     searches = []
+
+    class StopAfterHarvest(threading.Event):
+        def set(self):
+            super().set()
+            assert harvest_returned.wait(5)
+
+    monkeypatch.setattr(crawler_module, "threading", types.SimpleNamespace(Event=StopAfterHarvest))
 
     class HoldingFetcher:
         def search(self, keyword, year, limit):
@@ -576,25 +588,75 @@ def test_harvest_in_flight_stops_fetching_once_crawl_stops(news_corpus, gazettee
 
     backend = RecordingScripted(load_script(GAZETTEER_PATH))
     crawler = Crawler(config, HoldingFetcher(), backend)
-    submitted = []
-    submit = crawler._submit
+    extracted = []
+    extract = crawler._extract
 
-    def noting_submit(fn, *args):
-        submitted.append(args[0])  # a keyword to search, or an article to extract
-        return submit(fn, *args)
+    def noting_extract(article):
+        extracted.append(article)
+        return extract(article)
 
-    crawler._submit = noting_submit
+    harvest = crawler._harvest
+
+    def noting_harvest(keyword):
+        try:
+            return harvest(keyword)
+        finally:
+            if keyword == "national lime stone":
+                harvest_returned.set()
+
+    crawler._extract = noting_extract
+    crawler._harvest = noting_harvest
     graph, report = crawler.run()
     assert report.termination_reason == TERMINATION_ARTICLE_BUDGET
     assert [s for s in searches if s[0] == "national lime stone"] == [("national lime stone", 2019)]
     assert len(searches) == 3 + 3 + 1
-    assert "national lime stone" in submitted
     # txdot, once done, is applied before anything else opens, so its budget
     # stop leaves the next keyword unopened.
-    assert "aecom" not in submitted
-    assert not [a for a in submitted if isinstance(a, Article)
-                and a.retrieved_for_keyword == "national lime stone"]
+    assert "aecom" not in {keyword for keyword, _ in searches}
+    assert not [a for a in extracted if a.retrieved_for_keyword == "national lime stone"]
     assert not [r for r in backend.requests if "national-lime-stone" in r.request_tag]
+    sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
+                              gazetteer_backend)
+    assert oracles.graph_equal(graph, sequential)
+
+
+@pytest.mark.parametrize("parallelism,window", [
+    (2, {"txdot", "national lime stone"}),
+    (4, {"txdot", "national lime stone", "aecom", "bragg crane service"}),
+])
+def test_parallel_crawl_searches_no_keyword_past_its_window(news_corpus, gazetteer_backend,
+                                                            parallelism, window):
+    # After bechtel the frontier is txdot, national lime stone, aecom, bragg
+    # crane service and kiewit. txdot's first extraction is held until the
+    # window's keywords have been searched and then a little longer, so a
+    # crawl that reads further ahead shows it in the search log.
+    searched = []
+    window_searched = threading.Event()
+    past_window = threading.Event()
+
+    class Noting:
+        def search(self, keyword, year, limit):
+            searched.append(keyword)
+            if window <= set(searched):
+                window_searched.set()
+            if keyword not in window | {"bechtel"}:
+                past_window.set()
+            return news_corpus.search(keyword, year, limit)
+
+    held_searches = []
+
+    class Holding(ScriptedBackend):
+        def complete(self, request):
+            if request.request_tag == "extract:txdot-0:0":
+                assert window_searched.wait(5)
+                past_window.wait(0.2)
+                held_searches.extend(searched)
+            return super().complete(request)
+
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         parallelism=parallelism)
+    graph, _ = run_crawl(config, Noting(), Holding(load_script(GAZETTEER_PATH)))
+    assert set(held_searches) == window | {"bechtel"}
     sequential, _ = run_crawl(dataclasses.replace(config, parallelism=1), news_corpus,
                               gazetteer_backend)
     assert oracles.graph_equal(graph, sequential)
@@ -696,6 +758,38 @@ def test_fetcher_error_leaves_run_and_no_thread(news_corpus, gazetteer_backend,
     with pytest.raises(RuntimeError, match=f"fetcher broke on {keyword}"):
         Crawler(config, Exploding(), gazetteer_backend).run()
     assert raised_on and (raised_on[0] is threading.current_thread()) == inline
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
+def test_head_extraction_error_at_any_width_leaves_run_and_no_thread(news_corpus, parallelism):
+    # txdot-1, txdot-2 and national-lime-stone-0 raise an error the crawl
+    # does not count. Above width 1 both keywords are open together and
+    # txdot-1 raises only after the two later articles have, yet the crawl
+    # raises txdot-1's error, where a sequential crawl meets it.
+    later = {"extract:txdot-2:0", "extract:national-lime-stone-0:0"}
+    raised = []
+    later_raised = threading.Event()
+
+    class Exploding(ScriptedBackend):
+        def complete(self, request):
+            tag = request.request_tag
+            if tag == "extract:txdot-1:0":
+                assert parallelism == 1 or later_raised.wait(5)
+                raise RuntimeError("backend broke on txdot-1")
+            if tag in later:
+                raised.append(tag)
+                if len(raised) == len(later):
+                    later_raised.set()
+                raise RuntimeError(f"backend broke on {tag}")
+            return super().complete(request)
+
+    before = set(threading.enumerate())
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         parallelism=parallelism)
+    with pytest.raises(RuntimeError, match="backend broke on txdot-1"):
+        Crawler(config, news_corpus, Exploding(load_script(GAZETTEER_PATH))).run()
+    assert set(raised) == (later if parallelism > 1 else set())
     assert set(threading.enumerate()) <= before
 
 
