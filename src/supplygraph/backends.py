@@ -30,7 +30,7 @@ from typing import Iterable, Protocol
 
 from .corpus import preprocess_text
 from .errors import BackendUnavailable, CassetteWriteError, ParseError
-from .files import open_input, open_output, parse_jsonl, read_jsonl
+from .files import check_text, open_input, open_output, parse_jsonl, read_jsonl
 from .prompting import (
     CLASSIFICATION_USER_PREFIX,
     EXTRACTION_USER_PREFIX,
@@ -520,6 +520,12 @@ class HttpBackend:
                 "malformed backend response: content must be a string and usage an object",
                 attempts=attempts,
             )
+        try:
+            # A reply the outputs cannot hold fails here, as the call it is,
+            # not later in a cassette append or save_state.
+            check_text(text, "content")
+        except ValueError as exc:
+            raise BackendUnavailable(f"malformed backend response: {exc}", attempts=attempts) from exc
         tokens = (
             usage.get("prompt_tokens", 0),
             usage.get("completion_tokens", estimate_tokens(text)),

@@ -135,12 +135,13 @@ class Metrics:
 
 
 def classify_entity(
+    cid: str,
     entity: EntityNode,
     taxonomy: CategoryTaxonomy,
     backend: Backend,
     token_budget: int = 512,
 ) -> dict[str, bool | None]:
-    """Ask one membership question per category for one entity.
+    """Ask one membership question per category for the entity with id cid.
 
     Returns each category's answer in taxonomy order. The description shown
     to the backend concatenates stored descriptions newest first, truncated
@@ -148,16 +149,16 @@ def classify_entity(
     reasoning preamble; a second ambiguity leaves the answer None
     (undetermined).
     """
+    if not entity.descriptions:
+        raise ValueError(f"entity {cid!r} has no descriptions")
     description = _description(entity, token_budget)
     return {
-        category: _ask(backend, entity.canonical_id, description, category)[0]
+        category: _ask(backend, cid, description, category)[0]
         for category in taxonomy
     }
 
 
 def _description(entity: EntityNode, token_budget: int) -> str:
-    if not entity.descriptions:
-        raise ValueError(f"entity {entity.canonical_id!r} has no descriptions")
     return truncate_to_budget(
         " ".join(text for _, text in reversed(entity.descriptions)), token_budget
     )

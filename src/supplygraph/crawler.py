@@ -15,8 +15,10 @@ import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable
 
 from .backends import Backend, BackendRequest
 from .corpus import Article, ArticleFetcher, fetch_articles, preprocess_text
@@ -163,19 +165,21 @@ class Crawler:
             while self._frontier and not self._budget_reason():
                 keyword = self._frontier[0]
                 if self._pool is None:
-                    # Width 1 starts no thread: the head is searched and
-                    # extracted here, when it is applied.
+                    # Width 1 starts no thread: the head is searched here, and
+                    # each article extracted only when _apply takes it.
                     failed_years: list[int] = []
                     articles = fetch_articles(keyword, self.config, self.fetcher, failed_years,
                                               self._stop)
-                    results = [self._extract(a) for a in articles]
+                    results = [partial(self._extract, a) for a in articles]
                 else:
                     while len(opened) < min(width, len(self._frontier)):
                         opened.append(self._pool.submit(self._harvest, self._frontier[len(opened)]))
-                    # The head's search error, then its first failed article,
-                    # surface here, where a sequential crawl meets them.
+                    # The head's search error surfaces here, and its first
+                    # failed article that _apply takes, in _apply: where a
+                    # sequential crawl meets them.
                     failed_years, extractions = opened.popleft().result()
-                    results = [f.result() for f in extractions]
+                    wait(extractions)
+                    results = [f.result for f in extractions]
                 self._frontier.popleft()
                 self._apply(keyword, results, len(failed_years))
         finally:
@@ -248,15 +252,18 @@ class Crawler:
                 parse_failures += 1
         return _ArticleResult(article_id, entities, parse_failures, backend_failures)
 
-    def _apply(self, keyword: str, results: list[_ArticleResult], fetch_failures: int) -> None:
+    def _apply(self, keyword: str, results: list[Callable[[], _ArticleResult]],
+               fetch_failures: int) -> None:
         """Apply a keyword's article results in fetch order until a budget is
-        used up. fetch_failures: years whose search failed after its retries."""
+        used up; each result is got only when its article is applied.
+        fetch_failures: years whose search failed after its retries."""
         stats = self._stats
         stats.fetch_failures += fetch_failures
-        for result in results:
+        for get_result in results:
             if self._budget_reason():
                 self._cut = True
                 break
+            result = get_result()
             stats.articles_processed += 1
             stats.parse_failures += result.parse_failures
             stats.backend_failures += result.backend_failures

@@ -12,9 +12,10 @@ numbers the nodes in id order, so a k-hop sample searches, picks and sorts
 small integers, and it holds edge keys, so the sample reads each kept
 edge's record from the graph.
 
-Node and edge records are immutable. The graph's methods change a record by
-storing a new one in its place, so a k-hop sample, a read-only Subgraph,
-shares its parent's records and copies only the dict entries for them.
+Node and edge records are immutable and hold no id: a node's id and an
+edge's ends are its key. The graph's methods change a record by storing a
+new one in its place, so a k-hop sample, a read-only Subgraph, shares its
+parent's records and copies only the dict entries for them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from json.encoder import encode_basestring as _q
 from operator import itemgetter, lt
@@ -41,7 +42,8 @@ _READABLE_SCHEMAS = (1, 2, SCHEMA_VERSION)
 
 @dataclass(slots=True, frozen=True)
 class EntityNode:
-    canonical_id: str
+    """A node's fields; its canonical id is its key in the nodes dict."""
+
     display_name: str
     aliases: frozenset[str] = frozenset()
     descriptions: tuple[tuple[str, str], ...] = ()
@@ -50,10 +52,9 @@ class EntityNode:
 
 @dataclass(slots=True, frozen=True)
 class ComentionEdge:
-    """Undirected edge; weight is defined as the number of provenance articles."""
+    """Undirected edge, stored under the key (a, b) of its ends with a < b;
+    weight is defined as the number of provenance articles."""
 
-    a: str
-    b: str
     provenance: frozenset[str] = frozenset()
 
     @property
@@ -109,7 +110,7 @@ class SupplyChainGraph:
             descriptions += (pair,)
         if aliases is not node.aliases or descriptions is not node.descriptions:
             self.nodes[canonical_id] = EntityNode(
-                node.canonical_id, node.display_name, aliases, descriptions, node.categories)
+                node.display_name, aliases, descriptions, node.categories)
         self.alias_table[key] = canonical_id
 
     def upsert_entity(self, raw_name: str, description: str = "", article_id: str = "") -> str:
@@ -122,7 +123,7 @@ class SupplyChainGraph:
         alias, key = name_forms(raw_name, self.stopwords)
         canonical_id = self.alias_table.get(key, alias)
         if canonical_id not in self.nodes:
-            self.nodes[canonical_id] = EntityNode(canonical_id, raw_name.strip())
+            self.nodes[canonical_id] = EntityNode(raw_name.strip())
         self._register_variant(canonical_id, alias, key,
                                (article_id, description) if description and article_id else None)
         return canonical_id
@@ -134,8 +135,7 @@ class SupplyChainGraph:
             raise UnknownNode(canonical_id)
         categories = frozenset(categories)
         if categories != node.categories:
-            self.nodes[canonical_id] = EntityNode(
-                node.canonical_id, node.display_name, node.aliases, node.descriptions, categories)
+            self.nodes[canonical_id] = replace(node, categories=categories)
 
     # -- edges -------------------------------------------------------------
 
@@ -155,10 +155,10 @@ class SupplyChainGraph:
         for key in combinations(ids, 2):
             edge = edges.get(key)
             if edge is None:
-                edges[key] = ComentionEdge(*key, article)
+                edges[key] = ComentionEdge(article)
                 self._adj = None
             elif article_id not in edge.provenance:
-                edges[key] = ComentionEdge(*key, edge.provenance | article)
+                edges[key] = ComentionEdge(edge.provenance | article)
         return len(ids) * (len(ids) - 1) // 2
 
     def _adjacency(self) -> _Index:
@@ -209,9 +209,8 @@ class SupplyChainGraph:
         for pair in dup.descriptions:
             if pair not in descriptions:
                 descriptions.append(pair)
-        self.nodes[survivor] = EntityNode(
-            surv.canonical_id, surv.display_name, surv.aliases | dup.aliases,
-            tuple(descriptions), surv.categories | dup.categories)
+        self.nodes[survivor] = EntityNode(surv.display_name, surv.aliases | dup.aliases,
+                                          tuple(descriptions), surv.categories | dup.categories)
         for other in self._neighbours(duplicate):
             edge = self.edges.pop(_pair(duplicate, other))
             self._adj = None
@@ -220,9 +219,9 @@ class SupplyChainGraph:
             new_key = _pair(survivor, other)
             kept = self.edges.get(new_key)
             if kept is None:
-                self.edges[new_key] = ComentionEdge(*new_key, edge.provenance)
+                self.edges[new_key] = edge
             elif not edge.provenance <= kept.provenance:
-                self.edges[new_key] = ComentionEdge(*new_key, kept.provenance | edge.provenance)
+                self.edges[new_key] = ComentionEdge(kept.provenance | edge.provenance)
         table, stopwords = self.alias_table, self.stopwords
         for alias in dup.aliases:
             table[name_forms(alias, stopwords)[1]] = survivor
@@ -298,15 +297,6 @@ class SupplyChainGraph:
 # -- persistence -------------------------------------------------------------
 
 
-# Every writer orders records through these two: sorting keys beats sorting items.
-def _sorted_nodes(graph: SupplyChainGraph | Subgraph) -> list[EntityNode]:
-    return [graph.nodes[cid] for cid in sorted(graph.nodes)]
-
-
-def _sorted_edges(graph: SupplyChainGraph | Subgraph) -> list[ComentionEdge]:
-    return [graph.edges[k] for k in sorted(graph.edges)]
-
-
 # save_state's document is built afresh, so nothing in it can contain itself.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
@@ -317,12 +307,14 @@ def save_state(graph: SupplyChainGraph, path: str) -> None:
     edges [a, b, provenance] in (a, b) order, with a < b and every list
     sorted but descriptions. The alias table derives from aliases; it is not
     stored."""
+    # Each writer sorts the keys and indexes the dict, which beats sorting items.
+    nodes, edges = graph.nodes, graph.edges
     state = {
         "schema_version": SCHEMA_VERSION,
         "company_suffixes": sorted(graph.stopwords.company_suffixes),
-        "nodes": [(node.canonical_id, node.display_name, sorted(node.aliases),
-                   node.descriptions, sorted(node.categories)) for node in _sorted_nodes(graph)],
-        "edges": [(edge.a, edge.b, sorted(edge.provenance)) for edge in _sorted_edges(graph)],
+        "nodes": [(cid, node.display_name, sorted(node.aliases), node.descriptions,
+                   sorted(node.categories)) for cid in sorted(nodes) for node in [nodes[cid]]],
+        "edges": [(k[0], k[1], sorted(edges[k].provenance)) for k in sorted(edges)],
     }
     with open_output(path) as fh:
         fh.write(_ENCODER.encode(state) + "\n")
@@ -357,12 +349,15 @@ def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
         for field, value in (("aliases", aliases), ("categories", categories)):
             if not _is_strings(value):
                 raise ParseError(f"node {cid!r} {field} must be a list of strings", path=where)
+        if cid not in aliases:
+            raise ParseError(f"node {cid!r} aliases leave out its own id, so no name resolves "
+                             "to it", path=where)
         if not isinstance(descriptions, list) or not all(
             _is_strings(p) and len(p) == 2 for p in descriptions
         ):
             raise ParseError(f"node {cid!r} descriptions must be [article id, description] pairs",
                              path=where)
-        nodes[cid] = EntityNode(cid, name, frozenset(aliases), tuple(map(tuple, descriptions)),
+        nodes[cid] = EntityNode(name, frozenset(aliases), tuple(map(tuple, descriptions)),
                                 frozenset(categories))
         for alias in aliases:
             try:
@@ -394,7 +389,7 @@ def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
     if len(set(keys)) != len(keys):
         key = next(k for k, count in Counter(keys).items() if count > 1)
         raise ParseError(f"edge {key} repeats", path=where)
-    graph.edges.update(zip(keys, map(ComentionEdge, a_ids, b_ids, map(frozenset, provenances))))
+    graph.edges.update(zip(keys, map(ComentionEdge, map(frozenset, provenances))))
     return graph
 
 
@@ -413,10 +408,10 @@ def load_state(path: str) -> SupplyChainGraph:
     line), on any other schema_version, and on a state save_state cannot
     write: a node id or display name that is not a string, company suffixes,
     node fields or provenance that are not lists of strings, descriptions
-    that are not [article id, description] pairs, a repeated node or edge, an
-    edge to no node, a self-loop, ends out of order, no provenance, an alias
-    with no name left after normalization, or aliases of two nodes with one
-    matching form.
+    that are not [article id, description] pairs, a node whose aliases leave
+    out its own id, a repeated node or edge, an edge to no node, a self-loop,
+    ends out of order, no provenance, an alias with no name left after
+    normalization, or aliases of two nodes with one matching form.
     """
     where = str(path)
     state = read_json(path, "graph state")
@@ -492,15 +487,17 @@ def _to_graphml(graph: SupplyChainGraph | Subgraph) -> Iterator[str]:
         '  <key id="d2" for="edge" attr.name="weight" attr.type="int"/>\n'
         '  <graph id="G" edgedefault="undirected">\n'
     )
-    qid = {cid: quoteattr(cid) for cid in graph.nodes}
-    for node in _sorted_nodes(graph):
-        yield (f"    <node id={qid[node.canonical_id]}>\n"
+    nodes, edges = graph.nodes, graph.edges
+    qid = {cid: quoteattr(cid) for cid in nodes}
+    for cid in sorted(nodes):
+        node = nodes[cid]
+        yield (f"    <node id={qid[cid]}>\n"
                f"      <data key=\"d0\">{escape(node.display_name)}</data>\n"
                f"      <data key=\"d1\">{escape(';'.join(sorted(node.categories)))}</data>\n"
                "    </node>\n")
-    for edge in _sorted_edges(graph):
-        yield (f"    <edge source={qid[edge.a]} target={qid[edge.b]}>\n"
-               f"      <data key=\"d2\">{edge.weight}</data>\n"
+    for k in sorted(edges):
+        yield (f"    <edge source={qid[k[0]]} target={qid[k[1]]}>\n"
+               f"      <data key=\"d2\">{edges[k].weight}</data>\n"
                "    </edge>\n")
     yield "  </graph>\n</graphml>\n"
 
@@ -511,14 +508,16 @@ def _dot_quote(value: str) -> str:
 
 def _to_dot(graph: SupplyChainGraph | Subgraph) -> Iterator[str]:
     yield "graph supply_chain {\n"
-    qid = {cid: _dot_quote(cid) for cid in graph.nodes}
-    for node in _sorted_nodes(graph):
+    nodes, edges = graph.nodes, graph.edges
+    qid = {cid: _dot_quote(cid) for cid in nodes}
+    for cid in sorted(nodes):
+        node = nodes[cid]
         attrs = f"label={_dot_quote(node.display_name)}"
         if node.categories:
             attrs += f", categories={_dot_quote(';'.join(sorted(node.categories)))}"
-        yield f"  {qid[node.canonical_id]} [{attrs}];\n"
-    for edge in _sorted_edges(graph):
-        yield f"  {qid[edge.a]} -- {qid[edge.b]} [weight={edge.weight}];\n"
+        yield f"  {qid[cid]} [{attrs}];\n"
+    for k in sorted(edges):
+        yield f"  {qid[k[0]]} -- {qid[k[1]]} [weight={edges[k].weight}];\n"
     yield "}\n"
 
 
@@ -526,14 +525,16 @@ def _to_jsonl(graph: SupplyChainGraph | Subgraph) -> Iterator[str]:
     """One row per node, then per edge: the bytes of json.dumps(row,
     ensure_ascii=False), with each string quoted by the json module's C
     quoter."""
-    qid = {cid: _q(cid) for cid in graph.nodes}
-    for node in _sorted_nodes(graph):
+    nodes, edges = graph.nodes, graph.edges
+    qid = {cid: _q(cid) for cid in nodes}
+    for cid in sorted(nodes):
+        node = nodes[cid]
         categories = ", ".join(map(_q, sorted(node.categories)))
-        yield (f'{{"kind": "node", "id": {qid[node.canonical_id]}, '
+        yield (f'{{"kind": "node", "id": {qid[cid]}, '
                f'"display_name": {_q(node.display_name)}, "categories": [{categories}]}}\n')
-    for edge in _sorted_edges(graph):
-        yield (f'{{"kind": "edge", "source": {qid[edge.a]}, "target": {qid[edge.b]}, '
-               f'"weight": {edge.weight:d}}}\n')
+    for k in sorted(edges):
+        yield (f'{{"kind": "edge", "source": {qid[k[0]]}, "target": {qid[k[1]]}, '
+               f'"weight": {edges[k].weight:d}}}\n')
 
 
 _RENDERERS = {"graphml": _to_graphml, "dot": _to_dot, "jsonl": _to_jsonl}

@@ -94,13 +94,13 @@ def adjacency(graph):
 
 def _fields(graph):
     """A graph's or a sample's nodes and edges as plain values, field by
-    field: aliases, categories and provenance as sets, descriptions as a list."""
+    field: aliases, categories and provenance as sets, descriptions as a list.
+    Ids and edge ends are the keys."""
     nodes = {
-        cid: (n.canonical_id, n.display_name, set(n.aliases), list(n.descriptions),
-              set(n.categories))
+        cid: (n.display_name, set(n.aliases), list(n.descriptions), set(n.categories))
         for cid, n in graph.nodes.items()
     }
-    edges = {key: (e.a, e.b, set(e.provenance)) for key, e in graph.edges.items()}
+    edges = {key: set(e.provenance) for key, e in graph.edges.items()}
     return nodes, edges
 
 
@@ -306,10 +306,10 @@ class ScanGraph(SupplyChainGraph):
         """A reference graph holding copies of a graph's nodes, edges and aliases."""
         ref = cls(graph.stopwords)
         for cid, n in graph.nodes.items():
-            ref.nodes[cid] = ScanNode(n.canonical_id, n.display_name, set(n.aliases),
+            ref.nodes[cid] = ScanNode(cid, n.display_name, set(n.aliases),
                                       list(n.descriptions), set(n.categories))
         for key, e in graph.edges.items():
-            ref.edges[key] = ScanEdge(e.a, e.b, set(e.provenance))
+            ref.edges[key] = ScanEdge(*key, set(e.provenance))
         ref.alias_table = dict(graph.alias_table)
         return ref
 
@@ -437,9 +437,9 @@ def save_state_json(graph, path):
         "schema_version": 3,
         "company_suffixes": sorted(graph.stopwords.company_suffixes),
         "nodes": [
-            [node.canonical_id, node.display_name, sorted(node.aliases),
+            [cid, node.display_name, sorted(node.aliases),
              [list(p) for p in node.descriptions], sorted(node.categories)]
-            for _, node in sorted(graph.nodes.items())
+            for cid, node in sorted(graph.nodes.items())
         ],
         "edges": [[a, b, sorted(edge.provenance)] for (a, b), edge in sorted(graph.edges.items())],
     }
@@ -457,14 +457,6 @@ def rebuilt_alias_table(graph):
     return table
 
 
-def _sorted_nodes(graph):
-    return [graph.nodes[cid] for cid in sorted(graph.nodes)]
-
-
-def _sorted_edges(graph):
-    return [graph.edges[k] for k in sorted(graph.edges)]
-
-
 def graphml_text(graph):
     """The graphml export, quoting each edge end again."""
     lines = [
@@ -475,13 +467,13 @@ def graphml_text(graph):
         '  <key id="d2" for="edge" attr.name="weight" attr.type="int"/>',
         '  <graph id="G" edgedefault="undirected">',
     ]
-    for node in _sorted_nodes(graph):
-        lines.append(f"    <node id={quoteattr(node.canonical_id)}>")
+    for cid, node in sorted(graph.nodes.items()):
+        lines.append(f"    <node id={quoteattr(cid)}>")
         lines.append(f"      <data key=\"d0\">{escape(node.display_name)}</data>")
         lines.append(f"      <data key=\"d1\">{escape(';'.join(sorted(node.categories)))}</data>")
         lines.append("    </node>")
-    for edge in _sorted_edges(graph):
-        lines.append(f"    <edge source={quoteattr(edge.a)} target={quoteattr(edge.b)}>")
+    for (a, b), edge in sorted(graph.edges.items()):
+        lines.append(f"    <edge source={quoteattr(a)} target={quoteattr(b)}>")
         lines.append(f"      <data key=\"d2\">{edge.weight}</data>")
         lines.append("    </edge>")
     lines.append("  </graph>")
@@ -496,13 +488,13 @@ def _dot_quote(value):
 def dot_text(graph):
     """The dot export, quoting each edge end again."""
     lines = ["graph supply_chain {"]
-    for node in _sorted_nodes(graph):
+    for cid, node in sorted(graph.nodes.items()):
         attrs = f"label={_dot_quote(node.display_name)}"
         if node.categories:
             attrs += f", categories={_dot_quote(';'.join(sorted(node.categories)))}"
-        lines.append(f"  {_dot_quote(node.canonical_id)} [{attrs}];")
-    for edge in _sorted_edges(graph):
-        lines.append(f"  {_dot_quote(edge.a)} -- {_dot_quote(edge.b)} [weight={edge.weight}];")
+        lines.append(f"  {_dot_quote(cid)} [{attrs}];")
+    for (a, b), edge in sorted(graph.edges.items()):
+        lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={edge.weight}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -510,19 +502,19 @@ def dot_text(graph):
 def jsonl_text(graph):
     """The jsonl export, one json.dumps call per row."""
     lines = []
-    for node in _sorted_nodes(graph):
+    for cid, node in sorted(graph.nodes.items()):
         lines.append(json.dumps(
             {
                 "kind": "node",
-                "id": node.canonical_id,
+                "id": cid,
                 "display_name": node.display_name,
                 "categories": sorted(node.categories),
             },
             ensure_ascii=False,
         ))
-    for edge in _sorted_edges(graph):
+    for (a, b), edge in sorted(graph.edges.items()):
         lines.append(json.dumps(
-            {"kind": "edge", "source": edge.a, "target": edge.b, "weight": edge.weight},
+            {"kind": "edge", "source": a, "target": b, "weight": edge.weight},
             ensure_ascii=False,
         ))
     return "".join(line + "\n" for line in lines)

@@ -522,6 +522,9 @@ _STUB_REPLY = {
 }
 
 
+_SURROGATE_REPLY = b'{"choices": [{"message": {"content": "1. Acme \\ud800 Corp: a supplier"}}]}'
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     # Status codes, consumed per request; the last repeats. "slow" answers
     # 200 after sleeping slow_s; "drop" closes the connection unanswered.
@@ -751,6 +754,8 @@ def test_http_backend_null_usage_counts_as_absent(http_stub):
         {"choices": [{"message": {"content": "Yes"}}], "usage": {"prompt_tokens": "many"}},
         {"choices": [{"message": {"content": "Yes"}}], "usage": {"completion_tokens": 1.5}},
         {"choices": [{"message": {"content": "Yes"}}], "usage": [11, 1]},
+        # A lone surrogate, which UTF-8 cannot encode, sent as the JSON escape.
+        _SURROGATE_REPLY,
     ],
 )
 def test_http_backend_malformed_reply_is_unavailable(http_stub, reply):
@@ -770,6 +775,24 @@ def test_http_backend_malformed_reply_counts_every_attempt(http_stub):
         backend.complete(_classify_request("acme", "builds", "legal counsel"))
     assert err.value.attempts == 3
     assert len(_StubHandler.requests_seen) == 3
+
+
+def test_crawl_counts_a_reply_the_outputs_cannot_hold_as_a_backend_failure(http_stub, tmp_path):
+    # Each of bechtel's three articles gets the reply; before, the crawl
+    # finished and save_state (or the cassette append) raised on it.
+    _StubHandler.reply = _SURROGATE_REPLY
+    out = tmp_path / "run"
+    assert main([
+        "crawl", "--corpus", NEWS_PATH, "--backend", http_stub, "--out", str(out),
+        "--seeds", "bechtel", "--year-start", "2019", "--year-end", "2021",
+        "--per-year-min", "1", "--http-backoff", "0", "--cassette", str(tmp_path / "c.jsonl"),
+    ]) == 0
+    report = json.loads((out / "crawl_report.json").read_text(encoding="utf-8"))
+    assert report["stats"]["articles_processed"] == 3
+    assert report["stats"]["backend_failures"] == 3
+    assert len(_StubHandler.requests_seen) == 3
+    for name in ("graph.json", "graph.graphml", "manifest.json"):
+        assert (out / name).is_file(), name
 
 
 def test_http_backend_connection_refused_counts_attempts():

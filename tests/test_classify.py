@@ -174,9 +174,9 @@ def test_classify_entity_description_newest_first_and_truncated():
 
 def test_classify_entity_requires_descriptions():
     taxonomy = CategoryTaxonomy()
-    node = EntityNode(canonical_id="acme", display_name="Acme", aliases=frozenset({"acme"}))
-    with pytest.raises(ValueError):
-        classify_entity(node, taxonomy, TapeBackend([]))
+    node = EntityNode(display_name="Acme", aliases=frozenset({"acme"}))
+    with pytest.raises(ValueError, match="'acme' has no descriptions"):
+        classify_entity("acme", node, taxonomy, TapeBackend([]))
 
 
 def test_classify_graph_annotates_and_skips(gazetteer_backend, gazetteer):

@@ -388,6 +388,21 @@ class RecordingScripted(ScriptedBackend):
         return super().complete(request)
 
 
+@pytest.mark.parametrize("max_articles", [4, 20])
+def test_width_one_crawl_extracts_only_the_articles_it_applies(news_corpus, max_articles):
+    # Both budgets run out inside a keyword (txdot's second article, and one
+    # of a later keyword's), whose remaining articles then make no backend
+    # call, so a cassette records no answer for them. Each article is one
+    # segment.
+    config = CrawlConfig(seeds=["bechtel"], year_range=(2019, 2021), per_year_min=1,
+                         max_articles=max_articles)
+    backend = RecordingScripted(load_script(GAZETTEER_PATH))
+    _, report = run_crawl(config, news_corpus, backend)
+    assert report.termination_reason == TERMINATION_ARTICLE_BUDGET
+    assert report.stats.articles_processed == max_articles
+    assert len(backend.requests) == max_articles
+
+
 def test_crawl_segments_long_articles(gazetteer):
     body = "aecom leads the review. " + "the work continues on site. " * 200
     corpus = _single_article_corpus(body)

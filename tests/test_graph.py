@@ -109,28 +109,20 @@ def test_upsert_bare_seed_has_no_descriptions():
     assert g.nodes[cid].display_name == "bechtel"
 
 
-def _acme_without_its_id(tmp_path) -> SupplyChainGraph:
-    """A hand-written state whose node acme leaves its own id out of its aliases."""
+def test_upsert_never_replaces_a_record(tmp_path):
+    # A loaded node with a description and a category gains a variant and a
+    # second description, and keeps both.
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({
         "schema_version": 3, "company_suffixes": ["ltd"], "edges": [],
-        "nodes": [["acme", "Acme", [], [["art-1", "makes rockets"]], ["manufacturer"]]],
+        "nodes": [["acme", "Acme", ["acme"], [["art-1", "makes rockets"]], ["manufacturer"]]],
     }))
-    return load_state(str(path))
-
-
-def test_upsert_never_replaces_a_record(tmp_path):
-    g = _acme_without_its_id(tmp_path)
-    assert g.upsert_entity("Acme", "d2", "art-2") == "acme"
+    g = load_state(str(path))
+    assert g.upsert_entity("Acme Ltd", "d2", "art-2") == "acme"
     assert g.nodes["acme"] == EntityNode(
-        "acme", "Acme", frozenset({"acme"}), (("art-1", "makes rockets"), ("art-2", "d2")),
+        "Acme", frozenset({"acme", "acme ltd"}), (("art-1", "makes rockets"), ("art-2", "d2")),
         frozenset({"manufacturer"}))
-    assert g.canonicalize("Acme") == "acme"
-
-
-def test_names_resolve_through_the_alias_table_alone(tmp_path):
-    g = _acme_without_its_id(tmp_path)
-    assert g.canonicalize("Acme") is None and g.canonicalize("acme") is None
+    assert g.canonicalize("ACME") == "acme"
 
 
 # -- co-mention edges ----------------------------------------------------------
@@ -620,10 +612,10 @@ def test_sample_k_hop_matches_full_scan_reference_at_every_depth(seed):
                 # parent as it was, and the sample cannot be pointed elsewhere.
                 for node_id, node in list(sub.nodes.items()):
                     sub.nodes[node_id] = replace(node, categories=frozenset({"mutated"}))
-                sub.nodes["mutated"] = EntityNode("mutated", "Mutated")
+                sub.nodes["mutated"] = EntityNode("Mutated")
                 for key, edge in list(sub.edges.items()):
                     sub.edges[key] = replace(edge, provenance=edge.provenance | {"art-x"})
-                sub.edges[(cid, "mutated")] = ComentionEdge(cid, "mutated", frozenset({"art-x"}))
+                sub.edges[(cid, "mutated")] = ComentionEdge(frozenset({"art-x"}))
                 with pytest.raises(AttributeError):
                     sub.nodes = real.nodes
     assert (real.nodes, real.edges, real.alias_table) == before
@@ -641,7 +633,7 @@ def test_sample_k_hop_on_awkward_ids_matches_full_scan_reference(seed):
     rng = random.Random(f"awkward {seed}")
     g = SupplyChainGraph()
     for cid in rng.sample(_AWKWARD_IDS, len(_AWKWARD_IDS)):
-        g.nodes[cid] = EntityNode(cid, cid, frozenset((cid,)))
+        g.nodes[cid] = EntityNode(cid, frozenset((cid,)))
     assert list(g.nodes) != sorted(g.nodes)
     linked = rng.sample(_AWKWARD_IDS, len(_AWKWARD_IDS) - 2)
     for step in range(30):
@@ -760,9 +752,9 @@ def _schema_2_state(g: SupplyChainGraph) -> dict:
     return {
         "schema_version": 2,
         "stopwords": {"company_suffixes": sorted(g.stopwords.company_suffixes)},
-        "nodes": [{"canonical_id": n.canonical_id, "display_name": n.display_name,
+        "nodes": [{"canonical_id": cid, "display_name": n.display_name,
                    "aliases": sorted(n.aliases), "descriptions": [list(p) for p in n.descriptions],
-                   "categories": sorted(n.categories)} for _, n in sorted(g.nodes.items())],
+                   "categories": sorted(n.categories)} for cid, n in sorted(g.nodes.items())],
         "edges": [{"source": a, "target": b, "provenance": sorted(e.provenance)}
                   for (a, b), e in sorted(g.edges.items())],
         "alias_table": dict(sorted(g.alias_table.items())),
@@ -885,13 +877,15 @@ def _swap_ends(state: dict) -> None:
          "'alpha co'"),
         (lambda s: s["nodes"][1].pop(), "not enough values to unpack (expected 5, got 4)"),
         (lambda s: s["edges"][0].append("art-9"), "edge rows must be [a, b, provenance]"),
+        (_set("nodes", 0, 2, ["alpha"]),
+         "node 'alpha co' aliases leave out its own id, so no name resolves to it"),
     ],
     ids=["edge-end", "empty-provenance", "self-loop",
          "repeated-node", "aliases-string", "categories-string", "description-string",
          "description-triple", "provenance-string", "provenance-number", "suffixes-string",
          "display-name-number", "edgeless-id-number", "repeated-edge",
          "repeated-edge-swapped", "edge-order", "alias-without-name", "alias-of-two-nodes",
-         "node-row-width", "edge-row-width"],
+         "node-row-width", "edge-row-width", "alias-omits-id"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
@@ -925,22 +919,25 @@ def _matching_form(alias: str, stopwords: StopwordLists) -> str | None:
 
 def _awkward_graph(seed: int) -> SupplyChainGraph:
     """A graph load_state accepts, built field by field so that every string,
-    ids included, is drawn from _AWKWARD; any list may be empty. An alias is
-    kept only if something of it is left after normalization and no earlier
-    node claims its matching form, and the alias table is the one load_state
-    rebuilds."""
+    ids included, is drawn from _AWKWARD; any list but aliases may be empty.
+    An alias is kept only if something of it is left after normalization and
+    no earlier node claims its matching form; a node's id is one of its kept
+    aliases, and a node with none is skipped. The alias table is the one
+    load_state rebuilds."""
     rng = random.Random(seed)
     g = SupplyChainGraph(StopwordLists(frozenset(
         _awkward_text(rng, 1) for _ in range(rng.choice((0, 1, 4))))))
-    claimed: dict[str, str] = {}  # matching form -> the node whose alias has it
-    for _ in range(rng.randint(0, 8)):
-        cid = _awkward_text(rng, 1)
-        g.nodes[cid] = EntityNode(
-            cid,
+    claimed: dict[str, int] = {}  # matching form -> the node whose alias has it
+    for n in range(rng.randint(0, 8)):
+        aliases = frozenset(
+            alias for alias in (_awkward_text(rng) for _ in range(rng.randint(0, 3)))
+            if (key := _matching_form(alias, g.stopwords)) is not None
+            and claimed.setdefault(key, n) == n)
+        if not aliases:
+            continue
+        g.nodes[rng.choice(sorted(aliases))] = EntityNode(
             _awkward_text(rng),
-            frozenset(alias for alias in (_awkward_text(rng) for _ in range(rng.randint(0, 3)))
-                      if (key := _matching_form(alias, g.stopwords)) is not None
-                      and claimed.setdefault(key, cid) == cid),
+            aliases,
             tuple((_awkward_text(rng), _awkward_text(rng)) for _ in range(rng.randint(0, 3))),
             frozenset({_awkward_text(rng) for _ in range(rng.randint(0, 3))}),
         )
@@ -948,7 +945,7 @@ def _awkward_graph(seed: int) -> SupplyChainGraph:
     for _ in range(rng.randint(0, 12) if len(ids) > 1 else 0):
         a, b = sorted(rng.sample(ids, 2))
         g.edges[(a, b)] = ComentionEdge(
-            a, b, frozenset({_awkward_text(rng) for _ in range(rng.randint(1, 3))}))
+            frozenset({_awkward_text(rng) for _ in range(rng.randint(1, 3))}))
     g.alias_table = oracles.rebuilt_alias_table(g)
     return g
 
@@ -978,16 +975,17 @@ def test_awkward_graphs_cover_every_character_and_empty_field():
     strings = set()
     for g in graphs:
         strings |= g.stopwords.company_suffixes
-        for node in g.nodes.values():
-            strings |= {node.canonical_id, node.display_name} | node.aliases | node.categories
+        for cid, node in g.nodes.items():
+            strings |= {cid, node.display_name} | node.aliases | node.categories
             strings.update(text for pair in node.descriptions for text in pair)
         for edge in g.edges.values():
             strings |= edge.provenance
     assert set(_AWKWARD) <= set("".join(strings))
     nodes = [node for g in graphs for node in g.nodes.values()]
-    for name in ("aliases", "descriptions", "categories"):
+    for name in ("descriptions", "categories"):
         assert any(not getattr(node, name) for node in nodes)
         assert any(getattr(node, name) for node in nodes)
+    assert any(len(node.aliases) > 1 for node in nodes)
     assert any(node.display_name == "" for node in nodes)
     assert any(not g.stopwords.company_suffixes for g in graphs)
 
