@@ -30,7 +30,7 @@ from typing import Iterable, Protocol
 
 from .corpus import preprocess_text
 from .errors import BackendUnavailable, CassetteWriteError, ParseError
-from .files import check_text, open_input, open_output, parse_jsonl, read_jsonl
+from .files import check_utf8, open_input, open_output, parse_jsonl, read_jsonl
 from .prompting import (
     CLASSIFICATION_USER_PREFIX,
     EXTRACTION_USER_PREFIX,
@@ -510,31 +510,16 @@ class HttpBackend:
         try:
             body = json.loads(raw.decode("utf-8"))
             text = body["choices"][0]["message"]["content"]
+            usage = body.get("usage") or {}
+            if not isinstance(text, str) or not isinstance(usage, dict):
+                raise TypeError("content must be a string and usage an object")
+            # A reply UTF-8 cannot encode fails here, as the call it is, not
+            # later in a cassette append or save_state.
+            check_utf8(text, "content")
+            tokens = (usage.get("prompt_tokens", 0),
+                      usage.get("completion_tokens", estimate_tokens(text)))
+            if any(isinstance(n, bool) or not isinstance(n, int) for n in tokens):
+                raise TypeError(f"token counts {tokens} are not integers")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendUnavailable(
-                f"malformed backend response: {exc}", attempts=attempts
-            ) from exc
-        usage = body.get("usage") or {}
-        if not isinstance(text, str) or not isinstance(usage, dict):
-            raise BackendUnavailable(
-                "malformed backend response: content must be a string and usage an object",
-                attempts=attempts,
-            )
-        try:
-            # A reply the outputs cannot hold fails here, as the call it is,
-            # not later in a cassette append or save_state.
-            check_text(text, "content")
-        except ValueError as exc:
             raise BackendUnavailable(f"malformed backend response: {exc}", attempts=attempts) from exc
-        tokens = (
-            usage.get("prompt_tokens", 0),
-            usage.get("completion_tokens", estimate_tokens(text)),
-        )
-        if any(isinstance(n, bool) or not isinstance(n, int) for n in tokens):
-            raise BackendUnavailable(
-                f"malformed backend response: token counts {tokens} are not integers",
-                attempts=attempts,
-            )
-        return BackendResponse(
-            text=text, input_tokens=tokens[0], output_tokens=tokens[1], latency_ms=latency_ms
-        )
+        return BackendResponse(text, *tokens, latency_ms)

@@ -166,7 +166,7 @@ def _build_crawl_config(args: argparse.Namespace) -> cr.CrawlConfig:
 
 def cmd_crawl(args: argparse.Namespace) -> int:
     config = _build_crawl_config(args)
-    corpus = load_corpus(args.corpus, strict=not args.lenient)
+    corpus = load_corpus(args.corpus)
     stopwords = load_stopwords(args.suffixes) if args.suffixes else StopwordLists.default()
     for seed in config.seeds:
         try:
@@ -369,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_crawl.add_argument("--export-format", choices=gr.EXPORT_FORMATS, default="graphml")
     p_crawl.add_argument("--fail-on-budget", action="store_true",
                          help="exit 3 when the crawl stops on a budget instead of exhaustion")
-    p_crawl.add_argument("--lenient", action="store_true",
-                         help="ignore unknown corpus fields instead of rejecting them")
     p_crawl.set_defaults(func=cmd_crawl)
 
     p_classify = sub.add_parser("classify", help="label graph entities by category")

@@ -135,43 +135,35 @@ class Corpus:
         return iter(self.articles)
 
 
-def _article_from_record(record: dict, strict: bool, path: str, lineno: int) -> Article:
+def _article_from_record(record: dict, path: str, lineno: int) -> Article:
     missing = [f for f in ARTICLE_FIELDS if f not in record]
     if missing:
         raise ParseError(f"missing fields {missing}", path=path, line=lineno)
     unknown = [k for k in record if k not in ARTICLE_FIELDS]
-    if unknown and strict:
+    if unknown:
         raise ParseError(f"unknown fields {unknown}", path=path, line=lineno)
     for f in ("id", "url", "title", "body", "retrieved_for_keyword"):
         if not isinstance(record[f], str):
             raise ParseError(f"field {f!r} must be a string", path=path, line=lineno)
-    year = record["published_year"]
-    if isinstance(year, bool) or not isinstance(year, int):
+    if type(record["published_year"]) is not int:  # a bool is an int too
         raise ParseError("field 'published_year' must be an integer", path=path, line=lineno)
     if not record["id"]:
         raise ParseError("field 'id' must be non-empty", path=path, line=lineno)
     if not preprocess_text(record["body"]):
         raise ParseError("article body is empty after preprocessing", path=path, line=lineno)
-    return Article(
-        id=record["id"],
-        url=record["url"],
-        title=record["title"],
-        body=record["body"],
-        published_year=year,
-        retrieved_for_keyword=record["retrieved_for_keyword"],
-    )
+    return Article(**record)
 
 
-def load_corpus(path: str, strict: bool = True) -> Corpus:
+def load_corpus(path: str) -> Corpus:
     """Load a JSONL corpus file.
 
-    Every record must carry exactly the article fields; unknown fields are
-    rejected in strict mode and ignored otherwise. Raises ParseError with the
-    offending line number, a repeated article id included.
+    Every record must carry exactly the article fields. Raises ParseError
+    with the offending line number, on a missing or unknown field and a
+    repeated article id among others.
     """
     corpus = Corpus()
     for lineno, record in read_jsonl(path):
-        article = _article_from_record(record, strict, str(path), lineno)
+        article = _article_from_record(record, str(path), lineno)
         try:
             corpus.add(article)
         except ValueError as exc:

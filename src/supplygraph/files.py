@@ -6,8 +6,8 @@ goes through open_output, so an interrupted run leaves the previous file (or
 none) in place, never a truncated one; write_json and write_jsonl fix the
 two JSON output formats. graph.json and the graph exports are rendered in
 graph.py, in the same layout and with the json module's own string quoting.
-check_text rejects the characters that no output can hold, and check_int a
-count or seed that is not an int.
+check_text rejects the characters no output can hold, check_utf8 those no
+JSON output can hold, and check_int a count or seed that is not an int.
 """
 
 from __future__ import annotations
@@ -21,19 +21,30 @@ from typing import Iterable, Iterator, TextIO
 from .errors import ParseError
 
 
-# Lone surrogates, which UTF-8 cannot encode, and the characters XML 1.0
-# forbids: C0 controls other than tab, LF and CR, and U+FFFE and U+FFFF.
+# Lone surrogates, which UTF-8 cannot encode; and those and the characters
+# XML 1.0 forbids: C0 controls other than tab, LF and CR, U+FFFE and U+FFFF.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _BAD_TEXT_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check(rule: re.Pattern, value: str, where: str, what: str) -> None:
+    # The message quotes at most 20 characters either side of the bad one.
+    if bad := rule.search(value):
+        i = bad.start()
+        raise ValueError(f"{where}: {value[max(0, i - 20):i + 20]!r} holds "
+                         f"U+{ord(bad.group()):04X} at offset {i}, which {what} cannot hold")
 
 
 def check_text(value: str, where: str) -> None:
     """Raise ValueError naming ``where`` if ``value`` holds a character that
     the outputs cannot hold."""
-    bad = _BAD_TEXT_RE.search(value)
-    if bad:
-        raise ValueError(
-            f"{where}: {value!r} holds U+{ord(bad.group()):04X}, which UTF-8 or XML 1.0 cannot hold"
-        )
+    _check(_BAD_TEXT_RE, value, where, "UTF-8 or XML 1.0")
+
+
+def check_utf8(value: str, where: str) -> None:
+    """check_text for text that only JSON outputs hold: only a lone surrogate fails."""
+    if not value.isascii():  # a flag read, so ASCII text costs no scan
+        _check(_SURROGATE_RE, value, where, "UTF-8")
 
 
 def check_int(name: str, value: object) -> None:

@@ -26,18 +26,15 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 from json.encoder import encode_basestring as _q
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import StopwordLists, name_forms
 from .errors import EmptyName, ParseError, UnknownNode
-from .files import check_int, check_text, open_input, open_output, read_json
+from .files import check_int, check_text, check_utf8, open_input, open_output, read_json
 
 SCHEMA_VERSION = 3
-# Schemas 1 and 2 stored objects and an alias table, and schema 1 also a
-# general-stopword list; load_state converts them to rows and ignores both.
-_READABLE_SCHEMAS = (1, 2, SCHEMA_VERSION)
 
 
 @dataclass(slots=True, frozen=True)
@@ -332,12 +329,28 @@ def _is_strings(value: object) -> bool:
     return True
 
 
+def _check_strings(check, field: str, strings: Iterable[str],
+                   rows: Iterable[tuple[str, Iterable[str]]], where: str) -> None:
+    """Run check once on all the strings joined; only on a failure walk the
+    (name, strings) rows, to name the first one that fails."""
+    try:
+        check(" ".join(strings), field)
+    except ValueError:
+        for name, values in rows:
+            try:
+                for value in values:
+                    check(value, field)
+            except ValueError as exc:
+                raise ParseError(f"{name} {exc}", path=where) from None
+
+
 def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
                    where: str) -> SupplyChainGraph:
-    """The graph that schema 3 rows hold. Edge checks run over all edges at
-    once; only when one fails are the edges walked, to name the first bad one."""
+    """The graph that schema 3 rows hold. Text and edge checks run per column."""
     if not _is_strings(suffixes):
         raise ParseError("company_suffixes must be a list of strings", path=where)
+    for suffix in suffixes:
+        check_utf8(suffix, "company_suffixes")
     graph = SupplyChainGraph(StopwordLists(frozenset(suffixes)))
     nodes, table = graph.nodes, graph.alias_table
     for cid, name, aliases, descriptions, categories in node_rows:
@@ -368,6 +381,17 @@ def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
             if table.setdefault(key, cid) != cid:
                 raise ParseError(f"node {cid!r} alias {alias!r} matches the same name as an "
                                  f"alias of node {table[key]!r}", path=where)
+    # Names, aliases (ids among them) and categories keep the rule of every
+    # name that enters a graph; descriptions reach only the JSON outputs.
+    ids, names, aliases, descriptions, categories = zip(*node_rows) if node_rows else [()] * 5
+    flat = chain.from_iterable
+    for field, check, strings, column in (
+        ("display_name", check_text, names, zip(names)),
+        ("aliases", check_text, flat(aliases), aliases),
+        ("categories", check_text, flat(categories), categories),
+        ("descriptions", check_utf8, flat(flat(descriptions)), map(flat, descriptions)),
+    ):
+        _check_strings(check, field, strings, zip((f"node {c!r}" for c in ids), column), where)
 
     if set(map(len, edge_rows)) - {3}:
         raise ParseError("edge rows must be [a, b, provenance]", path=where)
@@ -381,9 +405,11 @@ def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
         what = "is a self-loop" if key[0] == key[1] else "ends are not in sorted order"
         raise ParseError(f"edge {key} {what}", path=where)
     if not (set(map(type, provenances)) <= {list}
-            and _is_strings(list(chain.from_iterable(provenances)))):
+            and _is_strings(articles := list(chain.from_iterable(provenances)))):
         key = next(k for k, p in zip(keys, provenances) if not _is_strings(p))
         raise ParseError(f"edge {key} provenance must be a list of strings", path=where)
+    _check_strings(check_utf8, "provenance", articles,
+                   zip((f"edge {k}" for k in keys), provenances), where)
     if not all(provenances):
         raise ParseError(f"edge {keys[provenances.index([])]} has no provenance", path=where)
     if len(set(keys)) != len(keys):
@@ -393,42 +419,28 @@ def _graph_of_rows(suffixes: object, node_rows: list, edge_rows: list,
     return graph
 
 
-def _rows_of_records(state: dict) -> tuple[object, list, list]:
-    """Schema 1 or 2's records as schema 3 rows, ignoring the stored alias table."""
-    node = itemgetter("canonical_id", "display_name", "aliases", "descriptions", "categories")
-    edges = [(*_pair(rec["source"], rec["target"]), rec["provenance"]) for rec in state["edges"]]
-    return state["stopwords"]["company_suffixes"], list(map(node, state["nodes"])), edges
-
-
 def load_state(path: str) -> SupplyChainGraph:
-    """Load a graph saved by save_state, or in schema 1 or 2; round-trips to
-    an equal graph. Each alias of a node resolves to it by its matching form.
+    """Load a graph saved by save_state; round-trips to an equal graph. Each
+    alias of a node resolves to it by its matching form.
 
-    Raises ParseError, naming the file, on JSON that does not parse (with its
-    line), on any other schema_version, and on a state save_state cannot
-    write: a node id or display name that is not a string, company suffixes,
-    node fields or provenance that are not lists of strings, descriptions
-    that are not [article id, description] pairs, a node whose aliases leave
-    out its own id, a repeated node or edge, an edge to no node, a self-loop,
-    ends out of order, no provenance, an alias with no name left after
-    normalization, or aliases of two nodes with one matching form.
+    Raises ParseError naming the file on JSON that does not parse (with its
+    line), a schema_version other than the int 3, and a state save_state
+    cannot write or the exports cannot hold: a field of the wrong type or
+    shape, a repeated node or edge, a node whose aliases leave out its id, an
+    edge to no node, a self-loop, ends out of order, no provenance, an alias
+    with no name left or sharing a matching form with another node's, a
+    name, alias or category check_text rejects, or a lone surrogate.
     """
     where = str(path)
     state = read_json(path, "graph state")
     if not isinstance(state, dict) or "schema_version" not in state:
         raise ParseError("graph state missing schema_version", path=where)
     version = state["schema_version"]
-    # bool is an int, and True == 1.
-    if type(version) is not int or version not in _READABLE_SCHEMAS:
-        raise ParseError(
-            f"expected schema 1, 2 or {SCHEMA_VERSION}, found {version!r}", path=where
-        )
+    # bool is an int, True == 1 and 3.0 == 3.
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParseError(f"expected schema {SCHEMA_VERSION}, found {version!r}", path=where)
     try:
-        if version == SCHEMA_VERSION:
-            rows = state["company_suffixes"], state["nodes"], state["edges"]
-        else:
-            rows = _rows_of_records(state)
-        return _graph_of_rows(*rows, where)
+        return _graph_of_rows(state["company_suffixes"], state["nodes"], state["edges"], where)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"graph state malformed: {exc}", path=where) from exc
 

@@ -21,6 +21,7 @@ REASONING_PREAMBLE = "Think step by step before answering."
 _PLACEHOLDER_RE = re.compile(r"\{(news|industry|company_name|company_description|company_category)\}")
 _SECTION_RE = re.compile(r"^\[(system|user|question)\]$", re.MULTILINE)
 _ENTITY_LINE_RE = re.compile(r"^\s*(?P<num>\d+\.\s*)?(?P<name>[^:]+):(?P<desc>.*)$")
+_NAME_DROP_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f\ufffe\uffff]")
 _ALPHA_RE = re.compile(r"[A-Za-z]+")
 _SENTENCE_END_RE = re.compile(r"[.!?]+(?:\s+|$)")
 
@@ -232,9 +233,9 @@ def parse_entity_list(response: str, diagnostics: ParseDiagnostics) -> list[Extr
 
     A line counts as an entity when it has a numeric "N." prefix or a
     non-empty description after the first colon; anything else is skipped and
-    tallied. Control characters are removed from names and descriptions, as
-    XML forbids them in ``graph.graphml``. An empty response parses to an
-    empty list; a non-empty response with zero entities raises EmptyParse.
+    tallied. Names and descriptions lose control characters, and names U+FFFE
+    and U+FFFF, as XML forbids them in ``graph.graphml``. An empty response
+    parses to an empty list; a non-empty one with no entity raises EmptyParse.
     """
     entities: list[ExtractedEntity] = []
     skipped = 0
@@ -243,7 +244,7 @@ def parse_entity_list(response: str, diagnostics: ParseDiagnostics) -> list[Extr
             continue
         m = _ENTITY_LINE_RE.match(line)
         if m:
-            name = _CONTROL_RE.sub("", m.group("name")).strip()
+            name = _NAME_DROP_RE.sub("", m.group("name")).strip()
             desc = _CONTROL_RE.sub("", m.group("desc")).strip()
             if name and (m.group("num") or desc):
                 entities.append(ExtractedEntity(name=name, description=desc))

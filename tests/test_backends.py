@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import xml.dom.minidom
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -32,6 +33,7 @@ from supplygraph import backends as backends_module
 from supplygraph.errors import BackendUnavailable, CassetteWriteError, ParseError
 from supplygraph.cli import _make_backend, main
 from supplygraph.crawler import article_payload
+from supplygraph.graph import load_state
 from supplygraph.prompting import (
     ParseDiagnostics,
     build_classification_prompt,
@@ -767,6 +769,18 @@ def test_http_backend_malformed_reply_is_unavailable(http_stub, reply):
     assert len(_StubHandler.requests_seen) == 1
 
 
+def test_http_backend_malformed_reply_message_quotes_a_bounded_excerpt(http_stub):
+    content = "1. Acme: " + "x" * 4980 + "\ud800" + "y" * 10
+    _StubHandler.reply = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    backend = HttpBackend(http_stub, retry_cap=3, backoff_base_s=0)
+    with pytest.raises(BackendUnavailable) as err:
+        backend.complete(_classify_request("acme", "builds", "legal counsel"))
+    message = str(err.value)
+    assert message.startswith("malformed backend response: content: ")
+    assert "holds U+D800 at offset 4989, which UTF-8 cannot hold" in message
+    assert len(message) < 200
+
+
 def test_http_backend_malformed_reply_counts_every_attempt(http_stub):
     _StubHandler.plan = [503, 503, 200]
     _StubHandler.reply = {"choices": [{"message": {"content": None}}]}
@@ -793,6 +807,24 @@ def test_crawl_counts_a_reply_the_outputs_cannot_hold_as_a_backend_failure(http_
     assert len(_StubHandler.requests_seen) == 3
     for name in ("graph.json", "graph.graphml", "manifest.json"):
         assert (out / name).is_file(), name
+
+
+def test_crawl_keeps_a_reply_with_control_characters(http_stub, tmp_path):
+    # The name loses nothing and the description its controls; graph.json and
+    # the cassette hold the reply's text.
+    _StubHandler.reply = {"choices": [{"message": {
+        "content": "1. TxDOT: a state agency\x0c that\x01 builds roads"}}]}
+    out = tmp_path / "run"
+    assert main([
+        "crawl", "--corpus", NEWS_PATH, "--backend", http_stub, "--out", str(out),
+        "--seeds", "bechtel", "--year-start", "2019", "--year-end", "2021",
+        "--per-year-min", "1", "--http-backoff", "0", "--cassette", str(tmp_path / "c.jsonl"),
+    ]) == 0
+    report = json.loads((out / "crawl_report.json").read_text(encoding="utf-8"))
+    assert report["stats"]["backend_failures"] == 0
+    graph = load_state(str(out / "graph.json"))
+    assert "txdot" in graph.nodes
+    xml.dom.minidom.parse(str(out / "graph.graphml"))
 
 
 def test_http_backend_connection_refused_counts_attempts():

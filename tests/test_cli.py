@@ -327,32 +327,6 @@ def test_crawl_repeated_article_id_names_file_and_line(tmp_path, capsys):
     assert f"article id {first['id']!r} repeats ({corpus_path}:2)" in capsys.readouterr().err
 
 
-def test_crawl_lenient_accepts_unknown_fields(tmp_path):
-    corpus_path = tmp_path / "extra.jsonl"
-    record = {
-        "id": "x-0", "url": "u", "title": "bechtel note", "body": "bechtel met aecom.",
-        "published_year": 2019, "retrieved_for_keyword": "bechtel", "extra": 1,
-    }
-    corpus_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    out_strict = tmp_path / "strict"
-    code = main([
-        "crawl", "--corpus", str(corpus_path),
-        "--backend", f"script:{GAZETTEER_PATH}",
-        "--out", str(out_strict), "--seeds", "bechtel",
-        "--year-start", "2019", "--year-end", "2019", "--per-year-min", "1",
-    ])
-    assert code == EXIT_CONFIG
-    out_lenient = tmp_path / "lenient"
-    code = main([
-        "crawl", "--corpus", str(corpus_path),
-        "--backend", f"script:{GAZETTEER_PATH}",
-        "--out", str(out_lenient), "--seeds", "bechtel",
-        "--year-start", "2019", "--year-end", "2019", "--per-year-min", "1",
-        "--lenient",
-    ])
-    assert code == EXIT_OK
-
-
 def test_crawl_export_format_flag(tmp_path):
     out = tmp_path / "run"
     assert _crawl(out, export_format="dot") == EXIT_OK
@@ -958,7 +932,7 @@ def test_export_of_an_unknown_schema_names_the_state_file(tmp_path, crawled_stat
     code = main(["export", "--state", str(state_path), "--format", "jsonl",
                  "--out", str(tmp_path / "exp")])
     assert code == EXIT_CONFIG
-    assert f"expected schema 1, 2 or 3, found 99 ({state_path})" in capsys.readouterr().err
+    assert f"expected schema 3, found 99 ({state_path})" in capsys.readouterr().err
 
 
 def test_subgraph_resolves_variant_names(tmp_path, crawled_state, capsys):

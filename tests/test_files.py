@@ -16,7 +16,7 @@ from supplygraph.classify import (
 )
 from supplygraph.corpus import StopwordLists, load_corpus, load_stopwords
 from supplygraph.errors import ParseError
-from supplygraph.files import check_text, open_output, read_json
+from supplygraph.files import check_text, check_utf8, open_output, read_json
 
 _GOOD_ROWS = {
     load_corpus: {"id": "a-1", "url": "u", "title": "t", "body": "acme hired delta.",
@@ -134,3 +134,19 @@ def test_check_text_rejects_lone_surrogates_and_what_xml_forbids(value):
 
 def test_check_text_accepts_what_xml_allows():
     check_text("tab\tlf\ncr\r del\x7f nbsp\xa0 \ufffd \U0001f600 東京", "seeds")
+
+
+def test_check_utf8_rejects_only_lone_surrogates():
+    check_utf8("nul\x00 ff\x0c us\x1f \ufffe\uffff \U0001f600", "content")
+    for value in ("\ud800", "x\udfff"):
+        with pytest.raises(ValueError, match=r"^content: .* holds U\+D[89A-F][0-9A-F]{2} "):
+            check_utf8(value, "content")
+
+
+def test_check_text_quotes_a_bounded_excerpt_of_a_long_value():
+    value = "a" * 3000 + "\x01" + "b" * 3000
+    with pytest.raises(ValueError) as err:
+        check_text(value, "content")
+    excerpt = "a" * 20 + "\x01" + "b" * 19
+    assert str(err.value) == (f"content: {excerpt!r} holds U+0001 at offset 3000, which UTF-8 "
+                              "or XML 1.0 cannot hold")

@@ -683,6 +683,9 @@ def test_save_load_roundtrip(tmp_path):
     g.upsert_entity("Alpha Co Ltd.", "builder of things", "art-3")
     path = tmp_path / "graph.json"
     save_state(g, str(path))
+    state = json.loads(path.read_text(encoding="utf-8"))
+    assert list(state) == ["schema_version", "company_suffixes", "nodes", "edges"]
+    assert state["schema_version"] == 3
     loaded = load_state(str(path))
     assert oracles.graph_equal(g, loaded)
 
@@ -731,12 +734,14 @@ def test_loaded_graph_keeps_canonicalizing(tmp_path):
 
 def test_load_state_schema_mismatch(tmp_path):
     path = tmp_path / "graph.json"
-    path.write_text('{"schema_version": 99}\n', encoding="utf-8")
-    with pytest.raises(ParseError, match=re.escape(f"found 99 ({path})")):
-        load_state(str(path))
+    for version in (1, 2, 99):  # 1 and 2 are the object layouts before schema 3
+        path.write_text(f'{{"schema_version": {version}}}\n', encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match=re.escape(f"expected schema 3, found {version} ({path})")):
+            load_state(str(path))
 
 
-@pytest.mark.parametrize("version", [True, 2.0, 1.0, "2"])
+@pytest.mark.parametrize("version", [True, 2.0, 1.0, "2", 3.0, "3"])
 def test_load_state_rejects_a_schema_version_that_is_not_an_int(tmp_path, version):
     path = tmp_path / "graph.json"
     save_state(_path_graph(), str(path))
@@ -747,66 +752,12 @@ def test_load_state_rejects_a_schema_version_that_is_not_an_int(tmp_path, versio
         load_state(str(path))
 
 
-def _schema_2_state(g: SupplyChainGraph) -> dict:
-    """graph.json as schema 2 stored it: records as objects, and the alias table."""
-    return {
-        "schema_version": 2,
-        "stopwords": {"company_suffixes": sorted(g.stopwords.company_suffixes)},
-        "nodes": [{"canonical_id": cid, "display_name": n.display_name,
-                   "aliases": sorted(n.aliases), "descriptions": [list(p) for p in n.descriptions],
-                   "categories": sorted(n.categories)} for cid, n in sorted(g.nodes.items())],
-        "edges": [{"source": a, "target": b, "provenance": sorted(e.provenance)}
-                  for (a, b), e in sorted(g.edges.items())],
-        "alias_table": dict(sorted(g.alias_table.items())),
-    }
-
-
-def test_load_state_reads_schemas_1_and_2_and_saves_schema_3(tmp_path):
-    g = _path_graph()
-    g.upsert_entity("Alpha Co Ltd.", "builder of things", "art-3")
-    v3_path = tmp_path / "v3.json"
-    save_state(g, str(v3_path))
-    state = json.loads(v3_path.read_text(encoding="utf-8"))
-    assert list(state) == ["schema_version", "company_suffixes", "nodes", "edges"]
-    assert state["schema_version"] == 3
-
-    v2 = _schema_2_state(g)
-    # A stored alias table is ignored: the loaded one is rebuilt from the aliases.
-    v2["alias_table"] = {"stray": "ghost"}
-    # Schema 2 accepted an edge's ends in either order.
-    edge = v2["edges"][0]
-    edge["source"], edge["target"] = edge["target"], edge["source"]
-    # Schema 1 also stored a general-stopword list.
-    v1 = copy.deepcopy(v2)
-    v1["schema_version"] = 1
-    v1["stopwords"]["general_stopwords"] = ["the", "of"]
-    for version, old in ((2, v2), (1, v1)):
-        old_path = tmp_path / f"v{version}.json"
-        old_path.write_text(json.dumps(old, indent=2), encoding="utf-8")
-        loaded = load_state(str(old_path))
-        assert oracles.graph_equal(loaded, g)
-        resaved = tmp_path / "resaved.json"
-        save_state(loaded, str(resaved))
-        assert resaved.read_bytes() == v3_path.read_bytes()
-
-
-def test_load_state_of_schema_2_names_a_bad_record(tmp_path):
-    v2 = _schema_2_state(_path_graph())
-    v2["edges"].append(dict(v2["edges"][0], source=v2["edges"][0]["target"],
-                            target=v2["edges"][0]["source"]))
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(v2), encoding="utf-8")
-    with pytest.raises(ParseError, match=re.escape(
-            f"edge ('alpha co', 'bravo ltd') repeats ({path})")):
-        load_state(str(path))
-
-
 def test_load_state_bad_json(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text("{broken\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_state(str(path))
-    path.write_text('{\n  "schema_version": 2,\n  "nodes": [,]\n}\n', encoding="utf-8")
+    path.write_text('{\n  "schema_version": 3,\n  "nodes": [,]\n}\n', encoding="utf-8")
     message = f"bad graph state JSON: Expecting value ({path}:3)"
     with pytest.raises(ParseError, match=re.escape(message)):
         load_state(str(path))
@@ -821,10 +772,10 @@ def test_load_state_missing_version(tmp_path):
 
 def test_load_state_malformed_nodes(tmp_path):
     path = tmp_path / "graph.json"
-    state = {"schema_version": 1, "stopwords": {"company_suffixes": [], "general_stopwords": []},
-             "nodes": [{"canonical_id": "x"}], "edges": [], "alias_table": {}}
+    state = {"schema_version": 3, "company_suffixes": [], "nodes": [["x"]], "edges": []}
     path.write_text(json.dumps(state), encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(f"graph state malformed: not enough values to "
+                                                   f"unpack (expected 5, got 1) ({path})")):
         load_state(str(path))
 
 
@@ -879,13 +830,33 @@ def _swap_ends(state: dict) -> None:
         (lambda s: s["edges"][0].append("art-9"), "edge rows must be [a, b, provenance]"),
         (_set("nodes", 0, 2, ["alpha"]),
          "node 'alpha co' aliases leave out its own id, so no name resolves to it"),
+        # Characters: what XML 1.0 forbids in the names and categories that
+        # graph.graphml holds, and a lone surrogate, which UTF-8 cannot encode.
+        (lambda s: s["nodes"].append(["delta\x01", "Delta", ["delta\x01"], [], []]),
+         "node 'delta\\x01' aliases: 'delta\\x01' holds U+0001 at offset 5, which UTF-8 or "
+         "XML 1.0 cannot hold"),
+        (_set("nodes", 1, 1, "Bravo\x01 Ltd"),
+         "node 'bravo ltd' display_name: 'Bravo\\x01 Ltd' holds U+0001 at offset 5"),
+        (lambda s: s["nodes"][0][2].append("alpha\ufffe"),
+         "node 'alpha co' aliases: 'alpha\\ufffe' holds U+FFFE at offset 5"),
+        (_set("nodes", 2, 4, ["legal\x0ccounsel"]),
+         "node 'charlie inc' categories: 'legal\\x0ccounsel' holds U+000C at offset 5"),
+        (_set("nodes", 2, 3, [["art-2", "a \ud800 b"]]),
+         "node 'charlie inc' descriptions: 'a \\ud800 b' holds U+D800 at offset 2, which UTF-8 "
+         "cannot hold"),
+        (_set("edges", 1, 2, ["art-2\udfff"]),
+         "edge ('bravo ltd', 'charlie inc') provenance: 'art-2\\udfff' holds U+DFFF at offset 5"),
+        (lambda s: s["company_suffixes"].append("co\ud800"),
+         "company_suffixes: 'co\\ud800' holds U+D800 at offset 2, which UTF-8 cannot hold"),
     ],
     ids=["edge-end", "empty-provenance", "self-loop",
          "repeated-node", "aliases-string", "categories-string", "description-string",
          "description-triple", "provenance-string", "provenance-number", "suffixes-string",
          "display-name-number", "edgeless-id-number", "repeated-edge",
          "repeated-edge-swapped", "edge-order", "alias-without-name", "alias-of-two-nodes",
-         "node-row-width", "edge-row-width", "alias-omits-id"],
+         "node-row-width", "edge-row-width", "alias-omits-id", "id-control",
+         "display-name-control", "alias-noncharacter", "category-control",
+         "description-surrogate", "provenance-surrogate", "suffix-surrogate"],
 )
 def test_load_state_rejects_inconsistent_graph(tmp_path, change, message):
     path = tmp_path / "graph.json"
@@ -906,8 +877,13 @@ _AWKWARD = ([chr(c) for c in range(0x20)] + ["\x7f", "\x85", "\u2028", "\u2029",
             "'", "<", ">", "&", ";", " ", "-", "a", "Z", "0", "é", "漢", "😀"])
 
 
-def _awkward_text(rng: random.Random, min_len: int = 0) -> str:
-    return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(min_len, 6)))
+# Those that XML 1.0 allows: the characters of ids, display names, aliases
+# and categories, which the graphml export holds.
+_AWKWARD_NAME = [c for c in _AWKWARD if c >= " " or c in "\t\n\r"]
+
+
+def _awkward_text(rng: random.Random, min_len: int = 0, chars: list[str] = _AWKWARD) -> str:
+    return "".join(rng.choice(chars) for _ in range(rng.randint(min_len, 6)))
 
 
 def _matching_form(alias: str, stopwords: StopwordLists) -> str | None:
@@ -919,7 +895,8 @@ def _matching_form(alias: str, stopwords: StopwordLists) -> str | None:
 
 def _awkward_graph(seed: int) -> SupplyChainGraph:
     """A graph load_state accepts, built field by field so that every string,
-    ids included, is drawn from _AWKWARD; any list but aliases may be empty.
+    ids included, is drawn from _AWKWARD, and each id, display name, alias and
+    category from _AWKWARD_NAME; any list but aliases may be empty.
     An alias is kept only if something of it is left after normalization and
     no earlier node claims its matching form; a node's id is one of its kept
     aliases, and a node with none is skipped. The alias table is the one
@@ -930,16 +907,17 @@ def _awkward_graph(seed: int) -> SupplyChainGraph:
     claimed: dict[str, int] = {}  # matching form -> the node whose alias has it
     for n in range(rng.randint(0, 8)):
         aliases = frozenset(
-            alias for alias in (_awkward_text(rng) for _ in range(rng.randint(0, 3)))
+            alias for alias in (_awkward_text(rng, 0, _AWKWARD_NAME)
+                                for _ in range(rng.randint(0, 3)))
             if (key := _matching_form(alias, g.stopwords)) is not None
             and claimed.setdefault(key, n) == n)
         if not aliases:
             continue
         g.nodes[rng.choice(sorted(aliases))] = EntityNode(
-            _awkward_text(rng),
+            _awkward_text(rng, 0, _AWKWARD_NAME),
             aliases,
             tuple((_awkward_text(rng), _awkward_text(rng)) for _ in range(rng.randint(0, 3))),
-            frozenset({_awkward_text(rng) for _ in range(rng.randint(0, 3))}),
+            frozenset({_awkward_text(rng, 0, _AWKWARD_NAME) for _ in range(rng.randint(0, 3))}),
         )
     ids = sorted(g.nodes)
     for _ in range(rng.randint(0, 12) if len(ids) > 1 else 0):
@@ -972,15 +950,16 @@ def test_writers_give_the_json_module_bytes(tmp_path, seed):
 
 def test_awkward_graphs_cover_every_character_and_empty_field():
     graphs = [_awkward_graph(seed) for seed in range(1, 40)]
-    strings = set()
+    strings, names = set(), set()
     for g in graphs:
         strings |= g.stopwords.company_suffixes
         for cid, node in g.nodes.items():
-            strings |= {cid, node.display_name} | node.aliases | node.categories
+            names |= {cid, node.display_name} | node.aliases | node.categories
             strings.update(text for pair in node.descriptions for text in pair)
         for edge in g.edges.values():
             strings |= edge.provenance
-    assert set(_AWKWARD) <= set("".join(strings))
+    assert set(_AWKWARD) <= set("".join(strings | names))
+    assert set(_AWKWARD_NAME) <= set("".join(names))
     nodes = [node for g in graphs for node in g.nodes.values()]
     for name in ("descriptions", "categories"):
         assert any(not getattr(node, name) for node in nodes)
@@ -1058,16 +1037,18 @@ def test_export_graphml_escapes_special_characters(tmp_path):
 
 
 def test_export_graphml_of_a_reply_with_control_characters_parses(tmp_path):
-    g = _graph()
-    reply = "1. Acme\x01 Steel: makes\x1b steel\x7f"
-    for entity in parse_entity_list(reply, ParseDiagnostics()):
-        g.upsert_entity(entity.name, entity.description, "art-1")
-    path = tmp_path / "g.graphml"
-    export_graph(g, "graphml", str(path))
-    ns = "{http://graphml.graphdrawing.org/xmlns}"
-    node = ET.parse(path).getroot().find(f"{ns}graph/{ns}node")
-    assert node.find(f"{ns}data").text == "Acme Steel"
-    assert g.nodes["acme steel"].descriptions == (("art-1", "makes steel"),)
+    # Names lose what XML forbids; a description keeps U+FFFE, as only JSON holds it.
+    for reply, description in (("1. Acme\x01 Steel: makes\x1b steel\x7f", "makes steel"),
+                               ("1. Acme\ufffe Steel\uffff: makes\ufffe", "makes\ufffe")):
+        g = _graph()
+        for entity in parse_entity_list(reply, ParseDiagnostics()):
+            g.upsert_entity(entity.name, entity.description, "art-1")
+        path = tmp_path / "g.graphml"
+        export_graph(g, "graphml", str(path))
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        node = ET.parse(path).getroot().find(f"{ns}graph/{ns}node")
+        assert node.find(f"{ns}data").text == "Acme Steel"
+        assert g.nodes["acme steel"].descriptions == (("art-1", description),)
 
 
 def test_export_dot_three_node_path(tmp_path):

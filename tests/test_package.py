@@ -1,12 +1,15 @@
-"""The package's public surface: the names `supplygraph` re-exports."""
+"""The package's public surface: the names `supplygraph` re-exports, and
+the command-line options README.md documents."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import re
 
 import supplygraph
+from supplygraph import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,3 +108,30 @@ def test_every_error_type_is_caught_by_name_or_carries_state():
         and not any(isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in cls.body)
     )
     assert idle == [], f"raised but never caught by name, and no state of their own: {idle}"
+
+
+def test_readme_names_every_cli_option_and_only_those():
+    # Every option of the top-level parser and of each subcommand shows one
+    # of its option strings in README.md, and every --flag that README names
+    # from "## Commands" on is an option of some parser. So an option added
+    # or deleted without its documentation fails here.
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    parser = cli.build_parser()
+    parsers = {"supplygraph": parser}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.update(action.choices)
+    options, unnamed = set(), []
+    for name, sub in parsers.items():
+        for action in sub._actions:
+            options.update(action.option_strings)
+            if action.option_strings and not isinstance(action, argparse._HelpAction) and not any(
+                re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme)
+                for o in action.option_strings
+            ):
+                unnamed.append(f"{name} {'/'.join(action.option_strings)}")
+    assert "-v" in options and "--corpus" in options  # the walk reached both levels
+    assert unnamed == [], f"options README.md never names: {unnamed}"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme[readme.index("\n## Commands"):]))
+    assert sorted(named - options) == [], "flags README.md names that no parser has"

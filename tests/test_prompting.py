@@ -257,6 +257,12 @@ def test_parse_entity_list_name_whitespace_trimmed():
     assert entities == [ExtractedEntity("Acme Corp", "heavy equipment")]
 
 
+def test_parse_entity_list_drops_what_xml_forbids_from_names():
+    # Names become graphml ids and labels; descriptions reach only JSON.
+    entities = parse_entity_list("1. Acme\ufffe Corp\uffff\x01: a\ufffe b\x0c", ParseDiagnostics())
+    assert entities == [ExtractedEntity("Acme Corp", "a\ufffe b")]
+
+
 def test_parse_entity_list_colon_in_description_kept():
     entities = parse_entity_list("1. Acme: rentals: cranes and lifts", ParseDiagnostics())
     assert entities == [ExtractedEntity("Acme", "rentals: cranes and lifts")]
